@@ -6,8 +6,8 @@
 // The workload is the probe engine's real query pattern: a stream of
 // deep-overlap input spaces where every answered header joins one global
 // forbidden pool (§VI: probe headers must be unique network-wide), so query
-// q carries q-1 not-this-header constraints. A cold solver (the old
-// solve_header_in behaviour) re-encodes the space and the whole forbidden
+// q carries q-1 not-this-header constraints. A cold solver (a throwaway
+// session per query) re-encodes the space and the whole forbidden
 // set on every call — O(q) re-encoded constraints per query, O(Q^2) over
 // the stream; an incremental session encodes each space and each forbidden
 // header exactly once and keeps its learned clauses.
@@ -56,7 +56,7 @@ void record_answer(PassResult& r, const std::optional<hsa::TernaryString>& h,
 }
 
 // Cold baseline: a throwaway solver + encoding per find_header call, i.e.
-// what the deprecated solve_header_in(space, forbidden, budget) did. Every
+// what a one-shot per-query solver does. Every
 // call re-encodes the space and the entire forbidden set so far.
 PassResult run_cold(const std::vector<const hsa::HeaderSpace*>& stream,
                     int width) {

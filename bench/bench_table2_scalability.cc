@@ -23,9 +23,6 @@
 #include "core/analysis_snapshot.h"
 #include "core/legal_paths.h"
 #include "core/mlpc.h"
-#include "shard/partition.h"
-#include "shard/sharded_engine.h"
-#include "shard/sharded_snapshot.h"
 #include "util/timer.h"
 
 using namespace sdnprobe;
@@ -129,38 +126,6 @@ int main(int argc, char** argv) {
         row["speedup"] = s > 0.0 ? t1 / s : 0.0;
         row["cover"] = std::uint64_t{c.path_count()};
         row["cover_matches_single_thread"] = fingerprint(c) == ref;
-      }
-
-      // Sharded sweep on the same topology run (src/shard/, DESIGN.md §17):
-      // pre-computation time vs shard count, same schema as bench_shard's
-      // sweep rows. MLPC's per-stitch-query visited reset is Θ(V), so
-      // partitioned solves shed work superlinearly even single-threaded.
-      std::printf("\nsharded probe generation on topo %s:\n", p.name);
-      double shard1_s = 0.0;
-      for (const int shards : {1, 2, 4, 8}) {
-        util::WallTimer timer;
-        const shard::ShardLayout layout = shard::make_layout(
-            snap, shard::ShardConfig{shards, spec.seed});
-        const shard::ShardedSnapshot sliced(snap, layout);
-        shard::ShardedEngineConfig ec;
-        ec.common.seed = spec.seed;
-        ec.mlpc_restarts = 2;  // match the preset runs above
-        shard::ShardedProbeEngine engine(sliced, ec);
-        util::Rng rng(spec.seed);
-        const shard::ProbeSet ps = engine.generate(rng);
-        const double s = timer.elapsed_seconds();
-        if (shards == 1) shard1_s = s;
-        std::printf("  shards=%d: %8.2f s  speedup %.2fx  probes %zu "
-                    "(%zu boundary)\n",
-                    shards, s, s > 0.0 ? shard1_s / s : 0.0,
-                    ps.probes.size(), ps.boundary_probe_count);
-        auto& row = report.add_row();
-        row["sweep"] = "sharded_probe_gen";
-        row["shards"] = shards;
-        row["seconds"] = s;
-        row["speedup_vs_1"] = s > 0.0 ? shard1_s / s : 0.0;
-        row["probes"] = std::uint64_t{ps.probes.size()};
-        row["boundary_probes"] = std::uint64_t{ps.boundary_probe_count};
       }
     }
   }

@@ -38,6 +38,13 @@ struct LocalizerInstruments {
   }
 };
 
+// The localizer's probe engine shares its thread count and nothing else.
+ProbeEngineConfig engine_config(int threads) {
+  ProbeEngineConfig config;
+  config.common.threads = threads;
+  return config;
+}
+
 }  // namespace
 
 const char* deviation_kind_name(DeviationKind k) {
@@ -55,14 +62,8 @@ const char* deviation_kind_name(DeviationKind k) {
 }
 
 bool DetectionReport::flagged(flow::SwitchId s) const {
-  // Flags only accumulate, so a size mismatch is the complete staleness
-  // signal; rebuilding on it keeps the common lookup O(1) while staying
-  // correct for callers that assign flagged_switches wholesale.
-  if (flagged_lookup_.size() != flagged_switches.size()) {
-    flagged_lookup_.clear();
-    flagged_lookup_.insert(flagged_switches.begin(), flagged_switches.end());
-  }
-  return flagged_lookup_.count(s) != 0;
+  return std::binary_search(flagged_switches.begin(), flagged_switches.end(),
+                            s);
 }
 
 FaultLocalizer::FaultLocalizer(const AnalysisSnapshot& snapshot,
@@ -78,9 +79,7 @@ FaultLocalizer::FaultLocalizer(const AnalysisSnapshot& snapshot,
                       util::ThreadPool::resolve_thread_count(
                           config.common.threads))
                 : nullptr),
-      engine_(snapshot,
-              ProbeEngineConfig{.common = {.threads = config.common.threads}},
-              pool_.get()),
+      engine_(snapshot, engine_config(config.common.threads), pool_.get()),
       rng_(config.common.seed) {}
 
 void FaultLocalizer::charge_wall_time(double seconds) const {

@@ -22,7 +22,6 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -180,13 +179,10 @@ struct DetectionReport {
   // snapshot, so consumers holding only the report can rank suspects).
   std::map<flow::EntryId, int> suspicion;
 
-  // O(1) membership test against flagged_switches (hash lookup backed by a
-  // lazily rebuilt cache; safe against callers that assign the vector
-  // directly, since flags only ever accumulate).
+  // Membership test against flagged_switches: a binary search, so it
+  // holds no state and concurrent readers of one report never race. Every
+  // writer fills the vector from a std::set, which keeps it sorted.
   bool flagged(flow::SwitchId s) const;
-
- private:
-  mutable std::unordered_set<flow::SwitchId> flagged_lookup_;
 };
 
 class FaultLocalizer {

@@ -30,6 +30,32 @@ struct MlpcInstruments {
   }
 };
 
+// Epoch-stamped visited set. Each stitch or augment query calls clear(),
+// which bumps the epoch instead of zeroing V entries, so a query costs only
+// the vertices it touches. The stamps are zeroed only when the 16-bit epoch
+// wraps (once per 65,535 queries), which keeps the array small and the wrap
+// path exercised on the Table II graphs.
+class VisitedSet {
+ public:
+  explicit VisitedSet(int vertex_count)
+      : stamp_(static_cast<std::size_t>(vertex_count), 0) {}
+
+  void clear() {
+    if (++epoch_ == 0) {
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+  bool contains(VertexId v) const {
+    return stamp_[static_cast<std::size_t>(v)] == epoch_;
+  }
+  void insert(VertexId v) { stamp_[static_cast<std::size_t>(v)] = epoch_; }
+
+ private:
+  std::vector<std::uint16_t> stamp_;
+  std::uint16_t epoch_ = 0;
+};
+
 // Mutable cover under construction.
 struct WorkPath {
   std::vector<VertexId> vertices;
@@ -46,14 +72,17 @@ struct StitchResult {
 // Searches for a path head legally reachable from `from_path`'s tail.
 // DFS over step-1 successors, propagating the forward header space exactly.
 // Already-covered vertices may be traversed (lazy transitive closure).
+// `visited` is caller-owned scratch, reused across searches.
 class StitchSearch {
  public:
   StitchSearch(const AnalysisSnapshot& g, const std::vector<WorkPath>& paths,
-               const std::vector<int>& head_path_of, std::size_t budget,
-               util::Rng* rng, double accept_probability = 1.0)
+               const std::vector<int>& head_path_of, VisitedSet& visited,
+               std::size_t budget, util::Rng* rng,
+               double accept_probability = 1.0)
       : g_(g),
         paths_(paths),
         head_path_of_(head_path_of),
+        visited_(visited),
         budget_(budget),
         rng_(rng),
         accept_probability_(accept_probability) {}
@@ -63,7 +92,7 @@ class StitchSearch {
   std::size_t budget_remaining() const { return budget_; }
 
   std::optional<StitchResult> find(int from_path) {
-    visited_.assign(static_cast<std::size_t>(g_.vertex_count()), 0);
+    visited_.clear();
     route_.clear();
     from_path_ = from_path;
     const WorkPath& p = paths_[static_cast<std::size_t>(from_path)];
@@ -89,9 +118,9 @@ class StitchSearch {
       VertexId advance_to = -1;
       hsa::HeaderSpace advance_space;
       for (const VertexId w : succ) {
-        if (visited_[static_cast<std::size_t>(w)]) continue;
+        if (visited_.contains(w)) continue;
         --budget_;
-        visited_[static_cast<std::size_t>(w)] = 1;
+        visited_.insert(w);
         const int q = head_path_of_[static_cast<std::size_t>(w)];
         if (q >= 0 && q != from_path_ &&
             paths_[static_cast<std::size_t>(q)].alive) {
@@ -127,10 +156,10 @@ class StitchSearch {
     // what full Hopcroft–Karp augmentation would, at a fraction of the cost.
     // The snapshot precomputes the ordering once for all restarts/workers.
     for (const VertexId w : g_.successors_by_fanin(at)) {
-      if (visited_[static_cast<std::size_t>(w)]) continue;
+      if (visited_.contains(w)) continue;
       if (budget_ == 0) return std::nullopt;
       --budget_;
-      visited_[static_cast<std::size_t>(w)] = 1;
+      visited_.insert(w);
       // Candidate: w heads another alive path — try the full merge.
       const int q = head_path_of_[static_cast<std::size_t>(w)];
       if (q >= 0 && q != from_path_ &&
@@ -158,11 +187,11 @@ class StitchSearch {
   const AnalysisSnapshot& g_;
   const std::vector<WorkPath>& paths_;
   const std::vector<int>& head_path_of_;
+  VisitedSet& visited_;
   std::size_t budget_;
   util::Rng* rng_;
   double accept_probability_ = 1.0;
   int from_path_ = -1;
-  std::vector<std::uint8_t> visited_;
   std::vector<VertexId> route_;
 };
 
@@ -206,13 +235,15 @@ std::vector<Loc> build_locations(int vertex_count,
 // One alternation of a legal augmenting path (Definition 3): the stranded
 // tail of `pi` either finds a free head outright, or captures the suffix of
 // a donor path whose freshly exposed tail can merge onto a free head.
-// Returns true when the total path count decreased by one.
+// Returns true when the total path count decreased by one. The augmenting
+// DFS marks `visited`; the nested donor-tail search, which runs while that
+// DFS is live, marks `secondary_visited`.
 bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
              std::vector<int>& head_path_of, const std::vector<Loc>& loc,
-             int pi, std::size_t budget) {
+             int pi, std::size_t budget, VisitedSet& visited,
+             VisitedSet& secondary_visited) {
   WorkPath& p = paths[static_cast<std::size_t>(pi)];
-  std::vector<std::uint8_t> visited(
-      static_cast<std::size_t>(g.vertex_count()), 0);
+  visited.clear();
   std::vector<VertexId> route;
 
   auto propagate_along = [&g](hsa::HeaderSpace hs, const auto begin,
@@ -226,9 +257,9 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
   std::function<bool(VertexId, const hsa::HeaderSpace&)> dfs =
       [&](VertexId at, const hsa::HeaderSpace& space) -> bool {
     for (const VertexId w : g.successors(at)) {
-      if (visited[static_cast<std::size_t>(w)] || budget == 0) continue;
+      if (visited.contains(w) || budget == 0) continue;
       --budget;
-      visited[static_cast<std::size_t>(w)] = 1;
+      visited.insert(w);
 
       const int q = head_path_of[static_cast<std::size_t>(w)];
       if (q >= 0 && q != pi && paths[static_cast<std::size_t>(q)].alive) {
@@ -263,7 +294,8 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
                 g.full_space(), r.vertices.begin(), r.vertices.end());
             // The donor's new tail must land on a free head for the
             // rearrangement to pay off.
-            StitchSearch secondary(g, paths, head_path_of, budget, nullptr);
+            StitchSearch secondary(g, paths, head_path_of, secondary_visited,
+                                   budget, nullptr);
             if (auto res = secondary.find(l.path)) {
               commit_merge(paths, head_path_of, l.path, std::move(*res));
               return true;
@@ -361,6 +393,11 @@ Cover MlpcSolver::solve_once(const AnalysisSnapshot& g,
   util::Rng rng(seed);
   util::Rng* rng_ptr = config_.common.randomized ? &rng : nullptr;
 
+  // One visited set per search that can be live at once: the greedy stitch
+  // search (reused by augment's nested donor-tail search, which never
+  // overlaps it) and augment's own DFS. Allocated once per solve.
+  VisitedSet search_visited(V);
+
   std::deque<int> worklist;
   {
     std::vector<int> order(paths.size());
@@ -378,8 +415,9 @@ Cover MlpcSolver::solve_once(const AnalysisSnapshot& g,
     worklist.pop_front();
     WorkPath& p = paths[static_cast<std::size_t>(pi)];
     if (!p.alive) continue;
-    StitchSearch search(g, paths, head_path_of, config_.search_budget,
-                        rng_ptr, config_.stitch_accept_probability);
+    StitchSearch search(g, paths, head_path_of, search_visited,
+                        config_.search_budget, rng_ptr,
+                        config_.stitch_accept_probability);
     const auto result = search.find(pi);
     MlpcInstruments::get().budget_consumed.add(
         config_.search_budget - search.budget_remaining());
@@ -405,13 +443,14 @@ Cover MlpcSolver::solve_once(const AnalysisSnapshot& g,
   // donor's freshly exposed tail can itself merge onto a free head — one
   // alternation of the augmenting path, applied until a fixed point.
   if (!config_.common.randomized) {
+    VisitedSet augment_visited(V);
     for (int sweep = 0; sweep < 4; ++sweep) {
       bool progress = false;
       std::vector<Loc> loc = build_locations(V, paths);
       for (std::size_t pi = 0; pi < paths.size(); ++pi) {
         if (!paths[pi].alive) continue;
         if (augment(g, paths, head_path_of, loc, static_cast<int>(pi),
-                    config_.search_budget)) {
+                    config_.search_budget, augment_visited, search_visited)) {
           progress = true;
           loc = build_locations(V, paths);
         }
@@ -443,8 +482,9 @@ bool MlpcSolver::is_stitch_free(const AnalysisSnapshot& g,
         static_cast<int>(paths.size());
     paths.push_back(std::move(p));
   }
+  VisitedSet visited(g.vertex_count());
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    StitchSearch search(g, paths, head_path_of, config_.search_budget,
+    StitchSearch search(g, paths, head_path_of, visited, config_.search_budget,
                         nullptr);
     if (search.find(static_cast<int>(i)).has_value()) return false;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sat/header_encoder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
@@ -31,6 +30,37 @@ struct EngineInstruments {
     return i;
   }
 };
+
+// Phase-A output for one path: its input space plus the header candidates
+// drawn from the path's derived RNG stream.
+struct PathCandidates {
+  hsa::HeaderSpace input;
+  std::vector<hsa::TernaryString> samples;
+};
+
+// Phase-A unit: the input space of `path` and up to `attempts` candidates
+// drawn from util::Rng(stream_seed). Pure function of its arguments; safe to
+// call concurrently from worker threads.
+PathCandidates sample_path_candidates(const AnalysisSnapshot& snap,
+                                      const std::vector<VertexId>& path,
+                                      std::uint64_t stream_seed, int attempts,
+                                      const TrafficProfile* profile) {
+  PathCandidates c;
+  if (path.empty()) return c;
+  c.input = snap.path_input_space(path);
+  if (c.input.is_empty()) return c;
+  util::Rng path_rng(stream_seed);
+  c.samples.reserve(static_cast<std::size_t>(std::max(attempts, 0)));
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    std::optional<hsa::TernaryString> h = profile
+                                              ? profile->sample(c.input, path_rng)
+                                              : c.input.sample(path_rng);
+    if (!h.has_value()) break;
+    c.samples.push_back(std::move(*h));
+  }
+  EngineInstruments::get().candidates.add(c.samples.size());
+  return c;
+}
 
 }  // namespace
 
@@ -62,22 +92,7 @@ std::optional<hsa::TernaryString> ProbeEngine::pick_unique_header(
       return h;
     }
   }
-  // Slow path: the engine's persistent SAT session finds a header in the
-  // space differing from every previously issued header (the paper's MiniSat
-  // use, §VI). Guarded forbidden-header clauses and learned clauses carry
-  // over between fallbacks.
-  std::vector<hsa::TernaryString> forbidden(used_.begin(), used_.end());
-  EngineInstruments::get().sat_fallbacks.add();
-  auto h = session_for(input_space.width()).find_header(input_space, forbidden);
-  if (h.has_value()) {
-    ++stats_.headers_by_sat;
-    EngineInstruments::get().committed.add();
-    used_.insert(*h);
-    return h;
-  }
-  ++stats_.sat_failures;
-  EngineInstruments::get().sat_failures.add();
-  return std::nullopt;
+  return sat_unique_header(input_space);
 }
 
 std::optional<hsa::TernaryString> ProbeEngine::commit_unique_header(
@@ -92,6 +107,15 @@ std::optional<hsa::TernaryString> ProbeEngine::commit_unique_header(
       return h;
     }
   }
+  return sat_unique_header(input_space);
+}
+
+std::optional<hsa::TernaryString> ProbeEngine::sat_unique_header(
+    const hsa::HeaderSpace& input_space) {
+  // The engine's persistent SAT session finds a header in the space
+  // differing from every previously issued header (the paper's MiniSat use,
+  // §VI). Guarded forbidden-header clauses and learned clauses carry over
+  // between fallbacks.
   std::vector<hsa::TernaryString> forbidden(used_.begin(), used_.end());
   EngineInstruments::get().sat_fallbacks.add();
   auto h = session_for(input_space.width()).find_header(input_space, forbidden);
@@ -106,45 +130,15 @@ std::optional<hsa::TernaryString> ProbeEngine::commit_unique_header(
   return std::nullopt;
 }
 
-ProbeEngine::PathCandidates ProbeEngine::sample_path_candidates(
-    const AnalysisSnapshot& snap, const std::vector<VertexId>& path,
-    std::uint64_t stream_seed, int attempts, const TrafficProfile* profile) {
-  PathCandidates c;
-  if (path.empty()) return c;
-  c.input = snap.path_input_space(path);
-  if (c.input.is_empty()) return c;
-  util::Rng path_rng(stream_seed);
-  c.samples.reserve(static_cast<std::size_t>(std::max(attempts, 0)));
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    std::optional<hsa::TernaryString> h = profile
-                                              ? profile->sample(c.input, path_rng)
-                                              : c.input.sample(path_rng);
-    if (!h.has_value()) break;
-    c.samples.push_back(std::move(*h));
-  }
-  EngineInstruments::get().candidates.add(c.samples.size());
-  return c;
-}
-
-std::optional<Probe> ProbeEngine::commit_probe(
-    const AnalysisSnapshot& snap, const std::vector<VertexId>& path,
-    const PathCandidates& candidates) {
-  if (path.empty()) return std::nullopt;
-  auto header = commit_unique_header(candidates.input, candidates.samples);
-  if (!header.has_value()) return std::nullopt;
-  return finish_probe(snap, path, std::move(*header));
-}
-
-Probe ProbeEngine::finish_probe(const AnalysisSnapshot& snap,
-                                const std::vector<VertexId>& path,
+Probe ProbeEngine::finish_probe(const std::vector<VertexId>& path,
                                 hsa::TernaryString header) {
   Probe p;
   p.probe_id = next_probe_id_++;
   p.path = path;
   p.header = std::move(header);
-  const auto& rules = snap.rules();
+  const auto& rules = snapshot_->rules();
   p.entries.reserve(path.size());
-  for (const VertexId v : path) p.entries.push_back(snap.entry_of(v));
+  for (const VertexId v : path) p.entries.push_back(snapshot_->entry_of(v));
   p.inject_switch = rules.entry(p.entries.front()).switch_id;
   p.terminal_entry = p.entries.back();
   // Expected header at the terminal's test table: transformed by every set
@@ -164,7 +158,7 @@ std::optional<Probe> ProbeEngine::make_probe(const std::vector<VertexId>& path,
   const hsa::HeaderSpace input = snapshot_->path_input_space(path);
   auto header = pick_unique_header(input, rng, profile);
   if (!header.has_value()) return std::nullopt;
-  return finish_probe(*snapshot_, path, std::move(*header));
+  return finish_probe(path, std::move(*header));
 }
 
 std::vector<Probe> ProbeEngine::make_probes(const Cover& cover,
@@ -209,7 +203,7 @@ std::vector<Probe> ProbeEngine::make_probes(const Cover& cover,
     auto header = commit_unique_header(candidates[i].input,
                                        candidates[i].samples);
     if (header.has_value()) {
-      probes.push_back(finish_probe(*snapshot_, path, std::move(*header)));
+      probes.push_back(finish_probe(path, std::move(*header)));
     } else {
       LOG_WARN << "probe synthesis failed for a cover path of length "
                << path.size();

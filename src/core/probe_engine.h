@@ -63,43 +63,16 @@ struct ProbeEngineConfig {
   // Header candidates sampled per path before the SAT fallback.
   int sample_attempts = 16;
   // Solver knobs for the engine's SAT sessions (budget, restarts,
-  // inprocessing). Replaces the loose conflict-budget parameter the old
-  // sat::solve_header_in API threaded through.
+  // inprocessing).
   sat::SolverConfig sat;
 };
 
 class ProbeEngine {
  public:
-  // Phase-A output for one path: its input space plus the header candidates
-  // drawn from the path's derived RNG stream.
-  struct PathCandidates {
-    hsa::HeaderSpace input;
-    std::vector<hsa::TernaryString> samples;
-  };
-
   explicit ProbeEngine(const AnalysisSnapshot& snapshot,
                        ProbeEngineConfig config = {},
                        util::ThreadPool* pool = nullptr)
       : snapshot_(&snapshot), config_(config), pool_(pool) {}
-
-  // Phase-A unit, exposed for shard::ShardedProbeEngine: the input space of
-  // `path` (vertices of `snap`) and up to `attempts` candidates drawn from
-  // util::Rng(stream_seed) — exactly what make_probes computes for path i
-  // with stream_seed = derive(base, i). Pure function of its arguments;
-  // safe to call concurrently from worker threads.
-  static PathCandidates sample_path_candidates(
-      const AnalysisSnapshot& snap, const std::vector<VertexId>& path,
-      std::uint64_t stream_seed, int attempts,
-      const TrafficProfile* profile = nullptr);
-
-  // Phase-B unit, exposed for shard::ShardedProbeEngine: commits the first
-  // candidate not colliding with this engine's network-wide `used_` pool
-  // (SAT fallback otherwise) and assembles the probe against `snap` — which
-  // may be a per-shard snapshot; `path` uses its vertex ids. Serial only,
-  // like all phase-B code. Returns nullopt when no unique header exists.
-  std::optional<Probe> commit_probe(const AnalysisSnapshot& snap,
-                                    const std::vector<VertexId>& path,
-                                    const PathCandidates& candidates);
 
   // Builds probes for every path of `cover`. Paths whose header synthesis
   // fails (exhausted header space) are skipped; see stats().sat_failures.
@@ -136,10 +109,14 @@ class ProbeEngine {
       const hsa::HeaderSpace& input_space,
       const std::vector<hsa::TernaryString>& candidates);
 
-  // Fills in entries / inject switch / expected return for a legal path of
-  // `snap` whose header has been chosen.
-  Probe finish_probe(const AnalysisSnapshot& snap,
-                     const std::vector<VertexId>& path,
+  // Slow path shared by both header pickers: the engine's SAT session finds
+  // a header in `input_space` differing from every issued header.
+  std::optional<hsa::TernaryString> sat_unique_header(
+      const hsa::HeaderSpace& input_space);
+
+  // Fills in entries / inject switch / expected return for a legal path
+  // whose header has been chosen.
+  Probe finish_probe(const std::vector<VertexId>& path,
                      hsa::TernaryString header);
 
   // The engine's persistent SAT session for the given header width, created

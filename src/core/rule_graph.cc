@@ -94,33 +94,19 @@ bool spaces_intersect(const hsa::HeaderSpace& a, const hsa::HeaderSpace& b) {
 
 }  // namespace
 
-RuleGraph::RuleGraph(const flow::RuleSet& rules) : rules_(&rules) {
-  build(nullptr);
-}
+RuleGraph::RuleGraph(const flow::RuleSet& rules) : rules_(&rules) { build(); }
 
-RuleGraph::RuleGraph(const flow::RuleSet& rules,
-                     const std::vector<std::uint8_t>& keep_switch)
-    : rules_(&rules) {
-  build(&keep_switch);
-}
-
-void RuleGraph::build(const std::vector<std::uint8_t>* keep_switch) {
+void RuleGraph::build() {
   const flow::RuleSet& rules = *rules_;
   const std::size_t n_entries = rules.entry_count();
   vertex_of_entry_.assign(n_entries, -1);
   slot_of_entry_.assign(n_entries, -1);
-  auto kept = [&](flow::SwitchId sw) {
-    return keep_switch == nullptr ||
-           (static_cast<std::size_t>(sw) < keep_switch->size() &&
-            (*keep_switch)[static_cast<std::size_t>(sw)] != 0);
-  };
 
   // Vertices: testable entries only. Removed (tombstoned) entries are not
   // part of the policy at all — neither vertices nor dead entries.
   for (flow::EntryId id = 0; id < static_cast<flow::EntryId>(n_entries);
        ++id) {
     if (rules.is_removed(id)) continue;
-    if (!kept(rules.entry(id).switch_id)) continue;
     hsa::HeaderSpace in = rules.input_space(id);
     if (in.is_empty()) {
       dead_entries_.push_back(id);

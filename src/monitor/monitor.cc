@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "core/mlpc.h"
-#include "shard/sharded_engine.h"
-#include "shard/sharded_snapshot.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/rng.h"
@@ -37,9 +35,6 @@ struct Monitor::Instruments {
   telemetry::Counter& rounds_run;
   telemetry::Counter& verify_runs;
   telemetry::Counter& verify_violations;
-  telemetry::Counter& shards_repaired;
-  telemetry::Gauge& shard_count;
-  telemetry::Gauge& boundary_probe_fraction;
   telemetry::Gauge& epoch;
   telemetry::Gauge& probe_count;
   telemetry::Gauge& coverage_fraction;
@@ -57,10 +52,6 @@ struct Monitor::Instruments {
         rounds_run(registry().counter("monitor.rounds_run")),
         verify_runs(registry().counter("monitor.verify_runs")),
         verify_violations(registry().counter("monitor.verify_violations")),
-        shards_repaired(registry().counter("monitor.shards_repaired")),
-        shard_count(registry().gauge("monitor.shard_count")),
-        boundary_probe_fraction(
-            registry().gauge("monitor.boundary_probe_fraction")),
         epoch(registry().gauge("monitor.epoch")),
         probe_count(registry().gauge("monitor.probe_count")),
         coverage_fraction(registry().gauge("monitor.coverage_fraction")),
@@ -96,11 +87,6 @@ Monitor::Monitor(flow::RuleSet& rules, controller::Controller& ctrl,
   }
   start_sim_s_ = loop.now();
   swap_epoch();  // epoch 1: the as-built network
-  if (config_.shard_count > 1) {
-    layout_ = shard::make_layout(
-        *snapshot_,
-        shard::ShardConfig{config_.shard_count, config_.common.seed});
-  }
   run_verify(nullptr);
   regenerate_probes();
   publish_gauges();
@@ -213,23 +199,6 @@ void Monitor::run_verify(const std::vector<core::VertexId>* touched) {
 
 void Monitor::regenerate_probes() {
   const core::AnalysisSnapshot& snap = *snapshot_;
-  if (config_.shard_count > 1) {
-    // Sharded full rebuild: slice the epoch snapshot along the fixed
-    // layout, solve per-shard covers in superstep 1, merge canonically
-    // (shard::ShardedProbeEngine). Same cover RNG stream as the unsharded
-    // path, so sharding is a config knob, not a different run.
-    shard::ShardedSnapshot sliced(snap, layout_, pool_.get());
-    shard::ShardedEngineConfig ec;
-    ec.common = config_.common;
-    ec.mlpc_search_budget = config_.mlpc_search_budget;
-    shard::ShardedProbeEngine engine(sliced, ec, pool_.get());
-    util::Rng rng(
-        util::Rng::derive(config_.common.seed, cover_stream(epoch_)));
-    shard::ProbeSet ps = engine.generate(rng);
-    probes_ = std::move(ps.probes);
-    for (core::Probe& p : probes_) p.probe_id = next_probe_id_++;
-    return;
-  }
   core::MlpcConfig mc;
   mc.common = config_.common;
   mc.search_budget = config_.mlpc_search_budget;
@@ -257,7 +226,6 @@ void Monitor::repair_probes(const std::vector<core::VertexId>& touched) {
   }
   std::vector<core::Probe> kept;
   kept.reserve(probes_.size());
-  std::vector<std::vector<core::VertexId>> dropped;
   for (core::Probe& p : probes_) {
     bool survives = true;
     for (const core::VertexId v : p.path) {
@@ -267,11 +235,7 @@ void Monitor::repair_probes(const std::vector<core::VertexId>& touched) {
         break;
       }
     }
-    if (survives) {
-      kept.push_back(std::move(p));
-    } else {
-      dropped.push_back(std::move(p.path));
-    }
+    if (survives) kept.push_back(std::move(p));
   }
   churn_stats_.probes_kept += kept.size();
   tm_->probes_kept.add(kept.size());
@@ -285,10 +249,6 @@ void Monitor::repair_probes(const std::vector<core::VertexId>& touched) {
   core::ProbeEngine engine(snap, ec, nullptr);
   for (const core::Probe& p : probes_) engine.note_used(p.header);
   util::Rng rng(util::Rng::derive(config_.common.seed, repair_stream(epoch_)));
-  if (config_.shard_count > 1) {
-    repair_probes_sharded(touched, dropped, engine, rng);
-    return;
-  }
   std::uint64_t built = 0;
   for (const std::vector<core::VertexId>& path : uncovered_paths()) {
     std::optional<core::Probe> p = engine.make_probe(path, rng);
@@ -296,134 +256,6 @@ void Monitor::repair_probes(const std::vector<core::VertexId>& touched) {
     p->probe_id = next_probe_id_++;
     probes_.push_back(std::move(*p));
     ++built;
-  }
-  churn_stats_.probes_regenerated += built;
-  tm_->probes_regenerated.add(built);
-}
-
-int Monitor::shard_of_vertex(const core::AnalysisSnapshot& snap,
-                             core::VertexId v) const {
-  return layout_.shard_of(rules_->entry(snap.entry_of(v)).switch_id);
-}
-
-void Monitor::repair_probes_sharded(
-    const std::vector<core::VertexId>& touched,
-    const std::vector<std::vector<core::VertexId>>& dropped,
-    core::ProbeEngine& engine, util::Rng& rng) {
-  const core::AnalysisSnapshot& snap = *snapshot_;
-  const int k = layout_.shard_count;
-  const int vertex_count = snap.vertex_count();
-
-  // Affected shards: owners of every touched vertex and of every vertex on
-  // a dropped probe's path. An empty affected set (mark_repaired re-covers
-  // after a flag retired probes with no graph churn) falls back to all
-  // shards — the uncovered region can then be anywhere.
-  std::vector<std::uint8_t> affected(static_cast<std::size_t>(k), 0);
-  auto mark = [&](core::VertexId v) {
-    if (v < 0 || v >= vertex_count) return;
-    affected[static_cast<std::size_t>(shard_of_vertex(snap, v))] = 1;
-  };
-  for (const core::VertexId v : touched) mark(v);
-  for (const auto& path : dropped) {
-    for (const core::VertexId v : path) mark(v);
-  }
-  if (std::find(affected.begin(), affected.end(), 1) == affected.end()) {
-    std::fill(affected.begin(), affected.end(), 1);
-  }
-  std::uint64_t shards_hit = 0;
-  for (const std::uint8_t a : affected) shards_hit += a;
-  tm_->shards_repaired.add(shards_hit);
-
-  // Greedy re-cover, restricted to affected shards and never crossing a
-  // shard boundary (cross-shard coverage is the stitch probes' job).
-  std::vector<std::uint8_t> covered(static_cast<std::size_t>(vertex_count), 0);
-  for (const core::Probe& p : probes_) {
-    for (const core::VertexId v : p.path) {
-      if (static_cast<std::size_t>(v) < covered.size()) {
-        covered[static_cast<std::size_t>(v)] = 1;
-      }
-    }
-  }
-  std::uint64_t built = 0;
-  auto commit_path = [&](const std::vector<core::VertexId>& path) {
-    std::optional<core::Probe> p = engine.make_probe(path, rng);
-    if (!p) return;  // header space exhausted; stays uncovered
-    p->probe_id = next_probe_id_++;
-    probes_.push_back(std::move(*p));
-    ++built;
-  };
-  for (core::VertexId v = 0; v < vertex_count; ++v) {
-    if (covered[static_cast<std::size_t>(v)] || !snap.is_active(v)) continue;
-    const int home = shard_of_vertex(snap, v);
-    if (!affected[static_cast<std::size_t>(home)]) continue;
-    std::vector<core::VertexId> path{v};
-    covered[static_cast<std::size_t>(v)] = 1;
-    hsa::HeaderSpace hs = snap.out_space(v);
-    core::VertexId cur = v;
-    bool extended = true;
-    while (extended) {
-      extended = false;
-      for (const core::VertexId w : snap.successors(cur)) {
-        if (covered[static_cast<std::size_t>(w)] || !snap.is_active(w) ||
-            shard_of_vertex(snap, w) != home) {
-          continue;
-        }
-        hsa::HeaderSpace next = snap.propagate(hs, w);
-        if (next.is_empty()) continue;
-        path.push_back(w);
-        covered[static_cast<std::size_t>(w)] = 1;
-        hs = std::move(next);
-        cur = w;
-        extended = true;
-        break;
-      }
-    }
-    commit_path(path);
-  }
-
-  // Boundary stitch refresh. Surviving two-vertex cross-shard probes
-  // already cover their edge; rebuild the rest among (a) edges incident to
-  // a touched vertex, (b) edges of dropped two-vertex cross-shard probes
-  // still present in the graph, or — in the all-shards fallback — every
-  // cross-shard edge. std::set orders candidates by (from, to), keeping
-  // the rebuild sequence canonical.
-  std::set<std::pair<core::VertexId, core::VertexId>> stitched;
-  for (const core::Probe& p : probes_) {
-    if (p.path.size() != 2) continue;
-    if (shard_of_vertex(snap, p.path[0]) == shard_of_vertex(snap, p.path[1])) {
-      continue;
-    }
-    stitched.emplace(p.path[0], p.path[1]);
-  }
-  std::set<std::pair<core::VertexId, core::VertexId>> candidates;
-  auto consider = [&](core::VertexId u, core::VertexId w) {
-    if (u < 0 || w < 0 || !snap.is_active(u) || !snap.is_active(w)) return;
-    if (shard_of_vertex(snap, u) == shard_of_vertex(snap, w)) return;
-    if (stitched.count({u, w}) != 0) return;
-    candidates.emplace(u, w);
-  };
-  const bool all_shards = shards_hit == static_cast<std::uint64_t>(k);
-  if (all_shards) {
-    for (core::VertexId v = 0; v < vertex_count; ++v) {
-      if (!snap.is_active(v)) continue;
-      for (const core::VertexId w : snap.successors(v)) consider(v, w);
-    }
-  } else {
-    for (const core::VertexId v : touched) {
-      if (v < 0 || v >= vertex_count || !snap.is_active(v)) continue;
-      for (const core::VertexId w : snap.successors(v)) consider(v, w);
-      for (const core::VertexId u : snap.predecessors(v)) consider(u, v);
-    }
-    for (const auto& path : dropped) {
-      if (path.size() != 2) continue;
-      const auto succ = snap.successors(path[0]);
-      if (std::find(succ.begin(), succ.end(), path[1]) != succ.end()) {
-        consider(path[0], path[1]);
-      }
-    }
-  }
-  for (const auto& [u, w] : candidates) {
-    commit_path({u, w});
   }
   churn_stats_.probes_regenerated += built;
   tm_->probes_regenerated.add(built);
@@ -646,22 +478,6 @@ void Monitor::publish_gauges() {
   tm_->uptime_wall_s.set(st.uptime_wall_s);
   tm_->uptime_sim_s.set(st.uptime_sim_s);
   tm_->invariant_violations.set(static_cast<double>(st.invariant_violations));
-  tm_->shard_count.set(static_cast<double>(config_.shard_count));
-  if (config_.shard_count > 1) {
-    const std::shared_ptr<const core::AnalysisSnapshot> snap = snapshot();
-    std::size_t boundary = 0;
-    for (const core::Probe& p : probes_) {
-      if (p.path.size() == 2 &&
-          shard_of_vertex(*snap, p.path[0]) !=
-              shard_of_vertex(*snap, p.path[1])) {
-        ++boundary;
-      }
-    }
-    tm_->boundary_probe_fraction.set(
-        probes_.empty() ? 0.0
-                        : static_cast<double>(boundary) /
-                              static_cast<double>(probes_.size()));
-  }
 }
 
 }  // namespace sdnprobe::monitor

@@ -16,10 +16,6 @@ double cube_fraction(const hsa::TernaryString& cube) {
   return std::ldexp(1.0, -fixed);
 }
 
-bool is_identity(const hsa::TernaryString& set_field) {
-  return set_field.wildcard_count() == set_field.width();
-}
-
 }  // namespace
 
 const char* strategy_name(Strategy s) {

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "sat/session.h"
-
 namespace sdnprobe::sat {
 
 HeaderEncoder::HeaderEncoder(Solver& solver, int width)
@@ -124,23 +122,6 @@ hsa::TernaryString HeaderEncoder::extract_model() const {
                                              : hsa::Trit::kZero);
   }
   return h;
-}
-
-std::optional<hsa::TernaryString> solve_header_in(
-    const hsa::HeaderSpace& space,
-    const std::vector<hsa::TernaryString>& forbidden_headers,
-    const SolverConfig& config) {
-  HeaderSession session(space.width(), config);
-  return session.find_header(space, forbidden_headers);
-}
-
-std::optional<hsa::TernaryString> solve_header_in(
-    const hsa::HeaderSpace& space,
-    const std::vector<hsa::TernaryString>& forbidden_headers,
-    std::int64_t conflict_budget) {
-  SolverConfig config;
-  config.conflict_budget = conflict_budget;
-  return solve_header_in(space, forbidden_headers, config);
 }
 
 }  // namespace sdnprobe::sat

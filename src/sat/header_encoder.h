@@ -17,8 +17,6 @@
 //    clauses carry over while retracted constraints cost nothing.
 #pragma once
 
-#include <optional>
-
 #include "hsa/header_space.h"
 #include "hsa/ternary.h"
 #include "sat/solver.h"
@@ -78,26 +76,5 @@ class HeaderEncoder {
   int width_;
   Var first_var_;
 };
-
-// One-shot helper: find a concrete header inside `space`, excluding any of
-// `forbidden_headers` (may be empty). Returns nullopt when unsatisfiable or
-// when config.conflict_budget is exhausted. Built on a throwaway
-// sat::HeaderSession, so the answer is the same canonical (lexicographically
-// smallest) header a persistent session would produce — callers issuing many
-// queries at one width should hold a HeaderSession instead.
-std::optional<hsa::TernaryString> solve_header_in(
-    const hsa::HeaderSpace& space,
-    const std::vector<hsa::TernaryString>& forbidden_headers = {},
-    const SolverConfig& config = {});
-
-// Transitional overload for the pre-session API that threaded a loose
-// conflict-budget integer; the budget now lives in SolverConfig.
-[[deprecated(
-    "pass a sat::SolverConfig (or hold a sat::HeaderSession) instead of a "
-    "loose conflict budget")]]
-std::optional<hsa::TernaryString> solve_header_in(
-    const hsa::HeaderSpace& space,
-    const std::vector<hsa::TernaryString>& forbidden_headers,
-    std::int64_t conflict_budget);
 
 }  // namespace sdnprobe::sat

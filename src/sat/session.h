@@ -21,13 +21,12 @@
 // concrete header of (space − forbidden), located by fixing bits H[0..L-1]
 // low-to-high through assumptions (a solve is skipped whenever the current
 // witness already has the bit at 0). Lex-min is a pure function of the query
-// set, so a long-lived session, a throwaway session (the solve_header_in
-// compat wrapper), and any interleaving of queries all return identical
-// headers — this is what keeps probe generation bit-identical across thread
-// counts and against the one-shot baseline. The only exception is a finite
-// conflict_budget in the session's SolverConfig: a query that exhausts it
-// mid-canonicalization still returns a valid member, just not necessarily
-// the smallest one.
+// set, so a long-lived session, a throwaway session, and any interleaving
+// of queries all return identical headers — this is what keeps probe
+// generation bit-identical across thread counts and against the one-shot
+// baseline. The only exception is a finite conflict_budget in the
+// session's SolverConfig: a query that exhausts it mid-canonicalization
+// still returns a valid member, just not necessarily the smallest one.
 //
 // Guard retirement (clause-DB hygiene at scale). Every distinct space a
 // session encodes leaves its guarded clauses in the watch lists forever —

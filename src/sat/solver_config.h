@@ -1,7 +1,6 @@
 // Solver / session knobs, folded into one value type (mirroring
-// core::CommonOptions): callers used to thread a loose `conflict_budget`
-// integer through solve_header_in and Solver::solve; every bound now lives
-// here, is carried by sat::HeaderSession, and flows through configs
+// core::CommonOptions): every bound lives here, is carried by
+// sat::HeaderSession, and flows through configs
 // (ProbeEngineConfig::sat, LintConfig::sat) instead of extra parameters.
 #pragma once
 

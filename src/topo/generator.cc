@@ -68,108 +68,6 @@ Graph make_rocketfuel_like(const GeneratorConfig& config) {
   return g;
 }
 
-RegionalTopology make_regional_rocketfuel_like(const GeneratorConfig& config) {
-  if (config.region_count <= 0) {
-    return RegionalTopology{make_rocketfuel_like(config), {}};
-  }
-  const int n = std::max(config.node_count, 2);
-  const int k = std::clamp(config.region_count, 1, n / 2);  // >= 2 nodes each
-  RegionalTopology out{Graph(n), std::vector<int>(n, 0)};
-  Graph& g = out.graph;
-
-  // Contiguous node ranges per region: region r owns [r*n/k, (r+1)*n/k).
-  auto region_lo = [&](int r) {
-    return static_cast<int>(static_cast<long>(r) * n / k);
-  };
-  for (int r = 0; r < k; ++r) {
-    for (int v = region_lo(r); v < region_lo(r + 1); ++v) {
-      out.region_of[static_cast<std::size_t>(v)] = r;
-    }
-  }
-
-  for (int r = 0; r < k; ++r) {
-    const int lo = region_lo(r);
-    const int size = region_lo(r + 1) - lo;
-    util::Rng rng(util::Rng::derive(config.seed, static_cast<std::uint64_t>(r)));
-    auto rand_latency = [&rng, &config]() {
-      return config.min_latency_s +
-             rng.next_double() * (config.max_latency_s - config.min_latency_s);
-    };
-    const long max_links = static_cast<long>(size) * (size - 1) / 2;
-    const long target = std::clamp<long>(
-        static_cast<long>(config.link_count) * size / n, size - 1, max_links);
-    const int core = std::min(
-        size, std::max(2, static_cast<int>(size * config.core_fraction)));
-
-    // Degree+1-proportional endpoint pool: node x appears degree(x)+1 times
-    // (one baseline entry when it joins, one per incident edge), so a
-    // uniform index draw is an O(1) preferential pick — the legacy
-    // generator's per-pick degree scan made construction O(n²).
-    std::vector<int> pool;
-    pool.reserve(static_cast<std::size_t>(size + 2 * target));
-    auto join = [&](int v) { pool.push_back(v); };
-    auto link = [&](int a, int b) {
-      if (!g.add_edge(a, b, rand_latency())) return false;
-      pool.push_back(a);
-      pool.push_back(b);
-      return true;
-    };
-    for (int i = 0; i < core; ++i) join(lo + i);
-    for (int i = 0; i < core && core >= 2; ++i) {
-      if (core == 2 && i == 1) break;  // avoid the duplicate 2-ring edge
-      link(lo + i, lo + (i + 1) % core);
-    }
-    for (int v = lo + core; v < lo + size; ++v) {
-      const int u = pool[static_cast<std::size_t>(
-          rng.next_below(static_cast<std::uint64_t>(pool.size())))];
-      join(v);
-      link(u, v);
-    }
-    long edges_in_region = g.edge_count();  // counts earlier regions too
-    long guard = 0;
-    const long chords = target - (core == 2 ? 1 : core) - (size - core);
-    for (long added = 0; added < chords && guard < 20 * target + 1000;) {
-      ++guard;
-      const int a = pool[static_cast<std::size_t>(
-          rng.next_below(static_cast<std::uint64_t>(pool.size())))];
-      const int b = pool[static_cast<std::size_t>(
-          rng.next_below(static_cast<std::uint64_t>(pool.size())))];
-      if (a == b || g.has_edge(a, b)) continue;
-      link(a, b);
-      ++added;
-    }
-    (void)edges_in_region;
-  }
-
-  // Gateway ring: region r links to region (r+1) % k with
-  // gateway_links_per_region deterministic inter-region links.
-  const int gateways = std::max(1, config.gateway_links_per_region);
-  for (int r = 0; r < k && k > 1; ++r) {
-    const int next = (r + 1) % k;
-    util::Rng rng(util::Rng::derive(
-        config.seed, 0x67617465ull + static_cast<std::uint64_t>(r)));  // "gate"
-    auto rand_latency = [&rng, &config]() {
-      return config.min_latency_s +
-             rng.next_double() * (config.max_latency_s - config.min_latency_s);
-    };
-    const int lo_r = region_lo(r), size_r = region_lo(r + 1) - lo_r;
-    const int lo_n = region_lo(next), size_n = region_lo(next + 1) - lo_n;
-    int placed = 0;
-    for (int attempt = 0; attempt < 16 * gateways && placed < gateways;
-         ++attempt) {
-      const int a = lo_r + static_cast<int>(rng.next_below(
-                               static_cast<std::uint64_t>(size_r)));
-      const int b = lo_n + static_cast<int>(rng.next_below(
-                               static_cast<std::uint64_t>(size_n)));
-      if (g.add_edge(a, b, rand_latency())) ++placed;
-    }
-    if (placed == 0) g.add_edge(lo_r, lo_n, rand_latency());  // ring stays up
-  }
-
-  assert(g.is_connected());
-  return out;
-}
-
 const std::vector<TableTwoPreset>& table_two_presets() {
   static const std::vector<TableTwoPreset> kPresets = {
       {"topo1", 10, 15, 4764},   {"topo2", 30, 54, 33637},

@@ -183,6 +183,18 @@ TEST(Localizer, ReportBookkeepingConsistent) {
   }
 }
 
+TEST(DetectionReport, FlaggedTracksReassignedSwitchSet) {
+  // Reassigning a same-size set must not leave flagged() answering for the
+  // previous contents.
+  DetectionReport rep;
+  rep.flagged_switches = {1};
+  EXPECT_TRUE(rep.flagged(1));
+  EXPECT_FALSE(rep.flagged(2));
+  rep.flagged_switches = {2};
+  EXPECT_TRUE(rep.flagged(2));
+  EXPECT_FALSE(rep.flagged(1));
+}
+
 TEST(Scenario, ScoreDetectionCounts) {
   const auto c = score_detection(/*flagged=*/{1, 2, 3},
                                  /*ground_truth=*/{2, 4}, /*switches=*/6);

@@ -324,28 +324,31 @@ TEST(HeaderEncoder, FindsHeaderInDifference) {
   const auto match = *hsa::TernaryString::parse("001xxxxx");
   const auto overlap = *hsa::TernaryString::parse("00100xxx");
   const hsa::HeaderSpace in = hsa::HeaderSpace(match).subtract(overlap);
-  const auto h = solve_header_in(in);
+  HeaderSession session(8);
+  const auto h = session.find_header(in);
   ASSERT_TRUE(h.has_value());
   EXPECT_TRUE(match.covers(*h));
   EXPECT_FALSE(overlap.covers(*h));
 }
 
 TEST(HeaderEncoder, UnsatWhenSpaceEmpty) {
-  EXPECT_FALSE(solve_header_in(hsa::HeaderSpace::empty(8)).has_value());
+  HeaderSession session(8);
+  EXPECT_FALSE(session.find_header(hsa::HeaderSpace::empty(8)).has_value());
 }
 
 TEST(HeaderEncoder, UniquenessExhaustsTinySpace) {
   // A 2-header space yields exactly two distinct headers, then UNSAT.
   const auto cube = *hsa::TernaryString::parse("0110101x");
   const hsa::HeaderSpace space{hsa::HeaderSpace(cube)};
+  HeaderSession session(8);
   std::vector<hsa::TernaryString> used;
   for (int i = 0; i < 2; ++i) {
-    const auto h = solve_header_in(space, used);
+    const auto h = session.find_header(space, used);
     ASSERT_TRUE(h.has_value());
     for (const auto& u : used) EXPECT_FALSE(u == *h);
     used.push_back(*h);
   }
-  EXPECT_FALSE(solve_header_in(space, used).has_value());
+  EXPECT_FALSE(session.find_header(space, used).has_value());
 }
 
 TEST(HeaderEncoder, DeepOverlapChain) {
@@ -359,7 +362,8 @@ TEST(HeaderEncoder, DeepOverlapChain) {
     pinned.set(depth, hsa::Trit::kOne);
     space = space.subtract(pinned);
   }
-  const auto h = solve_header_in(space);
+  HeaderSession session(96);
+  const auto h = session.find_header(space);
   ASSERT_TRUE(h.has_value());
   // The witness must break the all-ones prefix somewhere in the first 65.
   bool broken = false;

@@ -38,7 +38,7 @@ struct Net {
   }
 
   //     1
-  //   /   \
+  //   /   \   (diamond)
   // 0       3
   //   \   /
   //     2

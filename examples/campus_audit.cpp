@@ -48,6 +48,10 @@ int main() {
                 "(expected 0), %.2f s\n",
                 report.probes_sent, report.flagged_switches.size(),
                 report.total_time_s);
+    if (!report.flagged_switches.empty()) {
+      std::printf("FAIL: the clean audit flagged a healthy switch\n");
+      return 1;
+    }
   }
 
   // Misbehaving entry deep inside an overlap chain: the kind of fault that

@@ -6,7 +6,7 @@
 // built from, the per-vertex input/output header spaces, a fan-in-ordered
 // successor cache for the MLPC stitch search, and a lazily materialized
 // legal-closure cache. It is built once per detection round and then only
-// read: every accessor is const and returns references to data frozen at
+// read: every accessor is const and returns references to data fixed at
 // build time, so a snapshot may be shared by any number of worker threads
 // (see util::ThreadPool) without synchronization. Thread-safety is a
 // type-level property here — code that holds a `const AnalysisSnapshot&`
@@ -46,7 +46,7 @@ class AnalysisSnapshot {
   // this instant — the epoch-swap primitive of monitor::Monitor. The source
   // graph may keep mutating afterwards; this snapshot never sees it. The
   // RuleSet the graph was built from must outlive the snapshot and stay
-  // append-only-with-tombstones (EntryIds the frozen graph references must
+  // append-only-with-tombstones (EntryIds the snapshot's graph references must
   // keep resolving), which flow::RuleSet guarantees.
   static AnalysisSnapshot adopt(RuleGraph graph);
 
@@ -139,7 +139,7 @@ class AnalysisSnapshot {
   std::unique_ptr<ClosureCache> closure_;
 };
 
-// Canonical, EntryId-independent fingerprint of the frozen network model:
+// Canonical, EntryId-independent fingerprint of the snapshotted network model:
 // one line per active vertex — the entry's semantic signature (switch,
 // table, priority, match, set field, action) plus its computed in/out
 // header spaces and the signatures of its rule-graph successors — with

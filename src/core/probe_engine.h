@@ -62,8 +62,8 @@ struct ProbeEngineConfig {
   CommonOptions common;
   // Header candidates sampled per path before the SAT fallback.
   int sample_attempts = 16;
-  // Solver knobs for the engine's SAT sessions (budget, restarts,
-  // inprocessing).
+  // Solver knobs for the engine's SAT sessions (conflict budget, clause-DB
+  // reduction and GC thresholds).
   sat::SolverConfig sat;
 };
 

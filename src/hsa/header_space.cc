@@ -199,18 +199,18 @@ void HeaderSpace::simplify() {
   std::vector<TernaryString> kept;
   kept.reserve(cubes_.size());
   for (std::size_t i = 0; i < cubes_.size(); ++i) {
-    bool subsumed = false;
+    bool covered = false;
     for (std::size_t j = 0; j < cubes_.size(); ++j) {
       if (i == j) continue;
       if (cubes_[j].covers(cubes_[i]) &&
           !(cubes_[i].covers(cubes_[j]) && j > i)) {
         // Drop i if j strictly covers it, or if they are equal keep only the
         // earlier one.
-        subsumed = true;
+        covered = true;
         break;
       }
     }
-    if (!subsumed) kept.push_back(cubes_[i]);
+    if (!covered) kept.push_back(cubes_[i]);
   }
   cubes_ = std::move(kept);
 }

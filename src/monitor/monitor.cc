@@ -310,7 +310,9 @@ void Monitor::run_round() {
   const double start_s = loop_->now();
   core::LocalizerConfig lc = config_.localizer;
   lc.common.randomized = false;
-  lc.common.threads = config_.common.threads;
+  // The localizer is handed its cover (set_cover_probes) and never runs
+  // MLPC or make_probes, so a worker pool would only be started and joined.
+  lc.common.threads = 1;
   lc.common.seed =
       util::Rng::derive(config_.common.seed, kRoundStreamBase + report_.rounds);
   // Hold this epoch's snapshot for the whole episode: a drain_churn()

@@ -10,8 +10,8 @@
 // Epoch model. The monitor maintains the one mutable RuleGraph in the
 // process and mutates it only between rounds, via the incremental updates
 // of §VIII-C (RuleGraph::apply_entry_added / apply_entry_removed). Every
-// analysis consumer — MLPC, probe construction, FaultLocalizer — reads a
-// frozen core::AnalysisSnapshot instead. Draining a churn batch ends with
+// analysis consumer — MLPC, probe construction, FaultLocalizer — reads an
+// immutable core::AnalysisSnapshot instead. Draining a churn batch ends with
 // an epoch swap: the working graph is copied into a fresh owning snapshot
 // (AnalysisSnapshot::adopt) and the epoch counter bumps. Readers holding
 // the previous epoch's shared_ptr keep a consistent view for as long as
@@ -114,8 +114,9 @@ struct MonitorConfig {
   // variant by definition.
   core::CommonOptions common;
   // Per-round localizer knobs. `common` inside it is overwritten each
-  // round (seed derived per round, threads/randomized from the monitor's
-  // own CommonOptions), so configure only the behavioral fields here.
+  // round (seed derived per round, deterministic, one thread: the round
+  // reuses the monitor's cover, so the localizer generates none), so
+  // configure only the behavioral fields here.
   core::LocalizerConfig localizer;
   // false = rebuild the whole cover from scratch after every churn batch
   // (the baseline bench_monitor_churn compares against).
@@ -275,7 +276,7 @@ class Monitor {
   void mark_repaired(flow::SwitchId sw);
 
   // --- Observation. ---
-  // The current epoch's frozen snapshot. Thread-safe: callers get a
+  // The current epoch's immutable snapshot. Thread-safe: callers get a
   // shared_ptr that stays consistent across later epoch swaps.
   std::shared_ptr<const core::AnalysisSnapshot> snapshot() const;
   std::uint64_t epoch() const { return epoch_; }

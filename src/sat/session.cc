@@ -22,17 +22,17 @@ std::string HeaderSession::space_key(const hsa::HeaderSpace& space) {
   return key;
 }
 
-Lit HeaderSession::space_guard(const std::string& key,
-                               const hsa::HeaderSpace& space) {
+Lit HeaderSession::space_guard(const hsa::HeaderSpace& space) {
+  std::string key = space_key(space);
   const auto it = space_guards_.find(key);
   if (it != space_guards_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru);  // bump to MRU
     return it->second.guard;
   }
-  const Lit g = pos(solver_.new_var(/*frozen=*/true));
+  const Lit g = pos(solver_.new_var());
   enc_.require_in_space_if(g, space);
   lru_.push_front(key);
-  space_guards_.emplace(key, SpaceEntry{g, 0, lru_.begin()});
+  space_guards_.emplace(std::move(key), SpaceEntry{g, lru_.begin()});
   ++spaces_encoded_;
   evict_spaces_over_cap();
   return g;
@@ -40,25 +40,18 @@ Lit HeaderSession::space_guard(const std::string& key,
 
 void HeaderSession::evict_spaces_over_cap() {
   if (space_cache_cap_ == 0) return;  // unbounded
-  while (space_guards_.size() > space_cache_cap_ && !lru_.empty()) {
-    // Retire the least recently used quiescent space: walk from the LRU end
-    // past pinned entries (the in-flight query's space must stay armed).
-    auto victim = lru_.end();
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      if (space_guards_.at(*it).refcount == 0) {
-        victim = std::next(it).base();
-        break;
-      }
-    }
-    if (victim == lru_.end()) return;  // everything pinned; give up for now
-    const auto entry = space_guards_.find(*victim);
+  while (space_guards_.size() > space_cache_cap_) {
+    // Retire the least recently used space. The space just encoded is the
+    // MRU entry, so the victim is never the one the caller is about to
+    // assume.
+    const auto entry = space_guards_.find(lru_.back());
     // ¬g as a permanent unit satisfies every (¬g ∨ C) clause of the retired
     // space; simplify() then physically sweeps them out of the clause DB
     // and watch lists — propagation stops paying for dead history.
     solver_.add_unit(negate(entry->second.guard));
     solver_.simplify();
     space_guards_.erase(entry);
-    lru_.erase(victim);
+    lru_.pop_back();
     ++spaces_evicted_;
     auto& reg = telemetry::MetricsRegistry::global();
     if (reg.enabled()) reg.counter("sat.session.spaces_evicted").add(1);
@@ -68,7 +61,7 @@ void HeaderSession::evict_spaces_over_cap() {
 Lit HeaderSession::forbid_guard(const hsa::TernaryString& header) {
   const auto it = forbid_guards_.find(header);
   if (it != forbid_guards_.end()) return it->second;
-  const Lit g = pos(solver_.new_var(/*frozen=*/true));
+  const Lit g = pos(solver_.new_var());
   enc_.require_not_in_cube_if(g, header);
   forbid_guards_.emplace(header, g);
   return g;
@@ -90,18 +83,8 @@ std::optional<hsa::TernaryString> HeaderSession::find_header(
     }
   }
 
-  const std::string key = space_key(space);
   std::vector<Lit> assumptions;
-  assumptions.push_back(space_guard(key, space));
-  // Pin the query's space for the duration of the call: forbid_guard() can
-  // grow the variable space but never evicts, and the pin guards against
-  // any future eviction point inside the query window.
-  space_guards_.at(key).refcount++;
-  struct Unpin {
-    HeaderSession* s;
-    const std::string& k;
-    ~Unpin() { s->space_guards_.at(k).refcount--; }
-  } unpin{this, key};
+  assumptions.push_back(space_guard(space));
   for (const auto& h : forbidden) assumptions.push_back(forbid_guard(h));
 
   if (solver_.solve(assumptions) != Result::kSat) return std::nullopt;

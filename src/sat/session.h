@@ -13,9 +13,7 @@
 //    so they retract for free and re-arm on cache hit;
 //  - learned clauses are implied by the formula alone — assumptions are
 //    decisions, never antecedent-free facts — so they remain valid and keep
-//    accelerating every later query;
-//  - guards, selectors, and bit variables are frozen, which keeps solver
-//    inprocessing from eliminating anything a future query will mention.
+//    accelerating every later query.
 //
 // Canonical answers. find_header returns the *lexicographically smallest*
 // concrete header of (space − forbidden), located by fixing bits H[0..L-1]
@@ -37,9 +35,9 @@
 // physically sweeps them from the clause DB and watch lists. A later query
 // naming an evicted space simply re-encodes it under a fresh guard; answers
 // are unchanged (lex-min is a pure function of the query, not of session
-// history). The space named by the in-flight query is pinned — its refcount
-// is held for the duration of the call — so eviction only ever retires
-// quiescent spaces. Forbidden-header guards stay unbounded: every one of
+// history). Eviction runs only while a query encodes a new space, which is
+// then the most recently used entry, so the victim is always a space no
+// in-flight query names. Forbidden-header guards stay unbounded: every one of
 // them is active in every query (§VI network-wide uniqueness), so none is
 // ever quiescent.
 #pragma once
@@ -93,15 +91,14 @@ class HeaderSession {
  private:
   struct SpaceEntry {
     Lit guard;
-    int refcount = 0;                     // pins held by in-flight queries
     std::list<std::string>::iterator lru;  // position in lru_ (front = MRU)
   };
 
   // Returns the activation literal for the constraint, encoding it on first
   // use and reusing the cached guard on every later query that names the
-  // same space / header. space_guard bumps the entry to MRU and evicts past
-  // the cap (never the pinned entry).
-  Lit space_guard(const std::string& key, const hsa::HeaderSpace& space);
+  // same space / header. space_guard bumps the entry to MRU and evicts the
+  // LRU entries past the cap.
+  Lit space_guard(const hsa::HeaderSpace& space);
   Lit forbid_guard(const hsa::TernaryString& header);
   void evict_spaces_over_cap();
   static std::string space_key(const hsa::HeaderSpace& space);

@@ -4,11 +4,19 @@
 #include <cassert>
 #include <cmath>
 
-#include "sat/preprocessor.h"
 #include "telemetry/metrics.h"
 
 namespace sdnprobe::sat {
 namespace {
+
+// Search heuristics (MiniSat's defaults). VSIDS activity decay per conflict
+// (the increment grows by 1/kVarDecay) and learned-clause activity decay.
+constexpr double kVarDecay = 0.95;
+constexpr double kClauseDecay = 0.999;
+// Luby restart unit: restart i fires after luby(2, i) * unit conflicts.
+constexpr int kLubyRestartUnit = 64;
+// Geometric growth of the clause-DB reduction trigger after each reduction.
+constexpr double kReduceGrowth = 1.3;
 
 // Publishes the search-counter deltas of one solve() call to the global
 // registry on scope exit (covering every return path). SolverStats itself
@@ -40,15 +48,13 @@ class SolveStatsPublisher {
 
 }  // namespace
 
-Var Solver::new_var(bool frozen) {
+Var Solver::new_var() {
   const Var v = static_cast<Var>(assigns_.size());
   assigns_.push_back(kUndef);
   reason_.push_back(kClauseRefUndef);
   level_.push_back(0);
   activity_.push_back(0.0);
   polarity_.push_back(1);  // default phase: prefer false (common heuristic)
-  frozen_.push_back(frozen ? 1 : 0);
-  eliminated_.push_back(0);
   seen_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
@@ -67,8 +73,6 @@ bool Solver::add_clause(std::vector<Lit> lits) {
   Lit prev = kLitUndef;
   for (const Lit l : lits) {
     assert(var_of(l) < num_vars());
-    assert(!eliminated_[static_cast<std::size_t>(var_of(l))] &&
-           "clause references an eliminated variable; freeze() it");
     if (l == prev) continue;
     if (prev >= 0 && l == negate(prev)) {
       return true;  // tautology: contains v and ¬v
@@ -94,7 +98,6 @@ bool Solver::add_clause(std::vector<Lit> lits) {
   const ClauseRef cr = ca_.alloc(cleaned, /*learned=*/false);
   clauses_.push_back(cr);
   attach_clause(cr);
-  ++clauses_since_inprocess_;
   return true;
 }
 
@@ -236,8 +239,8 @@ void Solver::bump_clause(Clause c) {
 }
 
 void Solver::decay_activities() {
-  var_inc_ /= config_.var_decay;
-  cla_inc_ /= config_.clause_decay;
+  var_inc_ /= kVarDecay;
+  cla_inc_ /= kClauseDecay;
 }
 
 void Solver::analyze(ClauseRef conflict, std::vector<Lit>& learnt,
@@ -362,7 +365,7 @@ void Solver::backtrack(int target_level) {
     const Var v = var_of(trail_[k - 1]);
     assigns_[static_cast<std::size_t>(v)] = kUndef;
     reason_[static_cast<std::size_t>(v)] = kClauseRefUndef;
-    if (!eliminated_[static_cast<std::size_t>(v)]) order_.insert(v);
+    order_.insert(v);
   }
   trail_.resize(keep);
   trail_lim_.resize(static_cast<std::size_t>(target_level));
@@ -374,8 +377,7 @@ Lit Solver::pick_branch() {
   // entries are discarded lazily; backtrack() reinserts).
   while (!order_.empty()) {
     const Var v = order_.remove_max();
-    if (assigns_[static_cast<std::size_t>(v)] == kUndef &&
-        !eliminated_[static_cast<std::size_t>(v)]) {
+    if (assigns_[static_cast<std::size_t>(v)] == kUndef) {
       return make_lit(v, polarity_[static_cast<std::size_t>(v)] != 0);
     }
   }
@@ -485,7 +487,7 @@ Result Solver::search() {
   std::int64_t conflicts_left = config_.conflict_budget;
   int restart_index = 0;
   auto restart_limit = static_cast<std::uint64_t>(
-      luby(2.0, restart_index) * config_.luby_restart_unit);
+      luby(2.0, restart_index) * kLubyRestartUnit);
   std::uint64_t conflicts_since_restart = 0;
   std::vector<Lit> learnt;
   if (reduce_limit_ == 0) reduce_limit_ = config_.reduce_base;
@@ -522,12 +524,12 @@ Result Solver::search() {
       ++stats_.restarts;
       conflicts_since_restart = 0;
       restart_limit = static_cast<std::uint64_t>(
-          luby(2.0, ++restart_index) * config_.luby_restart_unit);
+          luby(2.0, ++restart_index) * kLubyRestartUnit);
       backtrack(0);
       if (static_cast<std::int64_t>(learnts_.size()) >= reduce_limit_) {
         reduce_db();
         reduce_limit_ = static_cast<std::int64_t>(
-            static_cast<double>(reduce_limit_) * config_.reduce_growth);
+            static_cast<double>(reduce_limit_) * kReduceGrowth);
       }
       continue;
     }
@@ -567,58 +569,13 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
 #ifndef NDEBUG
   for (const Lit a : assumptions_) {
     assert(var_of(a) >= 0 && var_of(a) < num_vars());
-    assert(!eliminated_[static_cast<std::size_t>(var_of(a))] &&
-           "assuming an eliminated variable; freeze() assumption vars");
   }
 #endif
-  Result r;
-  if (!simplify()) {
-    r = Result::kUnsat;
-  } else {
-    if (config_.inprocessing &&
-        clauses_since_inprocess_ >
-            std::max<std::size_t>(
-                64, static_cast<std::size_t>(
-                        config_.inprocess_new_fraction *
-                        static_cast<double>(clauses_.size())))) {
-      Preprocessor pre(*this);
-      if (!pre.run()) ok_ = false;
-      clauses_since_inprocess_ = 0;
-    }
-    r = ok_ ? search() : Result::kUnsat;
-  }
-  if (r == Result::kSat) {
-    model_.assign(assigns_.begin(), assigns_.end());
-    extend_model();
-  }
+  const Result r = simplify() ? search() : Result::kUnsat;
+  if (r == Result::kSat) model_.assign(assigns_.begin(), assigns_.end());
   backtrack(0);
   assumptions_.clear();
   return r;
-}
-
-void Solver::extend_model() {
-  // Walk the elimination records backwards (most recently eliminated var
-  // first): a record whose saved clauses are all satisfied keeps the
-  // default; otherwise the witness literal is flipped true. Records of a
-  // variable only mention variables that survived its elimination, so the
-  // backward order resolves every cross-reference.
-  std::size_t i = elim_extend_.size();
-  while (i > 0) {
-    const auto len = static_cast<std::size_t>(elim_extend_[i - 1]);
-    const std::size_t begin = i - 1 - len;
-    bool satisfied = false;
-    for (std::size_t k = begin; k < i - 1 && !satisfied; ++k) {
-      const auto l = static_cast<Lit>(elim_extend_[k]);
-      const std::uint8_t mv = model_[static_cast<std::size_t>(var_of(l))];
-      satisfied = mv != kUndef && (mv ^ (l & 1)) == kTrue;
-    }
-    if (!satisfied) {
-      const auto witness = static_cast<Lit>(elim_extend_[begin]);
-      model_[static_cast<std::size_t>(var_of(witness))] =
-          is_negated(witness) ? kFalse : kTrue;
-    }
-    i = begin;
-  }
 }
 
 bool Solver::model_value(Var v) const {

@@ -17,9 +17,8 @@
 //    subset (failed_assumptions()). Learned clauses are derived from the
 //    formula alone, so they remain valid across calls — the basis for
 //    sat::HeaderSession's clause reuse across per-header queries.
-//  - Luby restarts, phase saving, conflict-clause minimization, and an
-//    inprocessing pass (preprocessor.h: satisfied-clause sweep, subsumption,
-//    self-subsuming resolution, bounded elimination of non-frozen vars).
+//  - Luby restarts, phase saving, conflict-clause minimization, and a
+//    level-0 sweep of satisfied clauses and falsified literals (simplify()).
 //
 // All tie-breaks are index-ordered and no randomness is consumed, so every
 // answer — and, with an unbounded budget, every model — is a deterministic
@@ -49,33 +48,20 @@ struct SolverStats {
   std::uint64_t learned_removed = 0;  // dropped by clause-DB reduction
   std::uint64_t reduce_runs = 0;
   std::uint64_t gc_runs = 0;
-  std::uint64_t subsumed = 0;          // clauses removed by subsumption
-  std::uint64_t strengthened = 0;      // literals removed by self-subsumption
-  std::uint64_t eliminated_vars = 0;
 };
-
-class Preprocessor;
 
 class Solver {
  public:
   explicit Solver(SolverConfig config = {}) : config_(config) {}
 
-  // Allocates a fresh variable and returns its index. Frozen variables are
-  // protected from inprocessing elimination; any variable that will appear
-  // in future clauses or assumptions (session bit/selector/guard variables)
-  // must be frozen.
-  Var new_var(bool frozen = false);
+  // Allocates a fresh variable and returns its index.
+  Var new_var();
   int num_vars() const { return static_cast<int>(assigns_.size()); }
-  void freeze(Var v) { frozen_[static_cast<std::size_t>(v)] = 1; }
-  bool is_eliminated(Var v) const {
-    return eliminated_[static_cast<std::size_t>(v)] != 0;
-  }
 
   // Adds a clause (disjunction of literals). Returns false if the clause
   // makes the formula trivially unsatisfiable (empty after simplification,
   // or conflicts with current top-level assignments). All referenced
-  // variables must have been created with new_var() and must not have been
-  // eliminated by inprocessing (freeze them to guarantee this).
+  // variables must have been created with new_var().
   bool add_clause(std::vector<Lit> lits);
 
   // Convenience overloads.
@@ -91,8 +77,7 @@ class Solver {
   Result solve(const std::vector<Lit>& assumptions);
   Result solve() { return solve({}); }
 
-  // Model access after solve() returned kSat (values of eliminated
-  // variables are reconstructed from the elimination record).
+  // Model access after solve() returned kSat.
   bool model_value(Var v) const;
 
   // After solve(assumptions) returned kUnsat: the failing subset of the
@@ -104,16 +89,12 @@ class Solver {
   // literals. Returns false when the formula is proven unsatisfiable.
   bool simplify();
 
-  bool okay() const { return ok_; }
-  std::size_t clause_count() const { return clauses_.size(); }
   std::size_t learned_count() const { return learnts_.size(); }
   const SolverStats& stats() const { return stats_; }
   SolverConfig& config() { return config_; }
   const SolverConfig& config() const { return config_; }
 
  private:
-  friend class Preprocessor;
-
   // Assignment lattice: 0 = true, 1 = false, 2 = unassigned; chosen so that
   // value(lit) = assigns_[var] ^ sign works out with XOR tricks below.
   static constexpr std::uint8_t kTrue = 0;
@@ -150,7 +131,6 @@ class Solver {
   void reduce_db();
   void maybe_garbage_collect();
   Result search();
-  void extend_model();
   static double luby(double y, int i);
 
   ClauseAllocator ca_;
@@ -162,8 +142,6 @@ class Solver {
   std::vector<int> level_;                     // decision level per var
   std::vector<double> activity_;               // branching activity per var
   std::vector<std::uint8_t> polarity_;         // phase saving
-  std::vector<std::uint8_t> frozen_;           // protected from elimination
-  std::vector<std::uint8_t> eliminated_;
   VarHeap order_{activity_};                   // must follow activity_
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;  // trail index at each decision level
@@ -171,14 +149,10 @@ class Solver {
   std::vector<Lit> assumptions_;
   std::vector<Lit> conflict_core_;
   std::vector<std::uint8_t> model_;  // saved assignment of the last kSat
-  // Model-extension records for eliminated variables, in elimination order:
-  // each record is [witness lit, other lits..., record length].
-  std::vector<std::uint32_t> elim_extend_;
   double var_inc_ = 1.0;
   double cla_inc_ = 1.0;
   std::int64_t reduce_limit_ = 0;  // initialized from config at first search
   std::size_t simp_trail_head_ = 0;   // trail prefix already swept
-  std::size_t clauses_since_inprocess_ = 0;
   bool ok_ = true;  // false once the formula is proven unsat at level 0
   SolverConfig config_;
   SolverStats stats_;

@@ -192,8 +192,8 @@ TEST(SatSolver, ActivationGuardRetractsConstraints) {
   // The HeaderSession encoding pattern: a guard g arms (x ∧ ¬x) only while
   // assumed, and the solver stays usable after the guarded contradiction.
   Solver s;
-  const Var g = s.new_var(/*frozen=*/true);
-  const Var x = s.new_var(/*frozen=*/true);
+  const Var g = s.new_var();
+  const Var x = s.new_var();
   s.add_binary(neg(g), pos(x));
   s.add_binary(neg(g), neg(x));
   ASSERT_EQ(s.solve({pos(g)}), Result::kUnsat);
@@ -211,7 +211,7 @@ TEST(SatSolver, LearnedClausesPersistAcrossSolves) {
   // A guarded pigeonhole solved twice: the second solve reuses the first
   // solve's learned clauses and must spend strictly fewer conflicts.
   Solver s;
-  const Var g = s.new_var(/*frozen=*/true);
+  const Var g = s.new_var();
   add_pigeonhole(s, 6, 5, {neg(g)});  // armed only under the assumption g
   ASSERT_EQ(s.solve({pos(g)}), Result::kUnsat);
   const std::uint64_t first = s.stats().conflicts;
@@ -232,7 +232,7 @@ TEST(SatSolver, ReductionAndGarbageCollectionKeepAnswersRight) {
   cfg.reduce_base = 50;
   cfg.gc_wasted_fraction = 0.05;
   Solver s(cfg);
-  const Var g = s.new_var(/*frozen=*/true);
+  const Var g = s.new_var();
   add_pigeonhole(s, 7, 6, {neg(g)});
   ASSERT_EQ(s.solve({pos(g)}), Result::kUnsat);
   EXPECT_GT(s.stats().reduce_runs, 0u);
@@ -240,40 +240,6 @@ TEST(SatSolver, ReductionAndGarbageCollectionKeepAnswersRight) {
   EXPECT_GT(s.stats().gc_runs, 0u);
   EXPECT_EQ(s.solve(), Result::kSat);
   EXPECT_EQ(s.solve({pos(g)}), Result::kUnsat);
-}
-
-TEST(SatSolver, InprocessingSubsumesAndEliminates) {
-  // A positive implication chain plus redundant supersets: subsumption must
-  // strip the supersets, bounded elimination must clear the (pure-positive)
-  // chain variables, and model extension must still satisfy every original
-  // clause. A frozen variable riding along must survive untouched.
-  constexpr int N = 80;
-  Solver s;
-  std::vector<Var> v;
-  for (int i = 0; i < N; ++i) v.push_back(s.new_var());
-  const Var f = s.new_var(/*frozen=*/true);
-  std::vector<std::vector<Lit>> original;
-  for (int i = 0; i + 1 < N; ++i) {
-    original.push_back({pos(v[static_cast<std::size_t>(i)]),
-                        pos(v[static_cast<std::size_t>(i + 1)])});
-  }
-  for (int i = 0; i + 2 < N; ++i) {
-    original.push_back({pos(v[static_cast<std::size_t>(i)]),
-                        pos(v[static_cast<std::size_t>(i + 1)]),
-                        pos(v[static_cast<std::size_t>(i + 2)])});
-  }
-  original.push_back({pos(f), pos(v[0])});
-  for (const auto& cl : original) s.add_clause(cl);
-
-  ASSERT_EQ(s.solve(), Result::kSat);
-  EXPECT_GT(s.stats().subsumed, 0u);
-  EXPECT_GT(s.stats().eliminated_vars, 0u);
-  EXPECT_FALSE(s.is_eliminated(f));
-  for (const auto& cl : original) {
-    bool sat = false;
-    for (const Lit l : cl) sat |= (s.model_value(var_of(l)) != is_negated(l));
-    EXPECT_TRUE(sat) << "extended model violates an original clause";
-  }
 }
 
 TEST(ClauseAllocator, CopyingGcForwardsAndPreserves) {
@@ -399,11 +365,13 @@ hsa::TernaryString random_cube(util::Rng& rng, int width, double wild_p) {
 
 TEST(HeaderSession, MatchesOracleAndFreshSessionOnRandomQueries) {
   // The canonical-answer contract: a long-lived session (arbitrary learned
-  // state) and a throwaway session must both return the brute-force lex-min
-  // header for every query.
+  // state), a session whose space cache holds only two guards (so most
+  // queries retire one), and a throwaway session must all return the
+  // brute-force lex-min header for every query.
   constexpr int W = 8;
   util::Rng rng(77);
   HeaderSession persistent(W);
+  HeaderSession evicting(W, SolverConfig{}, /*space_cache_cap=*/2);
   int nonempty = 0;
   for (int q = 0; q < 40; ++q) {
     hsa::HeaderSpace space(W);
@@ -421,21 +389,27 @@ TEST(HeaderSession, MatchesOracleAndFreshSessionOnRandomQueries) {
 
     const auto expected = oracle_lex_min(space, forbidden);
     const auto from_persistent = persistent.find_header(space, forbidden);
+    const auto from_evicting = evicting.find_header(space, forbidden);
     HeaderSession fresh(W);
     const auto from_fresh = fresh.find_header(space, forbidden);
 
     ASSERT_EQ(expected.has_value(), from_persistent.has_value()) << "query " << q;
+    ASSERT_EQ(expected.has_value(), from_evicting.has_value())
+        << "query " << q;
     ASSERT_EQ(expected.has_value(), from_fresh.has_value()) << "query " << q;
     if (expected.has_value()) {
       ++nonempty;
       EXPECT_TRUE(*expected == *from_persistent)
           << "query " << q << ": session " << from_persistent->to_string()
           << " vs oracle " << expected->to_string();
+      EXPECT_TRUE(*expected == *from_evicting) << "query " << q;
       EXPECT_TRUE(*expected == *from_fresh) << "query " << q;
     }
   }
   EXPECT_GT(nonempty, 5) << "workload degenerate: almost every space empty";
   EXPECT_EQ(persistent.queries(), 40u);
+  EXPECT_GT(evicting.spaces_evicted(), 0u);
+  EXPECT_LE(evicting.cached_spaces(), 2u);
 }
 
 TEST(HeaderSession, RepeatedQueriesReuseGuardsAndStayCanonical) {

@@ -21,6 +21,7 @@
 //     header comes from the SAT fallback.
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "flow/campus.h"
 #include "sat/session.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace sdnprobe;
@@ -292,7 +294,11 @@ int main(int argc, char** argv) {
     core::ProbeEngineConfig pc;
     pc.common.threads = threads;
     pc.sample_attempts = 0;
-    core::ProbeEngine engine(snap, pc);
+    const auto pool =
+        threads > 1
+            ? std::make_unique<util::ThreadPool>(static_cast<std::size_t>(threads))
+            : nullptr;
+    core::ProbeEngine engine(snap, pc, pool.get());
     util::Rng rng(11);
     util::WallTimer t;
     const auto probes = engine.make_probes(cover, rng);

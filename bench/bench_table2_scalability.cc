@@ -16,6 +16,7 @@
 // greatly exceeding the rule count, TPC a small fraction of the rule count,
 // and PCT growing superlinearly with rules.
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "core/analysis_snapshot.h"
 #include "core/legal_paths.h"
 #include "core/mlpc.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace sdnprobe;
@@ -109,8 +111,11 @@ int main(int argc, char** argv) {
       std::size_t ref = 0;
       for (const int threads : {1, 2, 4}) {
         sweep.common.threads = threads;
+        const auto pool = threads > 1 ? std::make_unique<util::ThreadPool>(
+                                            static_cast<std::size_t>(threads))
+                                      : nullptr;
         util::WallTimer timer;
-        const core::Cover c = core::MlpcSolver(sweep).solve(snap);
+        const core::Cover c = core::MlpcSolver(sweep, pool.get()).solve(snap);
         const double s = timer.elapsed_seconds();
         if (threads == 1) {
           t1 = s;

@@ -446,7 +446,7 @@ void lint_rule_graph(const core::AnalysisSnapshot& snapshot,
       const hsa::HeaderSpace edge_space =
           snapshot.out_space(u).intersect(snapshot.in_space(w));
       if (!session.has_value() && !edge_space.is_empty()) {
-        session.emplace(edge_space.width(), config.sat);
+        session.emplace(edge_space.width());
       }
       const bool witness =
           !edge_space.is_empty() &&
@@ -521,9 +521,7 @@ LintReport Linter::run(const core::AnalysisSnapshot& snapshot) const {
         return snapshot.out_space(v);
       },
       report);
-  if (config_.rule_graph_checks) {
-    lint_rule_graph(snapshot, config_, report);
-  }
+  lint_rule_graph(snapshot, config_, report);
   report.sort();
   record_lint_telemetry(report);
   return report;
@@ -559,7 +557,7 @@ core::AnalysisSnapshot build_checked_snapshot(const flow::RuleSet& rules,
     throw LintError(std::move(report));
   }
   if (!config.invariants.empty()) {
-    Verifier verifier(config.invariants, config.verifier);
+    Verifier verifier(config.invariants);
     const VerifyReport verify_report = verifier.verify(snapshot);
     const bool violated = verify_report.has_errors();
     for (const Diagnostic& d : verify_report.diagnostics()) report.add(d);

@@ -50,7 +50,6 @@
 #include "analysis/verifier.h"
 #include "core/analysis_snapshot.h"
 #include "flow/ruleset.h"
-#include "sat/solver_config.h"
 
 namespace sdnprobe::analysis {
 
@@ -58,9 +57,6 @@ struct LintConfig {
   // Error-severity diagnostics abort snapshot construction in
   // build_checked_snapshot (throwing LintError).
   bool strict = false;
-  // Run the snapshot-only battery (rule-graph cycle / vertex spaces / SAT
-  // edge discharge) in Linter::run(const AnalysisSnapshot&).
-  bool rule_graph_checks = true;
   // Flag pairs of same-priority overlapping entries in one table
   // (ambiguous-priority). The tie-aware semantics from the churn work make
   // them legal — insertion order decides — but depending on install order
@@ -71,14 +67,10 @@ struct LintConfig {
   // `sat_edge_budget` in deterministic order are checked and an info
   // diagnostic records the truncation.
   std::size_t sat_edge_budget = 512;
-  // Solver knobs for the edge-discharge SAT session (one incremental
-  // session serves every edge of a lint run).
-  sat::SolverConfig sat;
   // Network-wide invariants build_checked_snapshot verifies over the
   // freshly built snapshot (analysis::Verifier); their diagnostics are
   // merged into the lint report. Empty = no verification.
   InvariantSet invariants;
-  VerifierConfig verifier;
   // Error-severity *invariant* findings abort snapshot construction
   // (throwing LintError), independent of `strict`.
   bool invariant_strict = false;

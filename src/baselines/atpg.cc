@@ -10,6 +10,14 @@
 #include "util/timer.h"
 
 namespace sdnprobe::baselines {
+namespace {
+
+// Rounds of additional-path probing during localization.
+constexpr int kLocalizationRounds = 3;
+// Alternative paths tried per isolated failing path and round.
+constexpr int kAlternativesPerPath = 3;
+
+}  // namespace
 
 Atpg::Atpg(const core::AnalysisSnapshot& snapshot,
            controller::Controller& ctrl, sim::EventLoop& loop,
@@ -20,7 +28,7 @@ Atpg::Atpg(const core::AnalysisSnapshot& snapshot,
       loop_(&loop),
       config_(config),
       engine_(snapshot),
-      rng_(config.seed) {}
+      rng_(1) {}
 
 void Atpg::generate() {
   if (generated_) return;
@@ -66,9 +74,7 @@ void Atpg::generate() {
       selected_.push_back({v});
     }
   }
-  if (config_.charge_generation_time) {
-    loop_->run_until(loop_->now() + timer.elapsed_seconds());
-  }
+  loop_->run_until(loop_->now() + timer.elapsed_seconds());
 }
 
 std::size_t Atpg::probe_count() {
@@ -80,8 +86,6 @@ core::DetectionReport Atpg::run() {
   generate();
   core::DetectionReport report;
   const double t0 = loop_->now();
-  RoundParams params{config_.probe_rate_bytes_per_s, config_.probe_size_bytes,
-                     config_.round_grace_s};
   std::uint64_t next_id = 1u << 20;
 
   // Round 1: the full greedy cover. Header uniqueness is scoped per round
@@ -95,7 +99,7 @@ core::DetectionReport Atpg::run() {
   }
   report.probes_sent += probes.size();
   std::vector<bool> failed =
-      run_probe_round(*snapshot_, *ctrl_, *loop_, probes, params, next_id);
+      run_probe_round(*snapshot_, *ctrl_, *loop_, probes, next_id);
   report.rounds = 1;
 
   // Failing paths as switch sets.
@@ -134,7 +138,7 @@ core::DetectionReport Atpg::run() {
   // alternative candidate path through that rule.
   std::size_t localized_upto = 0;  // failing paths already expanded
   for (int round = 0;
-       round < config_.localization_rounds &&
+       round < kLocalizationRounds &&
        localized_upto < failing_paths.size();
        ++round) {
     util::WallTimer gen_timer;
@@ -166,7 +170,7 @@ core::DetectionReport Atpg::run() {
       for (const core::VertexId v : failing_paths[i]) {
         int found = 0;
         for (const std::uint32_t ci : paths_with[static_cast<std::size_t>(v)]) {
-          if (found >= config_.alternatives_per_path) break;
+          if (found >= kAlternativesPerPath) break;
           if (candidates_[ci] == failing_paths[i]) continue;
           if (!chosen.insert(ci).second) continue;
           if (auto p = engine_.make_probe(candidates_[ci], rng_)) {
@@ -177,13 +181,11 @@ core::DetectionReport Atpg::run() {
       }
     }
     localized_upto = end;
-    if (config_.charge_generation_time) {
-      loop_->run_until(loop_->now() + gen_timer.elapsed_seconds());
-    }
+    loop_->run_until(loop_->now() + gen_timer.elapsed_seconds());
     if (extra.empty()) break;
     report.probes_sent += extra.size();
     std::vector<bool> extra_failed =
-        run_probe_round(*snapshot_, *ctrl_, *loop_, extra, params, next_id);
+        run_probe_round(*snapshot_, *ctrl_, *loop_, extra, next_id);
     ++report.rounds;
     for (std::size_t i = 0; i < extra.size(); ++i) {
       record_outcome(extra[i], extra_failed[i]);

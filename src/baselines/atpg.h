@@ -29,16 +29,8 @@
 namespace sdnprobe::baselines {
 
 struct AtpgConfig {
+  // Cap on the host-to-host candidate pool the greedy set cover draws from.
   std::size_t max_candidate_paths = 100000;
-  double probe_rate_bytes_per_s = 250e3;
-  int probe_size_bytes = 64;
-  double round_grace_s = 0.1;
-  // Rounds of additional-path probing during localization.
-  int localization_rounds = 3;
-  // Alternative paths tried per isolated failing path and round.
-  int alternatives_per_path = 3;
-  std::uint64_t seed = 1;
-  bool charge_generation_time = true;
 };
 
 class Atpg {

@@ -8,15 +8,13 @@
 namespace sdnprobe::baselines {
 
 PerRuleTest::PerRuleTest(const core::AnalysisSnapshot& snapshot,
-                         controller::Controller& ctrl, sim::EventLoop& loop,
-                         PerRuleConfig config)
+                         controller::Controller& ctrl, sim::EventLoop& loop)
     : snapshot_(&snapshot),
       graph_(&snapshot.graph()),
       ctrl_(&ctrl),
       loop_(&loop),
-      config_(config),
       engine_(snapshot),
-      rng_(config.seed) {}
+      rng_(1) {}
 
 core::DetectionReport PerRuleTest::run() {
   core::DetectionReport report;
@@ -62,12 +60,10 @@ core::DetectionReport PerRuleTest::run() {
     probes.push_back(std::move(*probe));
   }
 
-  RoundParams params{config_.probe_rate_bytes_per_s, config_.probe_size_bytes,
-                     config_.round_grace_s};
   std::uint64_t next_id = 1u << 20;
   report.probes_sent = probes.size();
   const std::vector<bool> failed =
-      run_probe_round(*snapshot_, *ctrl_, *loop_, probes, params, next_id);
+      run_probe_round(*snapshot_, *ctrl_, *loop_, probes, next_id);
   report.rounds = 1;
 
   // Blame the three switches of every failing probe, then exonerate a

@@ -20,18 +20,10 @@
 
 namespace sdnprobe::baselines {
 
-struct PerRuleConfig {
-  double probe_rate_bytes_per_s = 250e3;
-  int probe_size_bytes = 64;
-  double round_grace_s = 0.1;
-  std::uint64_t seed = 1;
-};
-
 class PerRuleTest {
  public:
   PerRuleTest(const core::AnalysisSnapshot& snapshot,
-              controller::Controller& ctrl, sim::EventLoop& loop,
-              PerRuleConfig config = {});
+              controller::Controller& ctrl, sim::EventLoop& loop);
 
   // One probe per testable rule.
   std::size_t probe_count() const {
@@ -45,7 +37,6 @@ class PerRuleTest {
   const core::RuleGraph* graph_;
   controller::Controller* ctrl_;
   sim::EventLoop* loop_;
-  PerRuleConfig config_;
   core::ProbeEngine engine_;
   util::Rng rng_;
 };

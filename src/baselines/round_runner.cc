@@ -8,7 +8,6 @@ std::vector<bool> run_probe_round(const core::AnalysisSnapshot& snapshot,
                                   controller::Controller& ctrl,
                                   sim::EventLoop& loop,
                                   const std::vector<core::Probe>& probes,
-                                  const RoundParams& params,
                                   std::uint64_t& next_correlation_id) {
   struct State {
     std::uint64_t id;
@@ -26,7 +25,7 @@ std::vector<bool> run_probe_round(const core::AnalysisSnapshot& snapshot,
     points.push_back(ctrl.install_test_point(probes[i].terminal_entry,
                                              probes[i].expected_return));
   }
-  loop.run_until(loop.now() + 2.0 * ctrl.network().config().control_latency_s);
+  loop.run_until(loop.now() + 2.0 * dataplane::kControlLatencyS);
 
   ctrl.set_probe_return_handler(
       [&](std::uint64_t id, flow::SwitchId from, const dataplane::Packet& pk,
@@ -43,24 +42,21 @@ std::vector<bool> run_probe_round(const core::AnalysisSnapshot& snapshot,
         }
       });
 
-  const double spacing =
-      static_cast<double>(params.probe_size_bytes) /
-      params.probe_rate_bytes_per_s;
+  const double spacing = core::kProbeSizeBytes / core::kProbeRateBytesPerS;
   double t = loop.now();
   for (std::size_t i = 0; i < probes.size(); ++i) {
     dataplane::Packet pk;
     pk.header = probes[i].header;
     pk.probe_id = states[i].id;
-    pk.size_bytes = params.probe_size_bytes;
     const flow::SwitchId sw = probes[i].inject_switch;
     loop.schedule_at(t, [&ctrl, sw, pk]() { ctrl.send_packet(sw, pk); });
     t += spacing;
   }
-  loop.run_until(t + params.round_grace_s);
+  loop.run_until(t + core::kDefaultRoundGraceS);
   ctrl.set_probe_return_handler(nullptr);
 
   for (const auto& tp : points) ctrl.remove_test_point(tp);
-  loop.run_until(loop.now() + 2.0 * ctrl.network().config().control_latency_s);
+  loop.run_until(loop.now() + 2.0 * dataplane::kControlLatencyS);
 
   std::vector<bool> failed(probes.size());
   for (std::size_t i = 0; i < probes.size(); ++i) {

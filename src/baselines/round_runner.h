@@ -1,6 +1,7 @@
 // Shared probe-round machinery for the baseline schemes: install test
-// points, inject probes at the configured rate, wait for returns, tear
-// down, and report which probes failed (missing or modified).
+// points, inject probes at the paper's rate (core::kProbeRateBytesPerS),
+// wait core::kDefaultRoundGraceS for returns, tear down, and report which
+// probes failed (missing or modified).
 #pragma once
 
 #include <cstdint>
@@ -14,12 +15,6 @@
 
 namespace sdnprobe::baselines {
 
-struct RoundParams {
-  double probe_rate_bytes_per_s = 250e3;
-  int probe_size_bytes = 64;
-  double round_grace_s = 0.1;
-};
-
 // Runs one send/collect round. failed[i] is true when probes[i] did not
 // return or returned altered. `next_correlation_id` is advanced so stale
 // returns from earlier rounds are never miscounted.
@@ -27,7 +22,6 @@ std::vector<bool> run_probe_round(const core::AnalysisSnapshot& snapshot,
                                   controller::Controller& ctrl,
                                   sim::EventLoop& loop,
                                   const std::vector<core::Probe>& probes,
-                                  const RoundParams& params,
                                   std::uint64_t& next_correlation_id);
 
 }  // namespace sdnprobe::baselines

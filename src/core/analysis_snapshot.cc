@@ -39,8 +39,7 @@ AnalysisSnapshot::AnalysisSnapshot(const RuleGraph& graph)
     : graph_(&graph),
       full_(hsa::HeaderSpace::full(graph.rules().header_width())),
       succ_by_fanin_(build_fanin_order(graph)),
-      ingress_(build_ingress_index(graph)),
-      closure_(std::make_unique<ClosureCache>()) {
+      ingress_(build_ingress_index(graph)) {
   for (const auto& per_switch : ingress_) ingress_count_ += per_switch.size();
 }
 
@@ -105,14 +104,6 @@ std::string canonical_fingerprint(const AnalysisSnapshot& snap) {
   std::ostringstream out;
   for (const std::string& l : lines) out << l << '\n';
   return out.str();
-}
-
-const std::vector<std::vector<VertexId>>& AnalysisSnapshot::legal_closure(
-    std::size_t max_paths_per_vertex) const {
-  std::call_once(closure_->once, [this, max_paths_per_vertex] {
-    closure_->edges = graph_->closure_edges(max_paths_per_vertex);
-  });
-  return closure_->edges;
 }
 
 }  // namespace sdnprobe::core

@@ -4,8 +4,8 @@
 //
 // A snapshot bundles the rule graph, the rule set and switch topology it was
 // built from, the per-vertex input/output header spaces, a fan-in-ordered
-// successor cache for the MLPC stitch search, and a lazily materialized
-// legal-closure cache. It is built once per detection round and then only
+// successor cache for the MLPC stitch search, and a per-ingress index of
+// table-0 vertices. It is built once per detection round and then only
 // read: every accessor is const and returns references to data fixed at
 // build time, so a snapshot may be shared by any number of worker threads
 // (see util::ThreadPool) without synchronization. Thread-safety is a
@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -117,26 +116,13 @@ class AnalysisSnapshot {
     return succ_by_fanin_[static_cast<std::size_t>(v)];
   }
 
-  // Materialized legal transitive closure (RuleGraph::closure_edges), built
-  // at most once on first use and cached; concurrent first calls are safe.
-  // The cap of the *first* call wins; per-round snapshots make this the
-  // "closure computed once per round" cache the paper's §V-A describes.
-  const std::vector<std::vector<VertexId>>& legal_closure(
-      std::size_t max_paths_per_vertex = 100000) const;
-
  private:
-  struct ClosureCache {
-    std::once_flag once;
-    std::vector<std::vector<VertexId>> edges;
-  };
-
   std::shared_ptr<const RuleGraph> owned_;  // null for non-owning views
   const RuleGraph* graph_;
   hsa::HeaderSpace full_;
   std::vector<std::vector<VertexId>> succ_by_fanin_;
   std::vector<std::vector<VertexId>> ingress_;  // indexed by switch id
   std::size_t ingress_count_ = 0;
-  std::unique_ptr<ClosureCache> closure_;
 };
 
 // Canonical, EntryId-independent fingerprint of the snapshotted network model:

@@ -12,6 +12,35 @@
 namespace sdnprobe::core {
 namespace {
 
+// A switch is flagged when one of its rules fails as a singleton path with
+// suspicion above this level (paper default 3, §VIII).
+constexpr int kSuspicionThreshold = 3;
+// Accumulated-suspicion flagging for intermittent faults (§VI: "once the
+// suspicion level of a switch exceeds a certain detection threshold, the
+// switch is considered faulty"): when a failing path's *strictly*
+// most-suspected rule crosses this level, its switch is flagged even if the
+// fault's active windows are too short for slicing to reach a singleton.
+// The strict-argmax guard keeps false positives at zero: a benign co-path
+// rule is separated from the real culprit as soon as one sliced half passes
+// while the other fails.
+constexpr int kStrongSuspicionThreshold = 9;
+// How many rounds a sliced (localization) probe keeps being retested after
+// it last failed. An intermittent fault's active window is often shorter
+// than one slicing descent; lingering probes are already in flight when the
+// next active window opens, so each window advances the localization by
+// another level instead of restarting from the top.
+constexpr int kLingerRounds = 6;
+// Random delay in [0, kRoundJitterS) before each round. Without jitter a
+// fixed round cadence can phase-lock with an intermittent fault's period
+// and sample only its inactive windows, hiding it forever.
+constexpr double kRoundJitterS = 0.15;
+// Confirmation re-send i (1-based) waits kRetryBackoffBaseS * 2^(i-1).
+constexpr double kRetryBackoffBaseS = 0.02;
+// Adaptive timeouts: kTimeoutRttMultiplier times the observed RTT, floored
+// at kTimeoutFloorS.
+constexpr double kTimeoutRttMultiplier = 3.0;
+constexpr double kTimeoutFloorS = 0.01;
+
 // DetectionReport / RoundRecord remain the algorithmic record; telemetry is
 // the cross-run aggregate view and must never influence control flow.
 struct LocalizerInstruments {
@@ -97,7 +126,6 @@ std::vector<Probe> FaultLocalizer::generate_full_cover() const {
       MlpcConfig mc;
       mc.common.randomized = false;
       mc.common.threads = config_.common.threads;
-      mc.search_budget = config_.mlpc_search_budget;
       const Cover cover = MlpcSolver(mc, pool_.get()).solve(*snapshot_);
       fixed_probes_ = engine_.make_probes(cover, rng_, nullptr);
       fixed_ready_ = true;
@@ -121,7 +149,6 @@ std::vector<Probe> FaultLocalizer::generate_full_cover() const {
   mc.common.randomized = true;
   mc.common.seed = rng_.next();
   mc.common.threads = config_.common.threads;
-  mc.search_budget = config_.mlpc_search_budget;
   const Cover cover = MlpcSolver(mc, pool_.get()).solve(*snapshot_);
   engine_.reset_uniqueness();
   if (config_.profile && !config_.profile->empty()) {
@@ -152,8 +179,7 @@ std::size_t FaultLocalizer::initial_probe_count() const {
 
 double FaultLocalizer::effective_grace() const {
   if (config_.adaptive_timeout && max_rtt_s_ > 0.0) {
-    return std::max(config_.timeout_floor_s,
-                    config_.timeout_rtt_multiplier * max_rtt_s_);
+    return std::max(kTimeoutFloorS, kTimeoutRttMultiplier * max_rtt_s_);
   }
   return config_.round_grace_s;
 }
@@ -163,8 +189,7 @@ double FaultLocalizer::probe_timeout(const Probe& p) const {
   const auto it = span_rtt_s_.find({p.entries.front(), p.entries.back()});
   const double rtt = it != span_rtt_s_.end() ? it->second : max_rtt_s_;
   if (rtt <= 0.0) return config_.round_grace_s;
-  return std::max(config_.timeout_floor_s,
-                  config_.timeout_rtt_multiplier * rtt);
+  return std::max(kTimeoutFloorS, kTimeoutRttMultiplier * rtt);
 }
 
 DetectionReport FaultLocalizer::run(RoundCallback callback) {
@@ -203,10 +228,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
                                     [this] { return loop_->now(); });
     round_span.annotate("round", static_cast<double>(round));
 
-    if (config_.round_jitter_s > 0.0) {
-      loop_->run_until(loop_->now() +
-                       rng_.next_double() * config_.round_jitter_s);
-    }
+    loop_->run_until(loop_->now() + rng_.next_double() * kRoundJitterS);
 
     // Header uniqueness is scoped to the concurrently installed test points:
     // restart the pool from this round's headers so sliced-children headers
@@ -228,10 +250,9 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
       by_id[ap.probe.probe_id] = Pending{active.size(), 0.0};
       active.push_back(std::move(ap));
     }
-    loop_->run_until(loop_->now() +
-                     2.0 * ctrl_->network().config().control_latency_s);
+    loop_->run_until(loop_->now() + 2.0 * dataplane::kControlLatencyS);
 
-    // --- Inject probes at the configured rate; collect returns. ---
+    // --- Inject probes at the paper's rate; collect returns. ---
     ctrl_->set_probe_return_handler(
         [&](std::uint64_t id, flow::SwitchId from, const dataplane::Packet& pk,
             sim::SimTime now) {
@@ -268,8 +289,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
           ap.delivered_header = pk.header;
         });
 
-    const double spacing = static_cast<double>(config_.probe_size_bytes) /
-                           config_.probe_rate_bytes_per_s;
+    const double spacing = kProbeSizeBytes / kProbeRateBytesPerS;
     // The whole round streams through one batched PacketOut: each probe
     // keeps its own paced send time, but the dataplane handles a round in
     // a handful of events instead of one schedule per probe.
@@ -280,7 +300,6 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
       dataplane::Packet pk;
       pk.header = ap.probe.header;
       pk.probe_id = ap.probe.probe_id;
-      pk.size_bytes = config_.probe_size_bytes;
       by_id[ap.probe.probe_id].sent_s = t;
       sends.push_back(
           dataplane::BatchPacketOut{ap.probe.inject_switch, std::move(pk), t});
@@ -304,8 +323,8 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
       }
       // Backoff first: a straggler that arrives during the wait clears its
       // probe and needs no re-send.
-      loop_->run_until(loop_->now() + config_.retry_backoff_base_s *
-                                          std::ldexp(1.0, attempt - 1));
+      loop_->run_until(loop_->now() +
+                       kRetryBackoffBaseS * std::ldexp(1.0, attempt - 1));
       std::vector<std::size_t> missing;
       for (std::size_t i = 0; i < active.size(); ++i) {
         if (!active[i].returned) missing.push_back(i);
@@ -323,7 +342,6 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
         dataplane::Packet pk;
         pk.header = ap.probe.header;
         pk.probe_id = retry_id;
-        pk.size_bytes = config_.probe_size_bytes;
         retries.push_back(dataplane::BatchPacketOut{ap.probe.inject_switch,
                                                     std::move(pk), rt});
         rt += spacing;
@@ -437,7 +455,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
             unique = false;
           }
         }
-        if (unique && top_s > config_.strong_suspicion_threshold) {
+        if (unique && top_s > kStrongSuspicionThreshold) {
           const flow::SwitchId sw = graph_->rules().entry(top).switch_id;
           if (!flagged_.count(sw)) {
             flagged_.insert(sw);
@@ -459,13 +477,13 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
             verts.begin() + static_cast<std::ptrdiff_t>(mid), verts.end());
         for (const auto& half : {left, right}) {
           auto p = engine_.make_probe(half, rng_, active_profile());
-          if (p.has_value()) queue_probe(std::move(*p), config_.linger_rounds);
+          if (p.has_value()) queue_probe(std::move(*p), kLingerRounds);
         }
-        queue_probe(ap.probe, config_.linger_rounds);
+        queue_probe(ap.probe, kLingerRounds);
       } else {
         const flow::EntryId e = ap.probe.entries.front();
         const flow::SwitchId sw = graph_->rules().entry(e).switch_id;
-        if (suspicion_[e] > config_.suspicion_threshold) {
+        if (suspicion_[e] > kSuspicionThreshold) {
           if (!flagged_.count(sw)) {
             LocalizerInstruments::get().switches_flagged.add();
           }
@@ -475,7 +493,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
           report.detection_time_s = loop_->now() - t0;
         } else {
           // Keep retesting the singleton.
-          queue_probe(ap.probe, config_.linger_rounds);
+          queue_probe(ap.probe, kLingerRounds);
         }
       }
     }
@@ -484,8 +502,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
     for (const ActiveProbe& ap : active) {
       ctrl_->remove_test_point(ap.test_point);
     }
-    loop_->run_until(loop_->now() +
-                     2.0 * ctrl_->network().config().control_latency_s);
+    loop_->run_until(loop_->now() + 2.0 * dataplane::kControlLatencyS);
 
     rec.end_s = loop_->now();
     rec.probes = active.size();

@@ -6,7 +6,8 @@
 // marks its path suspicious: every rule on the path gains suspicion, and the
 // path is sliced in two for the next round. A rule whose singleton path
 // fails while its suspicion exceeds the threshold identifies its switch as
-// faulty (default threshold 3, per §VIII).
+// faulty (threshold 3, per §VIII; the thresholds and the other timing
+// constants are named in localizer.cc).
 //
 // Deterministic SDNProbe reuses one minimum cover (and the same probe
 // headers) every round. Randomized SDNProbe re-draws the cover with the
@@ -38,34 +39,9 @@
 namespace sdnprobe::core {
 
 struct LocalizerConfig {
-  // Suspicion threshold (paper default 3): a switch is flagged when one of
-  // its rules fails as a singleton path with suspicion > threshold.
-  int suspicion_threshold = 3;
-  // Accumulated-suspicion flagging for intermittent faults (§VI: "once the
-  // suspicion level of a switch exceeds a certain detection threshold, the
-  // switch is considered faulty"): when a failing path's *strictly*
-  // most-suspected rule crosses this level, its switch is flagged even if
-  // the fault's active windows are too short for slicing to reach a
-  // singleton. The strict-argmax guard keeps false positives at zero: a
-  // benign co-path rule is separated from the real culprit as soon as one
-  // sliced half passes while the other fails.
-  int strong_suspicion_threshold = 9;
-  // How many rounds a sliced (localization) probe keeps being retested
-  // after it last failed. An intermittent fault's active window is often
-  // shorter than one slicing descent; lingering probes are already in
-  // flight when the next active window opens, so each window advances the
-  // localization by another level instead of restarting from the top.
-  int linger_rounds = 6;
-  // Probe injection rate (paper: 250 KBytes/s) and probe wire size.
-  double probe_rate_bytes_per_s = 250e3;
-  int probe_size_bytes = 64;
   // Extra simulated wait after the last probe of a round for in-flight
   // returns (covers worst-case path RTT).
-  double round_grace_s = 0.1;
-  // Random delay in [0, round_jitter_s) before each round. Without jitter a
-  // fixed round cadence can phase-lock with an intermittent fault's period
-  // and sample only its inactive windows, hiding it forever.
-  double round_jitter_s = 0.15;
+  double round_grace_s = kDefaultRoundGraceS;
   int max_rounds = 64;
   // Shared knobs (core/common_options.h): `randomized` selects Randomized
   // SDNProbe (re-draw cover and headers at every full restart), `seed` feeds
@@ -82,28 +58,23 @@ struct LocalizerConfig {
   // Charge measured wall-clock of cover/probe (re)generation to the
   // simulated clock, as the paper's detection delay includes generation.
   bool charge_generation_time = true;
-  // MLPC search budget (see MlpcConfig).
-  std::size_t mlpc_search_budget = 4096;
 
   // ---- Loss tolerance (environmental noise, DESIGN.md §11) ----
   //
   // On an error-prone channel a probe can vanish for reasons unrelated to
   // rule faults. With `confirm_retries` > 0 a probe that fails to *return*
-  // is re-sent up to that many times (with exponential backoff starting at
-  // `retry_backoff_base_s`) before its path is charged with suspicion; a
-  // probe that returns *modified* is fault evidence and is never retried.
-  // All knobs default off so a zero-noise run is bit-identical to builds
-  // that predate the channel model.
+  // is re-sent up to that many times (with exponential backoff) before its
+  // path is charged with suspicion; a probe that returns *modified* is
+  // fault evidence and is never retried. Both knobs default off so a
+  // zero-noise run is bit-identical to builds that predate the channel
+  // model.
   int confirm_retries = 0;
-  double retry_backoff_base_s = 0.02;
   // Adaptive timeouts: derive the per-round grace period (and per-probe
-  // retry timeouts) from observed PacketIn RTTs — `timeout_rtt_multiplier`
-  // times the largest RTT seen so far, floored at `timeout_floor_s` —
-  // instead of the fixed `round_grace_s`. Until an RTT has been observed,
-  // `round_grace_s` is used.
+  // retry timeouts) from observed PacketIn RTTs — a fixed multiple of the
+  // largest RTT seen so far, with a floor — instead of the fixed
+  // `round_grace_s`. Until an RTT has been observed, `round_grace_s` is
+  // used.
   bool adaptive_timeout = false;
-  double timeout_rtt_multiplier = 3.0;
-  double timeout_floor_s = 0.01;
 };
 
 struct RoundRecord {

@@ -350,13 +350,10 @@ Cover MlpcSolver::solve(const AnalysisSnapshot& snapshot) const {
   };
   const std::size_t workers = std::min(
       util::ThreadPool::resolve_thread_count(config_.common.threads), restarts);
-  if (workers <= 1) {
+  if (pool_ == nullptr || workers <= 1) {
     for (std::size_t r = 0; r < restarts; ++r) run_restart(r);
-  } else if (pool_ != nullptr) {
-    util::parallel_for(pool_, restarts, run_restart);
   } else {
-    util::ThreadPool transient(workers);
-    util::parallel_for(&transient, restarts, run_restart);
+    util::parallel_for(pool_, restarts, run_restart);
   }
   // Stable best-cover selection: smallest cover wins, restart index breaks
   // ties — an index-order scan with strict `<`, independent of thread count.

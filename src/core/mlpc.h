@@ -78,9 +78,9 @@ struct MlpcConfig {
 
 class MlpcSolver {
  public:
-  // An externally owned pool lets callers that solve every round (e.g.
-  // FaultLocalizer) reuse workers; with a null pool and threads > 1 the
-  // solver spins up a transient pool per solve() call.
+  // Restarts run on the caller's pool, so callers that solve every round
+  // (e.g. FaultLocalizer) reuse one set of workers. A null pool means
+  // serial, whatever `threads` says.
   explicit MlpcSolver(MlpcConfig config = {}, util::ThreadPool* pool = nullptr)
       : config_(config), pool_(pool) {}
 

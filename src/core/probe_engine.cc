@@ -66,9 +66,7 @@ PathCandidates sample_path_candidates(const AnalysisSnapshot& snap,
 
 sat::HeaderSession& ProbeEngine::session_for(int width) {
   auto& slot = sessions_[width];
-  if (!slot) {
-    slot = std::make_unique<sat::HeaderSession>(width, config_.sat);
-  }
+  if (!slot) slot = std::make_unique<sat::HeaderSession>(width);
   return *slot;
 }
 
@@ -184,13 +182,10 @@ std::vector<Probe> ProbeEngine::make_probes(const Cover& cover,
       n == 0 ? 1
              : std::min(util::ThreadPool::resolve_thread_count(config_.common.threads),
                         n);
-  if (workers <= 1) {
+  if (pool_ == nullptr || workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) generate(i);
-  } else if (pool_ != nullptr) {
-    util::parallel_for(pool_, n, generate);
   } else {
-    util::ThreadPool transient(workers);
-    util::parallel_for(&transient, n, generate);
+    util::parallel_for(pool_, n, generate);
   }
 
   // Phase B (serial, cover order): uniqueness commit against `used_`, SAT

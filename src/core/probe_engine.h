@@ -24,11 +24,19 @@
 #include "core/rule_graph.h"
 #include "core/traffic_profile.h"
 #include "sat/session.h"
-#include "sat/solver_config.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace sdnprobe::core {
+
+// The paper's probe timing (§VIII): probes of kProbeSizeBytes are paced at
+// kProbeRateBytesPerS, and a round waits kDefaultRoundGraceS after its last
+// send for in-flight returns (covers the worst-case path RTT). SDNProbe and
+// both baselines share these so their detection delays compare like for
+// like.
+inline constexpr double kProbeRateBytesPerS = 250e3;
+inline constexpr int kProbeSizeBytes = 64;
+inline constexpr double kDefaultRoundGraceS = 0.1;
 
 struct Probe {
   std::uint64_t probe_id = 0;
@@ -57,14 +65,12 @@ struct ProbeEngineConfig {
   // Shared knobs (core/common_options.h). The engine uses `threads` for
   // make_probes' candidate-generation phase (0 = hardware_concurrency,
   // 1 = serial; headers and stats identical for any value, see the file
-  // comment). `seed` / `randomized` are unused here — the engine draws all
-  // randomness from the caller-provided Rng.
+  // comment); the workers are the pool passed to the constructor, and a
+  // null pool means serial. `seed` / `randomized` are unused here — the
+  // engine draws all randomness from the caller-provided Rng.
   CommonOptions common;
   // Header candidates sampled per path before the SAT fallback.
   int sample_attempts = 16;
-  // Solver knobs for the engine's SAT sessions (conflict budget, clause-DB
-  // reduction and GC thresholds).
-  sat::SolverConfig sat;
 };
 
 class ProbeEngine {

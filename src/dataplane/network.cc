@@ -4,15 +4,21 @@
 #include "util/logging.h"
 
 namespace sdnprobe::dataplane {
+namespace {
+
+// Per-switch pipeline processing delay.
+constexpr double kSwitchProcDelayS = 50e-6;
+// Safety net against accidental forwarding loops in the simulator.
+constexpr int kMaxHops = 128;
+
+}  // namespace
 
 Network::Network(const flow::RuleSet& rules, sim::EventLoop& loop,
                  NetworkConfig config)
     : rules_(&rules),
       loop_(&loop),
-      config_(config),
       channel_(config.channel),
       tables_(static_cast<std::size_t>(rules.switch_count())) {
-  SDNPROBE_CHECK_GT(config_.max_hops, 0);
   auto& reg = telemetry::MetricsRegistry::global();
   tm_.packet_outs = &reg.counter("dataplane.packet_outs");
   tm_.packet_ins = &reg.counter("dataplane.packet_ins");
@@ -99,7 +105,7 @@ void Network::packet_out(flow::SwitchId sw, Packet p) {
   SDNPROBE_DCHECK_EQ(p.header.width(), rules_->header_width());
   ++counters_.packets_injected;
   tm_.packet_outs->add();
-  control_transit(config_.control_latency_s,
+  control_transit(kControlLatencyS,
                   [this, sw, p = std::move(p)] { arrive(sw, p); });
 }
 
@@ -136,7 +142,7 @@ void Network::packet_out_batch(std::vector<BatchPacketOut> items) {
       run.emplace_back(items[j].sw, std::move(items[j].packet));
       ++j;
     }
-    loop_->schedule_at(items[i].send_at + config_.control_latency_s,
+    loop_->schedule_at(items[i].send_at + kControlLatencyS,
                        [this, run = std::move(run)]() mutable {
                          arrive_batch(std::move(run));
                        });
@@ -150,7 +156,7 @@ void Network::arrive_batch(std::vector<std::pair<flow::SwitchId, Packet>> batch)
   std::vector<std::pair<flow::SwitchId, Packet>> alive;
   alive.reserve(batch.size());
   for (auto& [sw, p] : batch) {
-    if (static_cast<int>(p.trace.size()) >= config_.max_hops) {
+    if (static_cast<int>(p.trace.size()) >= kMaxHops) {
       ++counters_.hop_limit_drops;
       LOG_DEBUG << "packet exceeded hop limit at switch " << sw;
       continue;
@@ -159,7 +165,7 @@ void Network::arrive_batch(std::vector<std::pair<flow::SwitchId, Packet>> batch)
     alive.emplace_back(sw, std::move(p));
   }
   if (alive.empty()) return;
-  loop_->schedule_in(config_.switch_proc_delay_s,
+  loop_->schedule_in(kSwitchProcDelayS,
                      [this, alive = std::move(alive)]() mutable {
                        process_batch(std::move(alive));
                      });
@@ -182,7 +188,7 @@ void Network::flush_packet_ins() {
   // packet at the same simulated time, in the same order, as it would from
   // one control_transit event per PacketIn. (Buffering happens only on the
   // noiseless path, where control_transit is a plain schedule_in.)
-  loop_->schedule_in(config_.control_latency_s,
+  loop_->schedule_in(kControlLatencyS,
                      [this, batch = std::move(batch)] {
                        for (const auto& [sw, p] : batch) {
                          packet_in_handler_(sw, p, loop_->now());
@@ -191,7 +197,7 @@ void Network::flush_packet_ins() {
 }
 
 void Network::arrive(flow::SwitchId sw, Packet p) {
-  if (static_cast<int>(p.trace.size()) >= config_.max_hops) {
+  if (static_cast<int>(p.trace.size()) >= kMaxHops) {
     // TTL stand-in: misdirection faults can bounce packets between two
     // switches; the hop limit disposes of them like TTL expiry would.
     ++counters_.hop_limit_drops;
@@ -199,7 +205,7 @@ void Network::arrive(flow::SwitchId sw, Packet p) {
     return;
   }
   p.trace.push_back(sw);
-  loop_->schedule_in(config_.switch_proc_delay_s,
+  loop_->schedule_in(kSwitchProcDelayS,
                      [this, sw, p = std::move(p)] { process(sw, p, 0); });
 }
 
@@ -250,7 +256,7 @@ void Network::process(flow::SwitchId sw, Packet p, flow::TableId table) {
         const flow::SwitchId partner = f->detour_partner;
         p.header = p.header.transform(e->set_field);
         loop_->schedule_in(
-            f->detour_extra_latency_s + config_.switch_proc_delay_s,
+            f->detour_extra_latency_s + kSwitchProcDelayS,
             [this, partner, p = std::move(p)] { arrive(partner, p); });
         return;
       }
@@ -277,7 +283,7 @@ void Network::process(flow::SwitchId sw, Packet p, flow::TableId table) {
         if (pin_batching_) {
           pin_buffer_.emplace_back(sw, std::move(p));
         } else {
-          control_transit(config_.control_latency_s,
+          control_transit(kControlLatencyS,
                           [this, sw, p = std::move(p)] {
                             packet_in_handler_(sw, p, loop_->now());
                           });

@@ -22,14 +22,12 @@
 
 namespace sdnprobe::dataplane {
 
+// One-way controller <-> switch control-channel latency (PacketOut /
+// PacketIn / FlowMod). Public because the prober's round pacing waits one
+// control round trip after installing and after removing test points.
+inline constexpr double kControlLatencyS = 1e-3;
+
 struct NetworkConfig {
-  // Per-switch pipeline processing delay.
-  double switch_proc_delay_s = 50e-6;
-  // One-way controller <-> switch control-channel latency (PacketOut /
-  // PacketIn / FlowMod).
-  double control_latency_s = 1e-3;
-  // Safety net against accidental forwarding loops in the simulator.
-  int max_hops = 128;
   // Environmental noise (error-prone channels). All rates default to zero:
   // a default-constructed Network is noiseless and bit-identical to one
   // built before the channel model existed. Orthogonal to FaultInjector,
@@ -125,7 +123,6 @@ class Network {
   const NetworkCounters& counters() const { return counters_; }
   const flow::RuleSet& rules() const { return *rules_; }
   sim::EventLoop& loop() { return *loop_; }
-  const NetworkConfig& config() const { return config_; }
 
   // Ground truth for evaluation: switches owning at least one faulty entry.
   std::vector<flow::SwitchId> faulty_switches() const;
@@ -159,7 +156,6 @@ class Network {
 
   const flow::RuleSet* rules_;
   sim::EventLoop* loop_;
-  NetworkConfig config_;
   FaultInjector faults_;
   ChannelModel channel_;
   // Runtime tables: tables_[switch][table]. Seeded from the RuleSet, then

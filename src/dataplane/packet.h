@@ -16,8 +16,6 @@ struct Packet {
   // events with the probes it injected. Carried out-of-band of the header,
   // like a controller-chosen cookie.
   std::uint64_t probe_id = 0;
-  // Wire size used for serialization-rate accounting (probe rate, §VIII).
-  int size_bytes = 64;
 
   // Ground-truth trace of switches visited, in order. Written by the
   // simulator for tests and oracle checks; *never* read by any detection

@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "util/check.h"
 #include "util/logging.h"
 
 #include <unordered_set>
@@ -15,22 +16,24 @@ constexpr int kAggregatePriority = 10;
 // Specific-rule priority encodes the subnet-prefix depth so longest-prefix
 // match falls out of OpenFlow priority ordering.
 constexpr int kSpecificPriorityBase = 100;
+// Header bits [0, kDstBits) carry the destination switch id.
+constexpr int kDstBits = 8;
 
-// Writes switch id `d` into header bits [0, dst_bits).
-void set_dst_bits(hsa::TernaryString& t, int d, int dst_bits) {
-  for (int k = 0; k < dst_bits; ++k) {
-    const bool one = (d >> (dst_bits - 1 - k)) & 1;
+// Writes switch id `d` into header bits [0, kDstBits).
+void set_dst_bits(hsa::TernaryString& t, int d) {
+  for (int k = 0; k < kDstBits; ++k) {
+    const bool one = (d >> (kDstBits - 1 - k)) & 1;
     t.set(k, one ? hsa::Trit::kOne : hsa::Trit::kZero);
   }
 }
 
 // Writes the first `prefix_len` bits of the subnet id (MSB-first) into the
 // header; prefix_len == subnet_bits gives the exact subnet match.
-void set_subnet_prefix(hsa::TernaryString& t, long subnet, int dst_bits,
-                       int subnet_bits, int prefix_len) {
+void set_subnet_prefix(hsa::TernaryString& t, long subnet, int subnet_bits,
+                       int prefix_len) {
   for (int k = 0; k < prefix_len; ++k) {
     const bool one = (subnet >> (subnet_bits - 1 - k)) & 1;
-    t.set(dst_bits + k, one ? hsa::Trit::kOne : hsa::Trit::kZero);
+    t.set(kDstBits + k, one ? hsa::Trit::kOne : hsa::Trit::kZero);
   }
 }
 
@@ -38,8 +41,8 @@ void set_subnet_prefix(hsa::TernaryString& t, long subnet, int dst_bits,
 
 RuleSet synthesize_ruleset(const topo::Graph& topology,
                            const SynthesizerConfig& config) {
-  assert(config.header_width >= config.dst_bits + config.subnet_bits);
-  assert(topology.node_count() <= (1 << config.dst_bits));
+  SDNPROBE_CHECK(config.header_width >= kDstBits + config.subnet_bits);
+  SDNPROBE_CHECK(topology.node_count() <= (1 << kDstBits));
   RuleSet rs(topology, config.header_width);
   util::Rng rng(config.seed);
   const int n = topology.node_count();
@@ -56,7 +59,7 @@ RuleSet synthesize_ruleset(const topo::Graph& topology,
     for (SwitchId d = 0; d < n; ++d) {
       hsa::TernaryString dst_match =
           hsa::TernaryString::wildcard(config.header_width);
-      set_dst_bits(dst_match, d, config.dst_bits);
+      set_dst_bits(dst_match, d);
       std::vector<topo::NodeId> next_hop;
       if (use_dest_tree) next_hop = topology.shortest_path_tree(d);
       for (SwitchId u = 0; u < n; ++u) {
@@ -123,13 +126,12 @@ RuleSet synthesize_ruleset(const topo::Graph& topology,
     const long subnet = next_subnet[static_cast<std::size_t>(d)]++;
     hsa::TernaryString match =
         hsa::TernaryString::wildcard(config.header_width);
-    set_dst_bits(match, d, config.dst_bits);
-    set_subnet_prefix(match, subnet, config.dst_bits, config.subnet_bits,
-                      config.subnet_bits);
+    set_dst_bits(match, d);
+    set_subnet_prefix(match, subnet, config.subnet_bits, config.subnet_bits);
 
     const bool rewrite_first_hop =
         rng.next_bool(config.set_field_fraction) &&
-        config.header_width >= config.dst_bits + config.subnet_bits + 4;
+        config.header_width >= kDstBits + config.subnet_bits + 4;
 
     for (std::size_t i = 0; i < path.nodes.size(); ++i) {
       const SwitchId u = path.nodes[i];
@@ -152,7 +154,7 @@ RuleSet synthesize_ruleset(const topo::Graph& topology,
         // Rewrite four host bits (routing bits untouched => still loop-free).
         hsa::TernaryString set =
             hsa::TernaryString::wildcard(config.header_width);
-        const int base = config.dst_bits + config.subnet_bits;
+        const int base = kDstBits + config.subnet_bits;
         for (int k = 0; k < 4; ++k) {
           set.set(base + k, rng.next_bool(0.5) ? hsa::Trit::kOne
                                                : hsa::Trit::kZero);
@@ -171,9 +173,8 @@ RuleSet synthesize_ruleset(const topo::Graph& topology,
                 std::max(1, config.subnet_bits / 2))));
         hsa::TernaryString short_match =
             hsa::TernaryString::wildcard(config.header_width);
-        set_dst_bits(short_match, d, config.dst_bits);
-        set_subnet_prefix(short_match, subnet, config.dst_bits,
-                          config.subnet_bits, prefix_len);
+        set_dst_bits(short_match, d);
+        set_subnet_prefix(short_match, subnet, config.subnet_bits, prefix_len);
         if (short_seen[static_cast<std::size_t>(u)]
                 .insert(short_match.hash())
                 .second &&

@@ -4,9 +4,10 @@
 // aggregate entries along shortest-path trees so the ruleset contains
 // realistic overlapping-rule structure.
 //
-// Header layout (width W >= dst_bits + subnet_bits):
-//   H[0 .. dst_bits)                 destination switch id (exact in matches)
-//   H[dst_bits .. +subnet_bits)      subnet id, one per installed path
+// Header layout (width W >= 8 + subnet_bits):
+//   H[0 .. 8)                        destination switch id (exact in matches;
+//                                    so at most 256 switches)
+//   H[8 .. +subnet_bits)             subnet id, one per installed path
 //   H[rest]                          host bits (wildcard in matches)
 //
 // Construction guarantees the resulting rule graph is loop-free:
@@ -27,7 +28,6 @@ namespace sdnprobe::flow {
 
 struct SynthesizerConfig {
   int header_width = 32;
-  int dst_bits = 8;
   int subnet_bits = 12;
   // Total policy entries to aim for (aggregates + specifics). The actual
   // count lands within one path length of the target.

@@ -82,8 +82,7 @@ Monitor::Monitor(flow::RuleSet& rules, controller::Controller& ctrl,
   // randomized variant re-draws covers per restart and is incompatible.
   SDNPROBE_CHECK(!config_.common.randomized);
   if (config_.verify_invariants) {
-    verifier_ = std::make_unique<analysis::Verifier>(config_.invariants,
-                                                     config_.verifier);
+    verifier_ = std::make_unique<analysis::Verifier>(config_.invariants);
   }
   start_sim_s_ = loop.now();
   swap_epoch();  // epoch 1: the as-built network
@@ -167,7 +166,6 @@ void Monitor::drain_churn() {
   span.annotate("installs", static_cast<double>(installs));
   span.annotate("removals", static_cast<double>(removals));
   span.annotate("touched", static_cast<double>(touched.size()));
-  charge_wall_time(repair_ms * 1e-3);
   run_verify(&touched);
   publish_gauges();
 }
@@ -201,7 +199,6 @@ void Monitor::regenerate_probes() {
   const core::AnalysisSnapshot& snap = *snapshot_;
   core::MlpcConfig mc;
   mc.common = config_.common;
-  mc.search_budget = config_.mlpc_search_budget;
   const core::Cover cover = core::MlpcSolver(mc, pool_.get()).solve(snap);
   core::ProbeEngineConfig ec;
   ec.common.threads = config_.common.threads;
@@ -429,12 +426,6 @@ void Monitor::schedule_next_round() {
     run_round();
     schedule_next_round();
   });
-}
-
-void Monitor::charge_wall_time(double seconds) {
-  if (config_.charge_repair_time && seconds > 0.0) {
-    loop_->run_until(loop_->now() + seconds);
-  }
 }
 
 MonitorStatus Monitor::status() const {

@@ -121,13 +121,6 @@ struct MonitorConfig {
   // false = rebuild the whole cover from scratch after every churn batch
   // (the baseline bench_monitor_churn compares against).
   bool incremental_repair = true;
-  // Charge measured repair/regeneration wall time to the simulated clock
-  // (same convention as LocalizerConfig::charge_generation_time). Off by
-  // default: determinism tests and benches want sim time untouched by
-  // host speed.
-  bool charge_repair_time = false;
-  // MLPC search budget for full regeneration.
-  std::size_t mlpc_search_budget = 4096;
   // Verify `invariants` at every epoch swap (analysis::Verifier, DESIGN.md
   // §14): a full verify at construction, then incremental apply_delta over
   // each churn batch's touched region. Off by default — verification adds
@@ -135,7 +128,6 @@ struct MonitorConfig {
   // repair alone.
   bool verify_invariants = false;
   analysis::InvariantSet invariants;
-  analysis::VerifierConfig verifier;
 };
 
 // Cumulative churn/repair accounting.
@@ -317,7 +309,6 @@ class Monitor {
   // ChurnStats::*_repair_ms keeps measuring repair alone.
   void run_verify(const std::vector<core::VertexId>* touched);
   void schedule_next_round();
-  void charge_wall_time(double seconds);
   void publish_gauges();
 
   flow::RuleSet* rules_;

@@ -134,6 +134,36 @@ bool parse_spec(std::istringstream& is, dataplane::FaultSpec* out) {
   return true;
 }
 
+// Semantic pass over a syntactically valid scenario: every reference must
+// land inside the world it describes, or build_ruleset / install_faults
+// would hit a failed check (or silently replay the wrong fault).
+bool references_in_range(const Scenario& s) {
+  if (s.header_width < 1 || s.header_width > hsa::TernaryString::kMaxWidth ||
+      s.nodes < 0) {
+    return false;
+  }
+  const auto is_switch = [&s](int sw) { return sw >= 0 && sw < s.nodes; };
+  for (const topo::Edge& e : s.edges) {
+    if (!is_switch(e.a) || !is_switch(e.b)) return false;
+  }
+  for (const flow::FlowEntry& e : s.entries) {
+    if (!is_switch(e.switch_id) || e.table_id < 0 ||
+        e.match.width() != s.header_width ||
+        e.set_field.width() != s.header_width) {
+      return false;
+    }
+  }
+  for (const ScenarioFault& f : s.faults) {
+    if (f.is_switch ? !is_switch(f.switch_id)
+                    : f.entry_index < 0 ||
+                          static_cast<std::size_t>(f.entry_index) >=
+                              s.entries.size()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string serialize_scenario(const Scenario& s) {
@@ -221,6 +251,7 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       return std::nullopt;
     }
   }
+  if (!references_in_range(s)) return std::nullopt;
   return s;
 }
 

@@ -62,8 +62,12 @@ struct Scenario {
   std::vector<ScenarioFault> faults;
 };
 
-// Serialization. load returns nullopt on any malformed line (the corpus is
-// hand-editable; silent best-effort parses would hide typos).
+// Serialization. parse/load return nullopt on any malformed line and on any
+// reference outside the scenario: a width outside [1, 128], a negative node
+// count, an edge endpoint or entry/fault switch outside [0, nodes), a
+// negative table, a match or set field whose width differs from `width`, or
+// a fault entry index past the entry lines (the corpus is hand-editable;
+// silent best-effort parses would hide typos).
 std::string serialize_scenario(const Scenario& s);
 std::optional<Scenario> parse_scenario(const std::string& text);
 bool save_scenario_file(const Scenario& s, const std::string& path);

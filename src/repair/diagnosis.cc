@@ -7,6 +7,12 @@
 #include "analysis/linter.h"
 
 namespace sdnprobe::repair {
+namespace {
+
+// Entries kept in the suspect set (most-suspected first).
+constexpr std::size_t kMaxSuspects = 4;
+
+}  // namespace
 
 const char* fault_class_name(FaultClass c) {
   switch (c) {
@@ -61,7 +67,7 @@ FaultDiagnosis Diagnoser::diagnose(const core::AnalysisSnapshot& snapshot,
                           std::to_string(it->second));
   }
   for (const auto& [neg, entry] : ranked) {
-    if (suspect_ids.size() >= config_.max_suspects) break;
+    if (suspect_ids.size() >= kMaxSuspects) break;
     if (std::find(suspect_ids.begin(), suspect_ids.end(), entry) ==
         suspect_ids.end()) {
       suspect_ids.push_back(entry);
@@ -137,19 +143,15 @@ FaultDiagnosis Diagnoser::diagnose(const core::AnalysisSnapshot& snapshot,
   // at a suspect means the installed match/priority no longer behaves like
   // the intended one. ---
   bool lint_corrupt = false;
-  if (config_.consult_linter) {
-    analysis::LintConfig lc;
-    lc.ambiguous_priority_check = true;
-    const analysis::LintReport lint = analysis::Linter(lc).run(rules);
-    for (const analysis::Diagnostic& diag : lint.diagnostics()) {
-      if (diag.location.switch_id != flagged) continue;
-      if (diag.location.entry_id >= 0 &&
-          suspect_set.count(diag.location.entry_id) &&
-          (diag.check == analysis::CheckId::kShadowedEntry ||
-           diag.check == analysis::CheckId::kAmbiguousPriority)) {
-        lint_corrupt = true;
-        d.rationale.push_back("linter: " + diag.to_string());
-      }
+  const analysis::LintReport lint = analysis::Linter().run(rules);
+  for (const analysis::Diagnostic& diag : lint.diagnostics()) {
+    if (diag.location.switch_id != flagged) continue;
+    if (diag.location.entry_id >= 0 &&
+        suspect_set.count(diag.location.entry_id) &&
+        (diag.check == analysis::CheckId::kShadowedEntry ||
+         diag.check == analysis::CheckId::kAmbiguousPriority)) {
+      lint_corrupt = true;
+      d.rationale.push_back("linter: " + diag.to_string());
     }
   }
 

@@ -9,9 +9,9 @@
 //     at an off-path host — plus which entries passed on clean probes;
 //   * the per-entry suspicion levels and the culprit entry whose suspicion
 //     actually crossed the flagging threshold;
-//   * the structural linter (analysis::Linter): shadowing or ambiguous
-//     priority findings at a suspect entry corroborate match/priority
-//     corruption.
+//   * the structural linter (analysis::Linter), always consulted: shadowing
+//     or ambiguous priority findings at a suspect entry corroborate
+//     match/priority corruption.
 //
 // The output taxonomy mirrors the paper's fault model (§III-B):
 //
@@ -75,27 +75,14 @@ struct FaultDiagnosis {
   std::string to_string() const;
 };
 
-struct DiagnoserConfig {
-  // Entries kept in the suspect set (most-suspected first).
-  std::size_t max_suspects = 4;
-  // Cross-check suspects against the structural linter (shadowing /
-  // ambiguous-priority findings corroborate kCorruptedEntry).
-  bool consult_linter = true;
-};
-
 class Diagnoser {
  public:
-  explicit Diagnoser(DiagnoserConfig config = {}) : config_(config) {}
-
   // Classifies the fault behind one flagged switch. `report` must be the
   // detection episode that flagged it (its evidence/suspicion/culprit maps
   // are the diagnosis input); `snapshot` the epoch that episode ran against.
   FaultDiagnosis diagnose(const core::AnalysisSnapshot& snapshot,
                           const core::DetectionReport& report,
                           flow::SwitchId flagged) const;
-
- private:
-  DiagnoserConfig config_;
 };
 
 }  // namespace sdnprobe::repair

@@ -21,6 +21,18 @@ namespace {
 // monitor's cover (2e), repair (2e+1), and round (1<<32 + r) streams.
 constexpr std::uint64_t kConfirmStreamBase = 3ull << 32;
 
+// Localizer rounds one confirm episode may run.
+constexpr int kConfirmMaxRounds = 6;
+// Targeted confirm probes per episode.
+constexpr std::size_t kMaxConfirmProbes = 48;
+// Backward/forward extension caps for targeted confirm paths.
+constexpr std::size_t kConfirmPathPrepend = 2;
+constexpr std::size_t kConfirmPathLength = 8;
+// Installs tried per heal before giving up.
+constexpr std::size_t kMaxPatchAttempts = 3;
+// Epoch-fence re-verifications before a heal gives up safely.
+constexpr int kMaxFenceRetries = 4;
+
 constexpr std::array<Strategy, 3> kAllStrategies = {
     Strategy::kReinstallFromIntent,
     Strategy::kShadowTighten,
@@ -125,7 +137,7 @@ bool RepairEngine::dry_run_verify(const Patch& patch) const {
   // EntryId and the next candidate's ops reference the original ids.
   flow::RuleSet scratch = ctrl_->rules();
   core::RuleGraph graph(scratch);
-  analysis::Verifier verifier(config_.invariants, config_.verifier);
+  analysis::Verifier verifier(config_.invariants);
   std::set<std::string> baseline;
   {
     const core::AnalysisSnapshot before(graph);
@@ -204,11 +216,11 @@ std::vector<core::Probe> RepairEngine::confirm_probes(
   std::set<std::pair<flow::EntryId, flow::EntryId>> spans;
   std::uint64_t next_id = 1;
   for (const core::VertexId seed : seeds) {
-    if (probes.size() >= config_.max_confirm_probes) break;
+    if (probes.size() >= kMaxConfirmProbes) break;
     std::vector<core::VertexId> path{seed};
     // Prepend upstream context so the probe exercises the handoff *into*
     // the patched entry, not just the entry in isolation.
-    for (std::size_t i = 0; i < config_.confirm_path_prepend; ++i) {
+    for (std::size_t i = 0; i < kConfirmPathPrepend; ++i) {
       bool prepended = false;
       for (const core::VertexId u : snap.predecessors(path.front())) {
         if (!snap.is_active(u)) continue;
@@ -226,7 +238,7 @@ std::vector<core::Probe> RepairEngine::confirm_probes(
     }
     // Extend downstream greedily while some header still traverses.
     hsa::HeaderSpace hs = snap.path_output_space(path);
-    while (path.size() < config_.confirm_path_length) {
+    while (path.size() < kConfirmPathLength) {
       bool extended = false;
       for (const core::VertexId w : snap.successors(path.back())) {
         if (!snap.is_active(w)) continue;
@@ -259,7 +271,7 @@ bool RepairEngine::confirm(const monitor::ChurnLog& log) {
   lc.common.randomized = false;
   lc.common.threads = 1;  // targeted episode; determinism over parallelism
   lc.common.seed = util::Rng::derive(config_.common.seed, stream);
-  lc.max_rounds = config_.confirm_max_rounds;
+  lc.max_rounds = kConfirmMaxRounds;
   lc.quiet_full_rounds_to_stop = 1;
   core::FaultLocalizer loc(*snap, *ctrl_, *loop_, lc);
   loc.set_cover_probes(std::move(probes));
@@ -289,8 +301,7 @@ RepairOutcome RepairEngine::heal(flow::SwitchId flagged,
   out.target = flagged;
   {
     const std::shared_ptr<const core::AnalysisSnapshot> snap = mon_->snapshot();
-    out.diagnosis = Diagnoser(config_.diagnoser).diagnose(*snap, report,
-                                                          flagged);
+    out.diagnosis = Diagnoser().diagnose(*snap, report, flagged);
   }
 
   // Verify under an epoch fence: candidates are synthesized and dry-run
@@ -307,8 +318,7 @@ RepairOutcome RepairEngine::heal(flow::SwitchId flagged,
     {
       const std::shared_ptr<const core::AnalysisSnapshot> snap =
           mon_->snapshot();
-      candidates = PatchSynthesizer(*snap, config_.synthesizer)
-                       .synthesize(out.diagnosis);
+      candidates = PatchSynthesizer(*snap).synthesize(out.diagnosis);
     }
     out.patches_proposed = candidates.size();
     survivors.clear();
@@ -328,7 +338,7 @@ RepairOutcome RepairEngine::heal(flow::SwitchId flagged,
     if (mon_->pending_churn() == 0 && mon_->epoch() == epoch0) break;
     ++out.verify_reruns;
     tm_->verify_reruns.add(1);
-    if (++fence > config_.max_fence_retries) {
+    if (++fence > kMaxFenceRetries) {
       survivors.clear();  // world will not hold still; give up safely
       break;
     }
@@ -344,7 +354,7 @@ RepairOutcome RepairEngine::heal(flow::SwitchId flagged,
                    });
   std::size_t installs_tried = 0;
   for (Patch& p : survivors) {
-    if (installs_tried >= config_.max_patch_attempts) break;
+    if (installs_tried >= kMaxPatchAttempts) break;
     PatchAttempt at;
     at.strategy = p.strategy;
     at.blast_radius = p.blast_radius;

@@ -17,7 +17,8 @@
 //               the same one. After verifying (and after the test-only
 //               after_verify_hook), any concurrent churn — pending ops or
 //               an epoch bump — forces a re-verify of all candidates
-//               against the new world. Bounded by max_fence_retries.
+//               against the new world. Bounded by kMaxFenceRetries
+//               (engine.cc).
 //   3. lint     the winning candidate is additionally checked through
 //               analysis::build_checked_snapshot: structural lint errors
 //               not present in the live ruleset reject it.
@@ -29,7 +30,7 @@
 //   5. rollback a failed confirmation applies monitor::Monitor::invert of
 //               the installed batch — the exact inverse FlowMods — and the
 //               engine moves to the next survivor (at most
-//               max_patch_attempts installs per heal).
+//               kMaxPatchAttempts installs per heal, engine.cc).
 //
 // A confirmed non-quarantining patch clears the monitor flag
 // (mark_repaired); a confirmed reroute leaves the flag up — traffic is
@@ -94,19 +95,9 @@ struct RepairConfig {
   // still rejects nothing-by-invariant but keeps the verify/fence
   // machinery (loop/blackhole checks fire only if declared).
   analysis::InvariantSet invariants;
-  analysis::VerifierConfig verifier;
-  DiagnoserConfig diagnoser;
-  SynthesizerConfig synthesizer;
   // Template for confirm episodes; common/max_rounds/quiet fields are
   // overwritten per episode (seed derived, single-threaded).
   core::LocalizerConfig confirm;
-  int confirm_max_rounds = 6;
-  std::size_t max_confirm_probes = 48;
-  // Forward/backward extension caps for targeted confirm paths.
-  std::size_t confirm_path_prepend = 2;
-  std::size_t confirm_path_length = 8;
-  std::size_t max_patch_attempts = 3;
-  int max_fence_retries = 4;
   core::CommonOptions common;  // seed for confirm-probe streams
   // Test hook: runs after dry-run verification, before the epoch fence
   // re-check — the exact window where concurrent churn would make a

@@ -10,6 +10,15 @@
 namespace sdnprobe::repair {
 namespace {
 
+// Reroute gives up when the suspect has more upstream rule-graph
+// predecessors than this (covering them all would be its own outage).
+constexpr std::size_t kMaxPredecessors = 8;
+// Reroute gives up when one predecessor's traffic needs more covering cubes
+// than this.
+constexpr std::size_t kMaxRerouteCubes = 4;
+// Priority headroom for covering/shadow entries above a table's maximum.
+constexpr int kPriorityBoost = 1;
+
 // Fraction of the full header space one cube covers: 2^-(fixed bits).
 double cube_fraction(const hsa::TernaryString& cube) {
   const int fixed = cube.width() - cube.wildcard_count();
@@ -94,7 +103,7 @@ std::optional<Patch> PatchSynthesizer::shadow_tighten(
                .emplace(key, max_priority(twin.switch_id, twin.table_id))
                .first;
     }
-    it->second += config_.priority_boost;
+    it->second += kPriorityBoost;
     twin.id = -1;
     twin.priority = it->second;
     p.ops.push_back(monitor::ChurnOp::install(std::move(twin)));
@@ -143,7 +152,7 @@ std::optional<Patch> PatchSynthesizer::reroute_around(
     }
     preds.push_back(u);
   }
-  if (preds.empty() || preds.size() > config_.max_predecessors) {
+  if (preds.empty() || preds.size() > kMaxPredecessors) {
     return std::nullopt;
   }
 
@@ -159,7 +168,7 @@ std::optional<Patch> PatchSynthesizer::reroute_around(
     if (it == next_prio.end()) {
       it = next_prio.emplace(key, max_priority(sw, t)).first;
     }
-    it->second += config_.priority_boost;
+    it->second += kPriorityBoost;
     return it->second;
   };
 
@@ -183,7 +192,7 @@ std::optional<Patch> PatchSynthesizer::reroute_around(
         }
       }
     }
-    if (cover.empty() || cover.size() > config_.max_reroute_cubes) {
+    if (cover.empty() || cover.size() > kMaxRerouteCubes) {
       return std::nullopt;
     }
 

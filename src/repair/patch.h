@@ -69,22 +69,10 @@ struct Patch {
   std::string description;
 };
 
-struct SynthesizerConfig {
-  // Reroute gives up when the suspect has more upstream rule-graph
-  // predecessors than this (covering them all would be its own outage).
-  std::size_t max_predecessors = 8;
-  // Reroute gives up when one predecessor's traffic needs more covering
-  // cubes than this.
-  std::size_t max_reroute_cubes = 4;
-  // Priority headroom for covering/shadow entries above a table's maximum.
-  int priority_boost = 1;
-};
-
 class PatchSynthesizer {
  public:
-  explicit PatchSynthesizer(const core::AnalysisSnapshot& snapshot,
-                            SynthesizerConfig config = {})
-      : snapshot_(&snapshot), config_(config) {}
+  explicit PatchSynthesizer(const core::AnalysisSnapshot& snapshot)
+      : snapshot_(&snapshot) {}
 
   // All applicable candidates for `d`, ordered by the diagnosis class's
   // strategy preference (the engine re-orders survivors by blast radius).
@@ -99,7 +87,6 @@ class PatchSynthesizer {
   static void finish_score(Patch* p);
 
   const core::AnalysisSnapshot* snapshot_;
-  SynthesizerConfig config_;
 };
 
 }  // namespace sdnprobe::repair

@@ -1,9 +1,9 @@
 // Solver / session knobs, folded into one value type (mirroring
-// core::CommonOptions): every bound lives here, is carried by
-// sat::HeaderSession, and flows through configs
-// (ProbeEngineConfig::sat, LintConfig::sat) instead of extra parameters.
-// Search heuristics no caller tunes (VSIDS and clause-activity decay, the
-// luby restart unit, the clause-DB reduction growth) are constants in
+// core::CommonOptions): every bound lives here and is carried by
+// sat::HeaderSession. The pipeline's sessions (probe engine, linter) run
+// with the defaults; tests set the budget and reduction thresholds. Search
+// heuristics no caller tunes (VSIDS and clause-activity decay, the luby
+// restart unit, the clause-DB reduction growth) are constants in
 // solver.cc.
 #pragma once
 

@@ -4,6 +4,15 @@
 #include <cassert>
 
 namespace sdnprobe::topo {
+namespace {
+
+// Fraction of nodes forming the densely connected core.
+constexpr double kCoreFraction = 0.2;
+// Link latency drawn uniformly from [kMinLatencyS, kMaxLatencyS] seconds.
+constexpr double kMinLatencyS = 0.5e-3;
+constexpr double kMaxLatencyS = 2.0e-3;
+
+}  // namespace
 
 Graph make_rocketfuel_like(const GeneratorConfig& config) {
   const int n = std::max(config.node_count, 2);
@@ -13,12 +22,11 @@ Graph make_rocketfuel_like(const GeneratorConfig& config) {
   util::Rng rng(config.seed);
   Graph g(n);
 
-  auto rand_latency = [&rng, &config]() {
-    return config.min_latency_s +
-           rng.next_double() * (config.max_latency_s - config.min_latency_s);
+  auto rand_latency = [&rng]() {
+    return kMinLatencyS + rng.next_double() * (kMaxLatencyS - kMinLatencyS);
   };
 
-  const int core = std::max(2, static_cast<int>(n * config.core_fraction));
+  const int core = std::max(2, static_cast<int>(n * kCoreFraction));
 
   // Core ring for guaranteed connectivity among core routers, then chords.
   for (int i = 0; i < core; ++i) {

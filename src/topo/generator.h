@@ -17,11 +17,6 @@ namespace sdnprobe::topo {
 struct GeneratorConfig {
   int node_count = 30;
   int link_count = 54;
-  // Fraction of nodes forming the densely connected core.
-  double core_fraction = 0.2;
-  // Link latency drawn uniformly from [min, max] seconds.
-  double min_latency_s = 0.5e-3;
-  double max_latency_s = 2.0e-3;
   std::uint64_t seed = 1;
 };
 

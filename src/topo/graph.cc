@@ -1,10 +1,11 @@
 #include "topo/graph.h"
 
 #include <algorithm>
-#include <cassert>
 #include <queue>
 #include <set>
 #include <sstream>
+
+#include "util/check.h"
 
 namespace sdnprobe::topo {
 
@@ -12,7 +13,7 @@ Graph::Graph(int node_count)
     : adjacency_(static_cast<std::size_t>(node_count)) {}
 
 bool Graph::add_edge(NodeId a, NodeId b, double latency_s) {
-  assert(a >= 0 && a < node_count() && b >= 0 && b < node_count());
+  SDNPROBE_CHECK(a >= 0 && a < node_count() && b >= 0 && b < node_count());
   if (a == b || latency_s <= 0.0) return false;
   if (has_edge(a, b)) return false;
   edges_.push_back(Edge{a, b, latency_s});

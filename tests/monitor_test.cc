@@ -289,7 +289,7 @@ TEST(Monitor, VerifiesInvariantsAtEveryEpochSwap) {
 
   // The incremental report agrees with a from-scratch verify of the same
   // epoch's snapshot (the delta-slicing contract, end to end).
-  analysis::Verifier fresh(cfg.invariants, cfg.verifier);
+  analysis::Verifier fresh(cfg.invariants);
   const analysis::VerifyReport full = fresh.verify(*fx.mon->snapshot());
   EXPECT_EQ(fx.mon->last_verify_report().to_string(), full.to_string());
   // Epoch state actually changed between the runs we compared.

@@ -191,6 +191,31 @@ TEST(Corpus, ParseRejectsMalformedInput) {
       parse_scenario(magic + "entry 0 0 10 1x zz output 0\n").has_value());
   // Comments and blank lines are fine.
   EXPECT_TRUE(parse_scenario(magic + "# a comment\n\nnodes 2\n").has_value());
+
+  // Well-formed lines whose references point outside the scenario. Each
+  // used to crash the replay (or replay the wrong fault).
+  const std::string world = magic +
+                            "width 8\nnodes 4\nedge 0 1 0.001\n"
+                            "entry 0 0 10 1xxxxxxx xxxxxxxx output 0\n";
+  ASSERT_TRUE(parse_scenario(world + "fault entry 0 kind=drop\n").has_value());
+  for (const std::string bad : {
+           "edge 2 7 0.001\n",                                // endpoint
+           "edge -1 2 0.001\n",                               // endpoint
+           "entry 9 0 10 1xxxxxxx xxxxxxxx output 0\n",       // switch
+           "entry 1 -1 10 1xxxxxxx xxxxxxxx output 0\n",      // table
+           "entry 1 0 10 1xxxxxx xxxxxxxx output 0\n",        // match width
+           "entry 1 0 10 1xxxxxxx xxxxxxxxx output 0\n",      // set width
+           "fault entry 99 kind=drop\n",                      // entry index
+           "fault entry -1 kind=drop\n",                      // entry index
+           "fault switch 4 kind=drop\n",                      // switch
+           "width 200\n",                                     // width
+           "width 0\n",                                       // width
+       }) {
+    EXPECT_FALSE(parse_scenario(world + bad).has_value()) << bad;
+  }
+  // Out-of-range widths and node counts fail on their own, too.
+  EXPECT_FALSE(parse_scenario(magic + "width 200\nnodes 2\n").has_value());
+  EXPECT_FALSE(parse_scenario(magic + "nodes -1\n").has_value());
 }
 
 TEST(Corpus, CaptureRebuildMatchesLiveFingerprint) {
@@ -337,7 +362,7 @@ void run_heal_case(const core::FaultMix& mix, std::uint64_t seed) {
 
   RepairConfig rc;
   rc.invariants = analysis::InvariantSet::builtin();
-  analysis::Verifier checker(rc.invariants, rc.verifier);
+  analysis::Verifier checker(rc.invariants);
   const std::size_t errors_before =
       checker.verify(*fx.mon->snapshot()).count(analysis::Severity::kError);
 
@@ -352,7 +377,7 @@ void run_heal_case(const core::FaultMix& mix, std::uint64_t seed) {
   // Heal cleared the flag, introduced no invariant violation, and the next
   // monitoring round is quiet again.
   EXPECT_TRUE(fx.mon->report().flagged_switches.empty());
-  analysis::Verifier recheck(rc.invariants, rc.verifier);
+  analysis::Verifier recheck(rc.invariants);
   EXPECT_EQ(
       recheck.verify(*fx.mon->snapshot()).count(analysis::Severity::kError),
       errors_before);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "flow/synthesizer.h"
 #include "topo/generator.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sdnprobe::sat {
 namespace {
@@ -454,7 +456,11 @@ TEST(SessionDeterminism, ProbeReportsIdenticalAcrossThreadCounts) {
     core::ProbeEngineConfig cfg;
     cfg.common.threads = threads;
     cfg.sample_attempts = 0;
-    core::ProbeEngine engine(snap, cfg);
+    const auto pool =
+        threads > 1
+            ? std::make_unique<util::ThreadPool>(static_cast<std::size_t>(threads))
+            : nullptr;
+    core::ProbeEngine engine(snap, cfg, pool.get());
     util::Rng rng(11);
     const auto probes = engine.make_probes(cover, rng);
     ASSERT_FALSE(probes.empty());

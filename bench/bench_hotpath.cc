@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
               nxt->reset(width);
               hsa::subtract_into(*cur, 0, cur->size(), s, *nxt,
                                  /*dedup=*/true);
-              hsa::simplify_cubes(*nxt, 0, /*assume_deduped=*/true);
+              hsa::simplify_cubes(*nxt);
               std::swap(cur, nxt);
               if (cur->empty()) break;
             }

@@ -13,6 +13,7 @@
 #include "core/localizer.h"
 #include "core/mlpc.h"
 #include "core/probe_engine.h"
+#include "core/probe_round.h"
 #include "core/rule_graph.h"
 #include "dataplane/network.h"
 #include "flow/synthesizer.h"
@@ -82,19 +83,10 @@ int main() {
     std::printf("could not synthesize a probe for the new rule\n");
     return 1;
   }
-  const auto tp =
-      ctrl.install_test_point(probe->terminal_entry, probe->expected_return);
-  bool verified = false;
-  ctrl.set_probe_return_handler([&](std::uint64_t, flow::SwitchId,
-                                    const dataplane::Packet& p, sim::SimTime) {
-    verified = (p.header == probe->expected_return);
-  });
-  dataplane::Packet pkt;
-  pkt.header = probe->header;
-  pkt.probe_id = probe->probe_id;
-  ctrl.send_packet(probe->inject_switch, pkt);
-  loop.run();
-  ctrl.remove_test_point(tp);
+  // One probe round: test point at the probe's terminal, inject, collect.
+  core::ProbeRound round(rules, ctrl, loop);
+  const bool verified = !round.send({*probe}).outcomes.front().failed();
+  round.teardown();
   std::printf("new rule %d on switch %d: %s\n", new_id, update.switch_id,
               verified ? "verified working" : "NOT verified");
 

@@ -48,7 +48,7 @@ int main() {
   core::RuleGraph graph(rules);
   std::printf("rule graph: %d testable entries, %zu edges, acyclic=%s\n",
               graph.vertex_count(), graph.edge_count(),
-              graph.is_acyclic() ? "yes" : "NO");
+              graph.find_cycle().empty() ? "yes" : "NO");
 
   const core::AnalysisSnapshot snap(graph);
   const core::Cover cover = core::MlpcSolver().solve(snap);

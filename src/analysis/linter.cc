@@ -355,46 +355,11 @@ void lint_structural(const RuleSet& rules, const LintConfig& config,
   check_topology(rules, report);
 }
 
-// Finds one directed cycle in the step-1 rule graph (which is_acyclic()
-// reported to exist) for the diagnostic payload.
-std::vector<core::VertexId> find_rule_graph_cycle(
-    const core::AnalysisSnapshot& snapshot) {
-  const int V = snapshot.vertex_count();
-  enum : std::uint8_t { kWhite, kGray, kBlack };
-  std::vector<std::uint8_t> color(static_cast<std::size_t>(V), kWhite);
-  std::vector<core::VertexId> stack;
-  std::function<std::optional<std::vector<core::VertexId>>(core::VertexId)>
-      dfs = [&](core::VertexId v)
-      -> std::optional<std::vector<core::VertexId>> {
-    color[static_cast<std::size_t>(v)] = kGray;
-    stack.push_back(v);
-    for (const core::VertexId w : snapshot.successors(v)) {
-      if (color[static_cast<std::size_t>(w)] == kGray) {
-        const auto it = std::find(stack.begin(), stack.end(), w);
-        return std::vector<core::VertexId>(it, stack.end());
-      }
-      if (color[static_cast<std::size_t>(w)] == kWhite) {
-        if (auto cycle = dfs(w)) return cycle;
-      }
-    }
-    stack.pop_back();
-    color[static_cast<std::size_t>(v)] = kBlack;
-    return std::nullopt;
-  };
-  for (core::VertexId v = 0; v < V; ++v) {
-    if (color[static_cast<std::size_t>(v)] == kWhite) {
-      if (auto cycle = dfs(v)) return *cycle;
-    }
-  }
-  return {};
-}
-
 void lint_rule_graph(const core::AnalysisSnapshot& snapshot,
                      const LintConfig& config, LintReport& report) {
   const RuleSet& rules = snapshot.rules();
 
-  if (!snapshot.graph().is_acyclic()) {
-    const auto cycle = find_rule_graph_cycle(snapshot);
+  if (const auto cycle = snapshot.graph().find_cycle(); !cycle.empty()) {
     std::vector<int> entry_ids;
     for (const core::VertexId v : cycle) {
       entry_ids.push_back(snapshot.entry_of(v));
@@ -402,9 +367,7 @@ void lint_rule_graph(const core::AnalysisSnapshot& snapshot,
     Diagnostic d;
     d.severity = Severity::kError;
     d.check = CheckId::kRuleGraphCycle;
-    if (!cycle.empty()) {
-      d.location = entry_location(rules.entry(entry_ids.front()));
-    }
+    d.location = entry_location(rules.entry(entry_ids.front()));
     d.message = "rule graph has a directed cycle of " +
                 std::to_string(cycle.size()) +
                 " entr(ies); the policy can forward packets in a loop";

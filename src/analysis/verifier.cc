@@ -195,7 +195,7 @@ class ClassWalk {
     for (const VertexId w : snap_.successors(v)) {
       for (const auto& c : snap_.in_space(w).cubes()) s.sub.push(c);
     }
-    hsa::subtract_space_into(s.out, s.sub, s.dst, s.tmp, /*dedup=*/true);
+    hsa::subtract_space_into(s.out, s.sub, s.dst, s.tmp);
     return hsa::HeaderSpace::from_arena(s.dst);
   }
 

@@ -4,8 +4,8 @@
 #include <queue>
 #include <set>
 
-#include "baselines/round_runner.h"
 #include "core/legal_paths.h"
+#include "core/probe_round.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -86,7 +86,13 @@ core::DetectionReport Atpg::run() {
   generate();
   core::DetectionReport report;
   const double t0 = loop_->now();
-  std::uint64_t next_id = 1u << 20;
+  core::ProbeRound round(snapshot_->rules(), *ctrl_, *loop_);
+  // One send/collect round, torn down before the outcomes are read.
+  auto send_round = [&round](const std::vector<core::Probe>& probes) {
+    std::vector<core::ProbeOutcome> outcomes = round.send(probes).outcomes;
+    round.teardown();
+    return outcomes;
+  };
 
   // Round 1: the full greedy cover. Header uniqueness is scoped per round
   // (test points are torn down in between), so reset the pool: otherwise
@@ -98,8 +104,7 @@ core::DetectionReport Atpg::run() {
     if (auto p = engine_.make_probe(path, rng_)) probes.push_back(*p);
   }
   report.probes_sent += probes.size();
-  std::vector<bool> failed =
-      run_probe_round(*snapshot_, *ctrl_, *loop_, probes, next_id);
+  const std::vector<core::ProbeOutcome> outcomes = send_round(probes);
   report.rounds = 1;
 
   // Failing paths as switch sets.
@@ -124,8 +129,8 @@ core::DetectionReport Atpg::run() {
     }
   };
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    record_outcome(probes[i], failed[i]);
-    if (failed[i]) {
+    record_outcome(probes[i], outcomes[i].failed());
+    if (outcomes[i].failed()) {
       failing_sets.push_back(switches_of(probes[i]));
       failing_paths.push_back(probes[i].path);
     }
@@ -184,12 +189,11 @@ core::DetectionReport Atpg::run() {
     loop_->run_until(loop_->now() + gen_timer.elapsed_seconds());
     if (extra.empty()) break;
     report.probes_sent += extra.size();
-    std::vector<bool> extra_failed =
-        run_probe_round(*snapshot_, *ctrl_, *loop_, extra, next_id);
+    const std::vector<core::ProbeOutcome> extra_outcomes = send_round(extra);
     ++report.rounds;
     for (std::size_t i = 0; i < extra.size(); ++i) {
-      record_outcome(extra[i], extra_failed[i]);
-      if (extra_failed[i]) {
+      record_outcome(extra[i], extra_outcomes[i].failed());
+      if (extra_outcomes[i].failed()) {
         failing_sets.push_back(switches_of(extra[i]));
         failing_paths.push_back(extra[i].path);
       }

@@ -47,9 +47,6 @@ class Atpg {
  private:
   // Greedy minimum set cover over the candidate pool; fills selected_.
   void generate();
-  // Sends the given probes, returns indices of failing ones.
-  std::vector<std::size_t> send_round(std::vector<core::Probe>& probes,
-                                      core::DetectionReport& report);
 
   const core::AnalysisSnapshot* snapshot_;
   const core::RuleGraph* graph_;

@@ -3,7 +3,7 @@
 #include <optional>
 #include <set>
 
-#include "baselines/round_runner.h"
+#include "core/probe_round.h"
 
 namespace sdnprobe::baselines {
 
@@ -60,10 +60,10 @@ core::DetectionReport PerRuleTest::run() {
     probes.push_back(std::move(*probe));
   }
 
-  std::uint64_t next_id = 1u << 20;
   report.probes_sent = probes.size();
-  const std::vector<bool> failed =
-      run_probe_round(*snapshot_, *ctrl_, *loop_, probes, next_id);
+  core::ProbeRound round(snapshot_->rules(), *ctrl_, *loop_);
+  const std::vector<core::ProbeOutcome> outcomes = round.send(probes).outcomes;
+  round.teardown();
   report.rounds = 1;
 
   // Blame the three switches of every failing probe, then exonerate a
@@ -75,13 +75,13 @@ core::DetectionReport PerRuleTest::run() {
   std::vector<std::uint8_t> own_probe_failed(
       static_cast<std::size_t>(w_switch_count()), 0);
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    if (failed[i]) {
+    if (outcomes[i].failed()) {
       own_probe_failed[static_cast<std::size_t>(target_switch[i])] = 1;
     }
   }
   std::set<flow::SwitchId> flagged;
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    if (!failed[i]) continue;
+    if (!outcomes[i].failed()) continue;
     for (const flow::SwitchId s : blame[i]) {
       if (own_probe_failed[static_cast<std::size_t>(s)]) flagged.insert(s);
     }

@@ -104,23 +104,6 @@ void Controller::remove_test_point(const TestPointId& tp) {
   terminals_.erase(it);
 }
 
-void Controller::remove_all_test_points() {
-  // Remove test entries first, then restore terminals.
-  for (const auto& [id, loc] : test_entries_) {
-    net_->remove_entry(loc.first, loc.second, id);
-    ++flowmods_;
-  }
-  test_entries_.clear();
-  for (const auto& [terminal, state] : terminals_) {
-    const flow::FlowEntry& r = rules_->entry(terminal);
-    net_->update_entry(r.switch_id, r.table_id, r.id,
-                       state.original_set_field, state.original_action);
-    net_->remove_entry(r.switch_id, state.test_table, state.copy_id);
-    flowmods_ += 2;
-  }
-  terminals_.clear();
-}
-
 void Controller::send_packet(flow::SwitchId sw, dataplane::Packet p) {
   net_->packet_out(sw, std::move(p));
 }

@@ -42,8 +42,6 @@ class Controller {
   // point goes away.
   void remove_test_point(const TestPointId& tp);
 
-  void remove_all_test_points();
-
   // Number of FlowMod operations issued since construction (for overhead
   // accounting in benches).
   std::uint64_t flowmod_count() const { return flowmods_; }

@@ -39,9 +39,7 @@ AnalysisSnapshot::AnalysisSnapshot(const RuleGraph& graph)
     : graph_(&graph),
       full_(hsa::HeaderSpace::full(graph.rules().header_width())),
       succ_by_fanin_(build_fanin_order(graph)),
-      ingress_(build_ingress_index(graph)) {
-  for (const auto& per_switch : ingress_) ingress_count_ += per_switch.size();
-}
+      ingress_(build_ingress_index(graph)) {}
 
 AnalysisSnapshot AnalysisSnapshot::build(const flow::RuleSet& rules) {
   auto owned = std::make_shared<const RuleGraph>(rules);

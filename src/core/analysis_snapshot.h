@@ -104,8 +104,6 @@ class AnalysisSnapshot {
     if (sw < 0 || i >= ingress_.size()) return {};
     return ingress_[i];
   }
-  // Total ingress classes across all switches.
-  std::size_t ingress_class_count() const { return ingress_count_; }
 
   // Successors of v stable-sorted by predecessor count, ascending. This is
   // the MLPC stitch-search visit order (a successor only we can reach must
@@ -122,7 +120,6 @@ class AnalysisSnapshot {
   hsa::HeaderSpace full_;
   std::vector<std::vector<VertexId>> succ_by_fanin_;
   std::vector<std::vector<VertexId>> ingress_;  // indexed by switch id
-  std::size_t ingress_count_ = 0;
 };
 
 // Canonical, EntryId-independent fingerprint of the snapshotted network model:

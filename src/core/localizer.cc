@@ -1,8 +1,6 @@
 #include "core/localizer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -34,12 +32,6 @@ constexpr int kLingerRounds = 6;
 // fixed round cadence can phase-lock with an intermittent fault's period
 // and sample only its inactive windows, hiding it forever.
 constexpr double kRoundJitterS = 0.15;
-// Confirmation re-send i (1-based) waits kRetryBackoffBaseS * 2^(i-1).
-constexpr double kRetryBackoffBaseS = 0.02;
-// Adaptive timeouts: kTimeoutRttMultiplier times the observed RTT, floored
-// at kTimeoutFloorS.
-constexpr double kTimeoutRttMultiplier = 3.0;
-constexpr double kTimeoutFloorS = 0.01;
 
 // DetectionReport / RoundRecord remain the algorithmic record; telemetry is
 // the cross-run aggregate view and must never influence control flow.
@@ -100,7 +92,6 @@ FaultLocalizer::FaultLocalizer(const AnalysisSnapshot& snapshot,
                                sim::EventLoop& loop, LocalizerConfig config)
     : snapshot_(&snapshot),
       graph_(&snapshot.graph()),
-      ctrl_(&ctrl),
       loop_(&loop),
       config_(config),
       pool_(util::ThreadPool::resolve_thread_count(config.common.threads) > 1
@@ -109,7 +100,9 @@ FaultLocalizer::FaultLocalizer(const AnalysisSnapshot& snapshot,
                           config.common.threads))
                 : nullptr),
       engine_(snapshot, engine_config(config.common.threads), pool_.get()),
-      rng_(config.common.seed) {}
+      rng_(config.common.seed),
+      round_(snapshot.rules(), ctrl, loop, config.round_grace_s,
+             config.confirm_retries, config.adaptive_timeout) {}
 
 void FaultLocalizer::charge_wall_time(double seconds) const {
   if (config_.charge_generation_time && seconds > 0.0) {
@@ -177,41 +170,19 @@ std::size_t FaultLocalizer::initial_probe_count() const {
   return fixed_probes_.size();
 }
 
-double FaultLocalizer::effective_grace() const {
-  if (config_.adaptive_timeout && max_rtt_s_ > 0.0) {
-    return std::max(kTimeoutFloorS, kTimeoutRttMultiplier * max_rtt_s_);
-  }
-  return config_.round_grace_s;
-}
-
-double FaultLocalizer::probe_timeout(const Probe& p) const {
-  if (!config_.adaptive_timeout) return config_.round_grace_s;
-  const auto it = span_rtt_s_.find({p.entries.front(), p.entries.back()});
-  const double rtt = it != span_rtt_s_.end() ? it->second : max_rtt_s_;
-  if (rtt <= 0.0) return config_.round_grace_s;
-  return std::max(kTimeoutFloorS, kTimeoutRttMultiplier * rtt);
-}
-
 DetectionReport FaultLocalizer::run(RoundCallback callback) {
   telemetry::TraceSpan run_span("localizer.run",
                                 [this] { return loop_->now(); });
   DetectionReport report;
   const double t0 = loop_->now();
 
-  struct PendingProbe {
-    Probe probe;
-    int linger = 0;  // >0: localization probe retested this many more rounds
-  };
-  auto as_pending = [](std::vector<Probe> probes) {
-    std::vector<PendingProbe> out;
-    out.reserve(probes.size());
-    for (auto& p : probes) out.push_back(PendingProbe{std::move(p), 0});
-    return out;
-  };
-  std::vector<PendingProbe> pending = as_pending(generate_full_cover());
+  // The probes tested next round and, per probe, how many more rounds a
+  // localization probe is retested after it last failed (0: cover probe).
+  std::vector<Probe> pending = generate_full_cover();
+  std::vector<int> linger(pending.size(), 0);
   bool pending_is_full_cover = true;
   int consecutive_quiet_full = 0;
-  std::uint64_t next_round_probe_id = 1u << 20;  // round-local correlation ids
+  round_.restart_ids();
   // Paths already sliced this detection run (avoid duplicate children).
   std::set<std::pair<flow::EntryId, flow::EntryId>> sliced;
   // Per-span deviation evidence, accumulated across rounds (latest failing
@@ -234,127 +205,14 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
     // restart the pool from this round's headers so sliced-children headers
     // are free to re-land on the same traffic-period cube as their parent.
     engine_.reset_uniqueness();
-    for (const PendingProbe& p : pending) engine_.note_used(p.probe.header);
+    for (const Probe& p : pending) engine_.note_used(p.header);
 
-    // --- Install test points (batched FlowMods: one control RTT). ---
-    std::vector<ActiveProbe> active;
-    active.reserve(pending.size());
-    std::unordered_map<std::uint64_t, Pending> by_id;
-    for (const PendingProbe& pp : pending) {
-      ActiveProbe ap;
-      ap.linger = pp.linger;
-      ap.probe = pp.probe;
-      ap.probe.probe_id = next_round_probe_id++;
-      ap.test_point = ctrl_->install_test_point(pp.probe.terminal_entry,
-                                                pp.probe.expected_return);
-      by_id[ap.probe.probe_id] = Pending{active.size(), 0.0};
-      active.push_back(std::move(ap));
-    }
-    loop_->run_until(loop_->now() + 2.0 * dataplane::kControlLatencyS);
-
-    // --- Inject probes at the paper's rate; collect returns. ---
-    ctrl_->set_probe_return_handler(
-        [&](std::uint64_t id, flow::SwitchId from, const dataplane::Packet& pk,
-            sim::SimTime now) {
-          const auto it = by_id.find(id);
-          if (it == by_id.end()) return;  // stale return from prior round
-          ActiveProbe& ap = active[it->second.index];
-          if (ap.returned) return;  // duplicate delivery (channel dup)
-          ap.returned = true;
-          const double rtt = now - it->second.sent_s;
-          if (rtt > 0.0) {
-            max_rtt_s_ = std::max(max_rtt_s_, rtt);
-            double& span_rtt = span_rtt_s_[{ap.probe.entries.front(),
-                                            ap.probe.entries.back()}];
-            span_rtt = std::max(span_rtt, rtt);
-          }
-          const flow::SwitchId expect_sw =
-              graph_->rules().entry(ap.probe.terminal_entry).switch_id;
-          if (from != expect_sw || !(pk.header == ap.probe.expected_return)) {
-            ap.mismatched = true;
-            ap.returned_from = from;
-            ap.returned_header = pk.header;
-          }
-        });
-    // A probe that leaks out of the network at a host port instead of
-    // hitting its test point was misrouted (or its header was corrupted
-    // past recognition); record the first such delivery as evidence.
-    ctrl_->network().set_host_delivery_handler(
-        [&](flow::SwitchId sw, const dataplane::Packet& pk, sim::SimTime) {
-          const auto it = by_id.find(pk.probe_id);
-          if (it == by_id.end()) return;
-          ActiveProbe& ap = active[it->second.index];
-          if (ap.delivered_sw >= 0) return;  // keep the first observation
-          ap.delivered_sw = sw;
-          ap.delivered_header = pk.header;
-        });
-
-    const double spacing = kProbeSizeBytes / kProbeRateBytesPerS;
-    // The whole round streams through one batched PacketOut: each probe
-    // keeps its own paced send time, but the dataplane handles a round in
-    // a handful of events instead of one schedule per probe.
-    std::vector<dataplane::BatchPacketOut> sends;
-    sends.reserve(active.size());
-    double t = loop_->now();
-    for (ActiveProbe& ap : active) {
-      dataplane::Packet pk;
-      pk.header = ap.probe.header;
-      pk.probe_id = ap.probe.probe_id;
-      by_id[ap.probe.probe_id].sent_s = t;
-      sends.push_back(
-          dataplane::BatchPacketOut{ap.probe.inject_switch, std::move(pk), t});
-      t += spacing;
-      ++report.probes_sent;
-      LocalizerInstruments::get().probes_sent.add();
-    }
-    ctrl_->send_packets(std::move(sends));
-    loop_->run_until(t + effective_grace());
-
-    // --- Confirmation retries (loss tolerance, DESIGN.md §11). ---
-    // A probe that did not return may be a victim of channel loss rather
-    // than a rule fault; re-send it (fresh correlation id, the stale one
-    // stays live so a late original still counts) up to confirm_retries
-    // times with exponential backoff before charging suspicion. A probe
-    // that returned *modified* is fault evidence and is never retried.
-    for (int attempt = 1; attempt <= config_.confirm_retries; ++attempt) {
-      if (std::none_of(active.begin(), active.end(),
-                       [](const ActiveProbe& ap) { return !ap.returned; })) {
-        break;
-      }
-      // Backoff first: a straggler that arrives during the wait clears its
-      // probe and needs no re-send.
-      loop_->run_until(loop_->now() +
-                       kRetryBackoffBaseS * std::ldexp(1.0, attempt - 1));
-      std::vector<std::size_t> missing;
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (!active[i].returned) missing.push_back(i);
-      }
-      if (missing.empty()) break;
-      double wait = 0.0;
-      double rt = loop_->now();
-      std::vector<dataplane::BatchPacketOut> retries;
-      retries.reserve(missing.size());
-      for (const std::size_t i : missing) {
-        ActiveProbe& ap = active[i];
-        ap.was_retried = true;
-        const std::uint64_t retry_id = next_round_probe_id++;
-        by_id[retry_id] = Pending{i, rt};
-        dataplane::Packet pk;
-        pk.header = ap.probe.header;
-        pk.probe_id = retry_id;
-        retries.push_back(dataplane::BatchPacketOut{ap.probe.inject_switch,
-                                                    std::move(pk), rt});
-        rt += spacing;
-        ++rec.retries;
-        ++report.retries_sent;
-        LocalizerInstruments::get().retries_sent.add();
-        wait = std::max(wait, probe_timeout(ap.probe));
-      }
-      ctrl_->send_packets(std::move(retries));
-      loop_->run_until(rt + wait);
-    }
-    ctrl_->set_probe_return_handler(nullptr);
-    ctrl_->network().set_host_delivery_handler(nullptr);
+    const RoundResult sent = round_.send(pending);
+    report.probes_sent += pending.size();
+    LocalizerInstruments::get().probes_sent.add(pending.size());
+    rec.retries = sent.retries;
+    report.retries_sent += sent.retries;
+    LocalizerInstruments::get().retries_sent.add(sent.retries);
 
     // --- Evaluate (Algorithm 2 lines 5-16). ---
     // Failing probes stay in the tested set (line 14) and multi-rule
@@ -362,27 +220,29 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
     // an already-flagged switch are "explained" -- the switch is awaiting
     // manual inspection -- and retire from testing, which is what lets the
     // scheme quiesce under persistent faults.
-    std::vector<PendingProbe> next;
+    std::vector<Probe> next;
+    std::vector<int> next_linger;
     sliced.clear();  // spans queued for the *next* round (dedup within it)
-    auto queue_probe = [&](Probe p, int linger) {
+    auto queue_probe = [&](Probe p, int rounds) {
       const std::pair<flow::EntryId, flow::EntryId> span{p.entries.front(),
                                                          p.entries.back()};
       if (sliced.insert(span).second) {
-        next.push_back(PendingProbe{std::move(p), linger});
+        next.push_back(std::move(p));
+        next_linger.push_back(rounds);
       }
     };
     std::size_t failures = 0;
-    for (ActiveProbe& ap : active) {
-      const bool failed = !ap.returned || ap.mismatched;
-      if (!failed) {
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      Probe& probe = pending[i];
+      const ProbeOutcome& o = sent.outcomes[i];
+      if (!o.failed()) {
         // End-to-end confirmation for every rule on the path; a previously
         // recorded deviation for this exact span is thereby retracted.
-        for (const flow::EntryId e : ap.probe.entries) {
+        for (const flow::EntryId e : probe.entries) {
           report.cleared_entries[e] = round;
         }
-        evidence_by_span.erase(
-            {ap.probe.entries.front(), ap.probe.entries.back()});
-        if (ap.was_retried) {
+        evidence_by_span.erase({probe.entries.front(), probe.entries.back()});
+        if (o.retried) {
           // Retry confirmed a clean path: the initial miss was channel loss.
           ++rec.recovered;
           ++report.retry_recoveries;
@@ -390,12 +250,12 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
         }
         // Localization probes linger so they are already in flight when an
         // intermittent fault's next active window opens.
-        if (ap.linger > 1) queue_probe(ap.probe, ap.linger - 1);
+        if (linger[i] > 1) queue_probe(std::move(probe), linger[i] - 1);
         continue;
       }
-      if (!ap.returned) LocalizerInstruments::get().probe_timeouts.add();
+      if (!o.returned) LocalizerInstruments::get().probe_timeouts.add();
       bool explained = false;
-      for (const flow::EntryId e : ap.probe.entries) {
+      for (const flow::EntryId e : probe.entries) {
         if (flagged_.count(graph_->rules().entry(e).switch_id)) {
           explained = true;
           break;
@@ -404,48 +264,48 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
       if (explained) continue;
       ++failures;
       LocalizerInstruments::get().probe_failures.add();
-      for (const flow::EntryId e : ap.probe.entries) ++suspicion_[e];
+      for (const flow::EntryId e : probe.entries) ++suspicion_[e];
       LocalizerInstruments::get().suspicion_updates.add(
-          ap.probe.entries.size());
+          probe.entries.size());
       {
         ProbeEvidence ev;
-        ev.probe_id = ap.probe.probe_id;
+        ev.probe_id = o.probe_id;
         ev.round = round;
-        ev.expected_path = ap.probe.entries;
-        if (ap.returned) {
+        ev.expected_path = probe.entries;
+        if (o.returned) {
           ev.deviation = DeviationKind::kModifiedReturn;
-          ev.observed_switch = ap.returned_from;
-          ev.observed_header = ap.returned_header;
-        } else if (ap.delivered_sw >= 0) {
+          ev.observed_switch = o.returned_from;
+          ev.observed_header = o.returned_header;
+        } else if (o.delivered_sw >= 0) {
           // Intact iff the delivered header matches the probe header pushed
           // through some prefix of the expected path's set fields — then
           // the packet was merely steered out the wrong port (misroute);
           // any other header means something rewrote it (modify).
-          hsa::TernaryString h = ap.probe.header;
-          bool intact = h == ap.delivered_header;
-          for (const flow::EntryId e : ap.probe.entries) {
+          hsa::TernaryString h = probe.header;
+          bool intact = h == o.delivered_header;
+          for (const flow::EntryId e : probe.entries) {
             if (intact) break;
             h = h.transform(graph_->rules().entry(e).set_field);
-            intact = h == ap.delivered_header;
+            intact = h == o.delivered_header;
           }
           ev.deviation = intact ? DeviationKind::kMisrouted
                                 : DeviationKind::kModifiedDelivery;
-          ev.observed_switch = ap.delivered_sw;
-          ev.observed_header = ap.delivered_header;
+          ev.observed_switch = o.delivered_sw;
+          ev.observed_header = o.delivered_header;
         } else {
           ev.deviation = DeviationKind::kMissing;
         }
-        evidence_by_span[{ap.probe.entries.front(),
-                          ap.probe.entries.back()}] = std::move(ev);
+        evidence_by_span[{probe.entries.front(),
+                          probe.entries.back()}] = std::move(ev);
       }
       // Accumulated-suspicion flagging (intermittent faults): the strictly
       // most-suspected rule on this failing path crossing the strong
       // threshold identifies its switch.
-      if (ap.probe.entries.size() > 1) {
+      if (probe.entries.size() > 1) {
         flow::EntryId top = -1;
         int top_s = -1;
         bool unique = false;
-        for (const flow::EntryId e : ap.probe.entries) {
+        for (const flow::EntryId e : probe.entries) {
           const int s = suspicion_[e];
           if (s > top_s) {
             top_s = s;
@@ -467,9 +327,9 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
           continue;  // path explained by the new flag
         }
       }
-      if (ap.probe.entries.size() > 1) {
+      if (probe.entries.size() > 1) {
         // slice_path: two halves join the next round alongside the parent.
-        const auto& verts = ap.probe.path;
+        const auto& verts = probe.path;
         const std::size_t mid = verts.size() / 2;
         const std::vector<VertexId> left(
             verts.begin(), verts.begin() + static_cast<std::ptrdiff_t>(mid));
@@ -479,9 +339,9 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
           auto p = engine_.make_probe(half, rng_, active_profile());
           if (p.has_value()) queue_probe(std::move(*p), kLingerRounds);
         }
-        queue_probe(ap.probe, kLingerRounds);
+        queue_probe(std::move(probe), kLingerRounds);
       } else {
-        const flow::EntryId e = ap.probe.entries.front();
+        const flow::EntryId e = probe.entries.front();
         const flow::SwitchId sw = graph_->rules().entry(e).switch_id;
         if (suspicion_[e] > kSuspicionThreshold) {
           if (!flagged_.count(sw)) {
@@ -493,19 +353,15 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
           report.detection_time_s = loop_->now() - t0;
         } else {
           // Keep retesting the singleton.
-          queue_probe(ap.probe, kLingerRounds);
+          queue_probe(std::move(probe), kLingerRounds);
         }
       }
     }
 
-    // --- Teardown test points (batched). ---
-    for (const ActiveProbe& ap : active) {
-      ctrl_->remove_test_point(ap.test_point);
-    }
-    loop_->run_until(loop_->now() + 2.0 * dataplane::kControlLatencyS);
+    round_.teardown();
 
     rec.end_s = loop_->now();
-    rec.probes = active.size();
+    rec.probes = pending.size();
     rec.failures = failures;
     round_span.annotate("probes", static_cast<double>(rec.probes));
     round_span.annotate("failures", static_cast<double>(rec.failures));
@@ -527,11 +383,13 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
 
     if (next.empty()) {
       // Algorithm 2 line 16: restart the full set.
-      pending = as_pending(generate_full_cover());
+      pending = generate_full_cover();
+      linger.assign(pending.size(), 0);
       pending_is_full_cover = true;
       sliced.clear();
     } else {
       pending = std::move(next);
+      linger = std::move(next_linger);
       pending_is_full_cover = false;
     }
   }

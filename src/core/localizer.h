@@ -1,13 +1,13 @@
 // Fault localization (§VI, Algorithm 2).
 //
-// Each detection round installs a test point at every tested path's terminal
-// entry, injects the probes at the paper's probe rate, and waits for
-// PacketIn returns. A probe that fails to return (or returns modified)
+// Each detection round sends the tested paths' probes through one
+// core::ProbeRound (test points, paced injection, returns, retries; see
+// probe_round.h). A probe that fails to return (or returns modified)
 // marks its path suspicious: every rule on the path gains suspicion, and the
 // path is sliced in two for the next round. A rule whose singleton path
 // fails while its suspicion exceeds the threshold identifies its switch as
-// faulty (threshold 3, per §VIII; the thresholds and the other timing
-// constants are named in localizer.cc).
+// faulty (threshold 3, per §VIII; the thresholds are named in localizer.cc,
+// the retry and timeout constants in probe_round.cc).
 //
 // Deterministic SDNProbe reuses one minimum cover (and the same probe
 // headers) every round. Randomized SDNProbe re-draws the cover with the
@@ -22,8 +22,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "controller/controller.h"
@@ -31,6 +29,7 @@
 #include "core/common_options.h"
 #include "core/mlpc.h"
 #include "core/probe_engine.h"
+#include "core/probe_round.h"
 #include "core/rule_graph.h"
 #include "core/traffic_profile.h"
 #include "sim/event_loop.h"
@@ -190,43 +189,14 @@ class FaultLocalizer {
   void set_cover_probes(std::vector<Probe> probes);
 
  private:
-  struct ActiveProbe {
-    Probe probe;
-    controller::TestPointId test_point;
-    bool returned = false;
-    bool mismatched = false;
-    bool was_retried = false;  // at least one confirmation re-send issued
-    int linger = 0;  // remaining lingering rounds (localization probes)
-    // Deviation evidence: where a mismatched PacketIn came from / what it
-    // carried, and the first host delivery seen for this probe (a probe
-    // that leaks out of the network instead of returning was misrouted).
-    flow::SwitchId returned_from = -1;
-    hsa::TernaryString returned_header;
-    flow::SwitchId delivered_sw = -1;
-    hsa::TernaryString delivered_header;
-  };
-  // Correlates a PacketIn back to its probe: index into the round's active
-  // probe list plus the injection time (for RTT observation).
-  struct Pending {
-    std::size_t index = 0;
-    double sent_s = 0.0;
-  };
-
   // (Re)generates the full-cover probe list; charges wall time to sim time.
   // Mutable path: consumes staged_ first when initial_probe_count() already
   // generated a cover.
   std::vector<Probe> generate_full_cover() const;
   void charge_wall_time(double seconds) const;
-  // Grace period for in-flight returns: fixed round_grace_s, or derived
-  // from observed RTTs when adaptive_timeout is on and an RTT exists.
-  double effective_grace() const;
-  // Retry timeout for one probe: its span's observed RTT if known, else the
-  // global max RTT, else effective_grace().
-  double probe_timeout(const Probe& p) const;
 
   const AnalysisSnapshot* snapshot_;
   const RuleGraph* graph_;
-  controller::Controller* ctrl_;
   sim::EventLoop* loop_;
   LocalizerConfig config_;
   // Declared before engine_: the engine borrows the pool. Null when serial.
@@ -243,12 +213,12 @@ class FaultLocalizer {
   // stream (and thus the whole run) is unchanged by the query.
   mutable std::optional<std::vector<Probe>> staged_;
 
+  // Test-point install, injection, retries and teardown; keeps observed
+  // RTTs (adaptive timeouts) across rounds and runs.
+  ProbeRound round_;
+
   std::map<flow::EntryId, int> suspicion_;
   std::set<flow::SwitchId> flagged_;
-  // Observed PacketIn RTTs for adaptive timeouts: the largest RTT seen so
-  // far, plus per-span maxima keyed by (first entry, terminal entry).
-  double max_rtt_s_ = 0.0;
-  std::map<std::pair<flow::EntryId, flow::EntryId>, double> span_rtt_s_;
   // Per-period traffic snapshot (§V-C h^t(ℓ)): refreshed at each full-cover
   // restart in randomized mode so a whole detection cycle samples headers
   // from the flows dominating that period.

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <deque>
 #include <functional>
+#include <span>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -69,6 +70,17 @@ struct StitchResult {
   hsa::HeaderSpace stitched_space;    // forward space of the merged path
 };
 
+// Pushes `hs` through `vertices` in order (stopping once it is empty): the
+// forward header space of a path segment.
+hsa::HeaderSpace propagate_along(const AnalysisSnapshot& g, hsa::HeaderSpace hs,
+                                 std::span<const VertexId> vertices) {
+  for (const VertexId v : vertices) {
+    if (hs.is_empty()) break;
+    hs = g.propagate(hs, v);
+  }
+  return hs;
+}
+
 // Searches for a path head legally reachable from `from_path`'s tail.
 // DFS over step-1 successors, propagating the forward header space exactly.
 // Already-covered vertices may be traversed (lazy transitive closure).
@@ -124,12 +136,8 @@ class StitchSearch {
         const int q = head_path_of_[static_cast<std::size_t>(w)];
         if (q >= 0 && q != from_path_ &&
             paths_[static_cast<std::size_t>(q)].alive) {
-          hsa::HeaderSpace through = space;
-          for (const VertexId qv :
-               paths_[static_cast<std::size_t>(q)].vertices) {
-            through = g_.propagate(through, qv);
-            if (through.is_empty()) break;
-          }
+          hsa::HeaderSpace through = propagate_along(
+              g_, space, paths_[static_cast<std::size_t>(q)].vertices);
           if (!through.is_empty()) {
             return StitchResult{q, route_, std::move(through)};
           }
@@ -164,12 +172,8 @@ class StitchSearch {
       const int q = head_path_of_[static_cast<std::size_t>(w)];
       if (q >= 0 && q != from_path_ &&
           paths_[static_cast<std::size_t>(q)].alive) {
-        hsa::HeaderSpace through = space;
-        const auto& qverts = paths_[static_cast<std::size_t>(q)].vertices;
-        for (const VertexId qv : qverts) {
-          through = g_.propagate(through, qv);
-          if (through.is_empty()) break;
-        }
+        hsa::HeaderSpace through = propagate_along(
+            g_, space, paths_[static_cast<std::size_t>(q)].vertices);
         if (!through.is_empty()) {
           return StitchResult{q, route_, std::move(through)};
         }
@@ -246,14 +250,6 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
   visited.clear();
   std::vector<VertexId> route;
 
-  auto propagate_along = [&g](hsa::HeaderSpace hs, const auto begin,
-                              const auto end) {
-    for (auto it = begin; it != end && !hs.is_empty(); ++it) {
-      hs = g.propagate(hs, *it);
-    }
-    return hs;
-  };
-
   std::function<bool(VertexId, const hsa::HeaderSpace&)> dfs =
       [&](VertexId at, const hsa::HeaderSpace& space) -> bool {
     for (const VertexId w : g.successors(at)) {
@@ -264,9 +260,8 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
       const int q = head_path_of[static_cast<std::size_t>(w)];
       if (q >= 0 && q != pi && paths[static_cast<std::size_t>(q)].alive) {
         // Free head: plain merge (the greedy move, retried post-rearrange).
-        const auto& qv = paths[static_cast<std::size_t>(q)].vertices;
-        hsa::HeaderSpace through =
-            propagate_along(space, qv.begin(), qv.end());
+        hsa::HeaderSpace through = propagate_along(
+            g, space, paths[static_cast<std::size_t>(q)].vertices);
         if (!through.is_empty()) {
           commit_merge(paths, head_path_of, pi,
                        StitchResult{q, route, std::move(through)});
@@ -280,7 +275,8 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
         if (static_cast<std::size_t>(l.idx) < r.vertices.size() &&
             r.vertices[static_cast<std::size_t>(l.idx)] == w) {
           hsa::HeaderSpace through = propagate_along(
-              space, r.vertices.begin() + l.idx, r.vertices.end());
+              g, space,
+              std::span(r.vertices).subspan(static_cast<std::size_t>(l.idx)));
           if (!through.is_empty()) {
             const WorkPath p_backup = p;
             const WorkPath r_backup = r;
@@ -290,8 +286,7 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
                               r.vertices.end());
             p.output_space = std::move(through);
             r.vertices.resize(static_cast<std::size_t>(l.idx));
-            r.output_space = propagate_along(
-                g.full_space(), r.vertices.begin(), r.vertices.end());
+            r.output_space = propagate_along(g, g.full_space(), r.vertices);
             // The donor's new tail must land on a free head for the
             // rearrangement to pay off.
             StitchSearch secondary(g, paths, head_path_of, secondary_visited,
@@ -319,12 +314,6 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
 }
 
 }  // namespace
-
-std::size_t Cover::total_vertices() const {
-  std::size_t n = 0;
-  for (const auto& p : paths) n += p.vertices.size();
-  return n;
-}
 
 Cover MlpcSolver::solve(const AnalysisSnapshot& snapshot) const {
   telemetry::TraceSpan span("mlpc.solve");
@@ -410,24 +399,15 @@ Cover MlpcSolver::solve_once(const AnalysisSnapshot& g,
   while (!worklist.empty()) {
     const int pi = worklist.front();
     worklist.pop_front();
-    WorkPath& p = paths[static_cast<std::size_t>(pi)];
-    if (!p.alive) continue;
+    if (!paths[static_cast<std::size_t>(pi)].alive) continue;
     StitchSearch search(g, paths, head_path_of, search_visited,
                         config_.search_budget, rng_ptr,
                         config_.stitch_accept_probability);
-    const auto result = search.find(pi);
+    auto result = search.find(pi);
     MlpcInstruments::get().budget_consumed.add(
         config_.search_budget - search.budget_remaining());
     if (!result.has_value()) continue;  // tail is final; path complete
-    WorkPath& q = paths[static_cast<std::size_t>(result->target_path)];
-    // Merge: P + route + Q.
-    head_path_of[static_cast<std::size_t>(q.vertices.front())] = -1;
-    p.vertices.insert(p.vertices.end(), result->route.begin(),
-                      result->route.end());
-    p.vertices.insert(p.vertices.end(), q.vertices.begin(), q.vertices.end());
-    p.output_space = result->stitched_space;
-    q.alive = false;
-    q.vertices.clear();
+    commit_merge(paths, head_path_of, pi, std::move(*result));
     // The merged path has a new tail; try to extend it further.
     worklist.push_back(pi);
   }

@@ -47,8 +47,6 @@ struct Cover {
   std::vector<CoverPath> paths;
 
   std::size_t path_count() const { return paths.size(); }
-  // Total vertices across paths, counting traversal duplicates.
-  std::size_t total_vertices() const;
 };
 
 struct MlpcConfig {

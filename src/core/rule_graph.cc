@@ -1,7 +1,6 @@
 #include "core/rule_graph.h"
 
 #include <algorithm>
-#include <queue>
 #include <unordered_map>
 
 #include "util/check.h"
@@ -405,28 +404,39 @@ bool RuleGraph::is_legal_path(const std::vector<VertexId>& path) const {
   return !path_output_space(path).is_empty();
 }
 
-bool RuleGraph::is_acyclic() const {
+std::vector<VertexId> RuleGraph::find_cycle() const {
   const int V = vertex_count();
-  std::vector<int> indegree(static_cast<std::size_t>(V), 0);
-  for (VertexId v = 0; v < V; ++v) {
-    for (const VertexId w : successors(v)) {
-      ++indegree[static_cast<std::size_t>(w)];
+  enum : std::uint8_t { kWhite, kGray, kBlack };
+  std::vector<std::uint8_t> color(static_cast<std::size_t>(V), kWhite);
+  // The DFS path (the gray vertices, root first) and, per path vertex, the
+  // index of the next successor to explore.
+  std::vector<VertexId> path;
+  std::vector<std::size_t> next;
+  for (VertexId root = 0; root < V; ++root) {
+    if (color[static_cast<std::size_t>(root)] != kWhite) continue;
+    color[static_cast<std::size_t>(root)] = kGray;
+    path.push_back(root);
+    next.push_back(0);
+    while (!path.empty()) {
+      const std::span<const VertexId> succ = successors(path.back());
+      if (next.back() == succ.size()) {
+        color[static_cast<std::size_t>(path.back())] = kBlack;
+        path.pop_back();
+        next.pop_back();
+        continue;
+      }
+      const VertexId w = succ[next.back()++];
+      if (color[static_cast<std::size_t>(w)] == kGray) {
+        return {std::find(path.begin(), path.end(), w), path.end()};
+      }
+      if (color[static_cast<std::size_t>(w)] == kWhite) {
+        color[static_cast<std::size_t>(w)] = kGray;
+        path.push_back(w);
+        next.push_back(0);
+      }
     }
   }
-  std::queue<VertexId> q;
-  for (VertexId v = 0; v < V; ++v) {
-    if (indegree[static_cast<std::size_t>(v)] == 0) q.push(v);
-  }
-  int processed = 0;
-  while (!q.empty()) {
-    const VertexId v = q.front();
-    q.pop();
-    ++processed;
-    for (const VertexId w : successors(v)) {
-      if (--indegree[static_cast<std::size_t>(w)] == 0) q.push(w);
-    }
-  }
-  return processed == V;
+  return {};
 }
 
 std::vector<std::vector<VertexId>> RuleGraph::closure_edges(

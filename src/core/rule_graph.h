@@ -126,9 +126,10 @@ class RuleGraph {
   // True iff the vertex sequence is a legal path (Definition 1).
   bool is_legal_path(const std::vector<VertexId>& path) const;
 
-  // Verifies the step-1 graph is acyclic (the paper's standing assumption on
+  // One directed cycle of the step-1 graph, as vertices in path order, or
+  // empty when the graph is acyclic (the paper's standing assumption on
   // well-formed policies, checkable with HSA/VeriFlow-style tools [24,25]).
-  bool is_acyclic() const;
+  std::vector<VertexId> find_cycle() const;
 
   // Materialized legal transitive closure for small graphs: for every vertex
   // u, the vertices v != u reachable via a legal path. Intended for tests

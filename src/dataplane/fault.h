@@ -94,9 +94,6 @@ class FaultInjector {
   // The spec for a whole-switch fault, if one is registered.
   const FaultSpec* switch_fault_for(flow::SwitchId sw) const;
 
-  bool entry_is_faulty(flow::EntryId entry) const {
-    return faults_.count(entry) > 0;
-  }
   bool switch_is_faulty(flow::SwitchId sw) const {
     return switch_faults_.count(sw) > 0;
   }

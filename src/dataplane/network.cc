@@ -64,15 +64,6 @@ void Network::remove_entry(flow::SwitchId sw, flow::TableId table,
   sw_tables[static_cast<std::size_t>(table)].erase(id);
 }
 
-void Network::replace_action(flow::SwitchId sw, flow::TableId table,
-                             flow::EntryId id, const flow::Action& action) {
-  auto& sw_tables = tables_[static_cast<std::size_t>(sw)];
-  if (static_cast<std::size_t>(table) >= sw_tables.size()) return;
-  // In place: a modify-flow must keep the entry's position, or it would
-  // change which entry wins equal-priority overlapping headers.
-  sw_tables[static_cast<std::size_t>(table)].update_action(id, action);
-}
-
 void Network::update_entry(flow::SwitchId sw, flow::TableId table,
                            flow::EntryId id,
                            const hsa::TernaryString& set_field,

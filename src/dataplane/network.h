@@ -77,12 +77,6 @@ class Network {
   // Removes an entry by id from its switch.
   void remove_entry(flow::SwitchId sw, flow::TableId table, flow::EntryId id);
 
-  // Replaces the action of an existing entry (the §VI "change the action of
-  // flow entry r to goto next table" step). Immediate variant used during
-  // test setup; the latency is accounted by the caller via barrier().
-  void replace_action(flow::SwitchId sw, flow::TableId table, flow::EntryId id,
-                      const flow::Action& action);
-
   // Replaces action and set field together. Used when redirecting a terminal
   // entry to its test table: the set field moves to the table's copy so the
   // rewrite is applied exactly once.
@@ -159,7 +153,7 @@ class Network {
   FaultInjector faults_;
   ChannelModel channel_;
   // Runtime tables: tables_[switch][table]. Seeded from the RuleSet, then
-  // mutated by install/remove/replace_action.
+  // mutated by install/remove/update_entry.
   std::vector<std::vector<flow::FlowTable>> tables_;
   PacketInHandler packet_in_handler_;
   HostDeliveryHandler host_delivery_handler_;

@@ -57,13 +57,6 @@ struct FlowEntry {
   Action action;
   bool is_test_entry = false;  // installed by the prober (§VI), not policy
 
-  // The resulting header cube after applying the set field to the match:
-  // a per-entry upper bound on r.out (exact when the inbound space is the
-  // full match).
-  hsa::TernaryString transformed_match() const {
-    return match.transform(set_field);
-  }
-
   std::string to_string() const;
 };
 

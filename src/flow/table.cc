@@ -73,16 +73,6 @@ bool FlowTable::update_actions(EntryId id, const hsa::TernaryString& set_field,
   return false;
 }
 
-bool FlowTable::update_action(EntryId id, const Action& action) {
-  for (auto& e : entries_) {
-    if (e.id == id) {
-      e.action = action;
-      return true;
-    }
-  }
-  return false;
-}
-
 const FlowEntry* FlowTable::lookup(const hsa::TernaryString& header) const {
   if (!entries_.empty()) {
     SDNPROBE_DCHECK_EQ(header.width(), entries_.front().match.width());
@@ -136,7 +126,7 @@ hsa::HeaderSpace FlowTable::input_space(EntryId id) const {
     if (!q.match.intersects(target->match)) continue;
     nxt->reset(w);
     hsa::subtract_into(*cur, 0, cur->size(), q.match, *nxt, /*dedup=*/true);
-    hsa::simplify_cubes(*nxt, 0, /*assume_deduped=*/true);
+    hsa::simplify_cubes(*nxt);
     std::swap(cur, nxt);
     if (cur->size() > peak) peak = cur->size();
     if (cur->empty()) break;

@@ -27,7 +27,6 @@ class FlowTable {
   // headers. Returns true if the entry was found.
   bool update_actions(EntryId id, const hsa::TernaryString& set_field,
                       const Action& action);
-  bool update_action(EntryId id, const Action& action);
 
   // Highest-priority match for a concrete header, or nullptr.
   const FlowEntry* lookup(const hsa::TernaryString& header) const;

@@ -187,7 +187,7 @@ template <bool kOne>
 std::size_t intersect_all_impl(const CubeArena& src, std::size_t first,
                                std::size_t last, std::uint64_t cb0,
                                std::uint64_t cb1, std::uint64_t cm0,
-                               std::uint64_t cm1, CubeArena& dst, bool dedup) {
+                               std::uint64_t cm1, CubeArena& dst) {
   std::size_t appended = 0;
   for (std::size_t i = first; i < last; ++i) {
     const std::uint64_t ab0 = src.bits0()[i], am0 = src.mask0()[i];
@@ -200,7 +200,7 @@ std::size_t intersect_all_impl(const CubeArena& src, std::size_t first,
     }
     const std::uint64_t rm0 = am0 | cm0, rm1 = am1 | cm1;
     const std::uint64_t rb0 = (ab0 | cb0) & rm0, rb1 = (ab1 | cb1) & rm1;
-    if (dedup && covered_in<kOne>(dst, rb0, rb1, rm0, rm1)) continue;
+    if (covered_in<kOne>(dst, rb0, rb1, rm0, rm1)) continue;
     dst.push_words(rb0, rb1, rm0, rm1);
     ++appended;
   }
@@ -211,15 +211,15 @@ std::size_t intersect_all_impl(const CubeArena& src, std::size_t first,
 
 std::size_t intersect_all(const CubeArena& src, std::size_t first,
                           std::size_t last, const TernaryString& c,
-                          CubeArena& dst, bool dedup) {
+                          CubeArena& dst) {
   assert(&src != &dst);
   const std::uint64_t cb0 = c.bits_word(0), cb1 = c.bits_word(1);
   const std::uint64_t cm0 = c.mask_word(0), cm1 = c.mask_word(1);
   return src.width() <= 64
              ? intersect_all_impl<true>(src, first, last, cb0, cb1, cm0, cm1,
-                                        dst, dedup)
+                                        dst)
              : intersect_all_impl<false>(src, first, last, cb0, cb1, cm0, cm1,
-                                         dst, dedup);
+                                         dst);
 }
 
 namespace {
@@ -281,15 +281,15 @@ void subtract_into_impl(const CubeArena& src, std::size_t first,
 }  // namespace
 
 void subtract_cube_into(const TernaryString& a, const TernaryString& b,
-                        CubeArena& dst, bool dedup) {
+                        CubeArena& dst) {
   const std::uint64_t bb[2] = {b.bits_word(0), b.bits_word(1)};
   const std::uint64_t bm[2] = {b.mask_word(0), b.mask_word(1)};
   if (a.width() <= 64) {
     subtract_words_into<true>(a.bits_word(0), a.bits_word(1), a.mask_word(0),
-                              a.mask_word(1), bb, bm, dst, dedup);
+                              a.mask_word(1), bb, bm, dst, /*dedup=*/true);
   } else {
     subtract_words_into<false>(a.bits_word(0), a.bits_word(1), a.mask_word(0),
-                               a.mask_word(1), bb, bm, dst, dedup);
+                               a.mask_word(1), bb, bm, dst, /*dedup=*/true);
   }
 }
 
@@ -307,60 +307,10 @@ void subtract_into(const CubeArena& src, std::size_t first, std::size_t last,
 
 namespace {
 
-// Drop-verdict semantics (identical to HeaderSpace::simplify): drop cube i
-// when some j covers it, except that of two equal cubes the earlier slot is
-// kept. Split by slot order the predicate is
-//   j < i : covers(j, i)                      (any cover from an earlier slot)
-//   j > i : covers(j, i) && !covers(i, j)     (strict covers only)
-// and the verdict is an OR over j — order-independent, so the phases below
-// may evaluate it in any arrangement as long as every read sees the
-// pristine population.
-template <bool kOne>
-std::size_t simplify_generic(CubeArena& a, std::size_t first,
-                             std::uint64_t* b0, std::uint64_t* b1,
-                             std::uint64_t* m0, std::uint64_t* m1) {
-  const std::size_t n = a.size();
-  // Verdicts first (reading only pristine data), compaction after.
-  thread_local std::vector<std::uint64_t> dropped;
-  dropped.assign((n + 63) / 64, 0);
-  for (std::size_t i = first + 1; i < n; ++i) {
-    if (any_covers<kOne>(a, first, i, a.bits0()[i], a.bits1()[i], a.mask0()[i],
-                         a.mask1()[i])) {
-      dropped[i / 64] |= std::uint64_t{1} << (i % 64);
-    }
-  }
-  for (std::size_t i = first; i < n; ++i) {
-    if ((dropped[i / 64] >> (i % 64)) & 1) continue;
-    const std::uint64_t ib0 = a.bits0()[i], ib1 = a.bits1()[i];
-    const std::uint64_t im0 = a.mask0()[i], im1 = a.mask1()[i];
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (covers_words<kOne>(a.bits0()[j], a.bits1()[j], a.mask0()[j],
-                             a.mask1()[j], ib0, ib1, im0, im1) &&
-          !covers_words<kOne>(ib0, ib1, im0, im1, a.bits0()[j], a.bits1()[j],
-                              a.mask0()[j], a.mask1()[j])) {
-        dropped[i / 64] |= std::uint64_t{1} << (i % 64);
-        break;
-      }
-    }
-  }
-  std::size_t out = first;
-  for (std::size_t i = first; i < n; ++i) {
-    if ((dropped[i / 64] >> (i % 64)) & 1) continue;
-    if (out != i) {
-      b0[out] = b0[i];
-      b1[out] = b1[i];
-      m0[out] = m0[i];
-      m1[out] = m1[i];
-    }
-    ++out;
-  }
-  return out;
-}
-
-// Fast path for lists produced by a dedup=true kernel: there, no cube at an
-// earlier slot covers a later one (covered_in would have rejected the later
-// cube on append — and that also rules out equal cubes). So the j < i term
-// is always false, and !covers(i, j) for j > i holds automatically: the
+// HeaderSpace::simplify drops cube i when an earlier cube covers it, or a
+// later cube strictly covers it. On the output of a deduplicating kernel no
+// cube at an earlier slot covers a later one (covered_in would have rejected
+// the later cube on append — and that also rules out equal cubes), so the
 // verdict collapses to "drop i iff some j > i covers it". One backward
 // strict scan; in-place compaction is safe because writes land at slots
 // <= i while every read is at slots > i.
@@ -387,24 +337,18 @@ std::size_t simplify_deduped(CubeArena& a, std::size_t first,
 
 }  // namespace
 
-void simplify_cubes(CubeArena& a, std::size_t first, bool assume_deduped) {
+void simplify_cubes(CubeArena& a, std::size_t first) {
   if (a.size() < first + 2) return;
   std::uint64_t *b0 = a.b0_, *b1 = a.b1_, *m0 = a.m0_, *m1 = a.m1_;
-  if (a.width() <= 64) {
-    a.size_ = assume_deduped ? simplify_deduped<true>(a, first, b0, b1, m0, m1)
-                             : simplify_generic<true>(a, first, b0, b1, m0, m1);
-  } else {
-    a.size_ = assume_deduped
-                  ? simplify_deduped<false>(a, first, b0, b1, m0, m1)
-                  : simplify_generic<false>(a, first, b0, b1, m0, m1);
-  }
+  a.size_ = a.width() <= 64 ? simplify_deduped<true>(a, first, b0, b1, m0, m1)
+                            : simplify_deduped<false>(a, first, b0, b1, m0, m1);
 }
 
 std::size_t subtract_space_into(const CubeArena& src, const CubeArena& sub,
-                                CubeArena& dst, CubeArena& tmp, bool dedup) {
+                                CubeArena& dst, CubeArena& tmp) {
   assert(&src != &dst && &src != &tmp && &sub != &dst && &sub != &tmp &&
          &dst != &tmp);
-  // Must match HeaderSpace::kSimplifyThreshold so the dedup fold stays
+  // Must match HeaderSpace::kSimplifyThreshold so the fold stays
   // cube-for-cube identical to HeaderSpace::subtract(HeaderSpace).
   constexpr std::size_t kSimplifyThreshold = 24;
   dst.reset(src.width());
@@ -417,16 +361,14 @@ std::size_t subtract_space_into(const CubeArena& src, const CubeArena& sub,
   }
   CubeArena* cur = &dst;
   CubeArena* nxt = &tmp;
-  subtract_into(src, 0, src.size(), sub.view(0), *cur, dedup);
+  subtract_into(src, 0, src.size(), sub.view(0), *cur, /*dedup=*/true);
   for (std::size_t j = 1; j < sub.size() && !cur->empty(); ++j) {
     nxt->reset(src.width());
-    subtract_into(*cur, 0, cur->size(), sub.view(j), *nxt, dedup);
+    subtract_into(*cur, 0, cur->size(), sub.view(j), *nxt, /*dedup=*/true);
     std::swap(cur, nxt);
-    if (dedup && cur->size() > kSimplifyThreshold) {
-      simplify_cubes(*cur, 0, /*assume_deduped=*/true);
-    }
+    if (cur->size() > kSimplifyThreshold) simplify_cubes(*cur);
   }
-  if (dedup) simplify_cubes(*cur, 0, /*assume_deduped=*/true);
+  simplify_cubes(*cur);
   if (cur != &dst) {
     dst.reset(src.width());
     for (std::size_t i = 0; i < cur->size(); ++i) {

@@ -61,8 +61,6 @@ class CubeArena {
     width_ = width;
   }
   void clear() { size_ = 0; }
-  // Drops cubes [n, size). Requires n <= size().
-  void truncate(std::size_t n) { size_ = n; }
 
   CubeRef push(const TernaryString& t);
   CubeRef push_words(std::uint64_t b0, std::uint64_t b1, std::uint64_t m0,
@@ -81,13 +79,7 @@ class CubeArena {
   const std::uint64_t* mask1() const { return m1_; }
 
  private:
-  friend std::size_t intersect_all(const CubeArena&, std::size_t, std::size_t,
-                                   const TernaryString&, CubeArena&, bool);
-  friend void subtract_into(const CubeArena&, std::size_t, std::size_t,
-                            const TernaryString&, CubeArena&, bool);
-  friend void subtract_cube_into(const TernaryString&, const TernaryString&,
-                                 CubeArena&, bool);
-  friend void simplify_cubes(CubeArena&, std::size_t, bool);
+  friend void simplify_cubes(CubeArena&, std::size_t);
 
   void ensure(std::size_t n);
   void release();
@@ -111,12 +103,12 @@ bool intersects_any(const CubeArena& a, std::size_t first, std::size_t last,
                     const TernaryString& c);
 
 // Appends src[i] ∩ c to dst for every i in [first, last) with a non-empty
-// intersection, in index order. With dedup, a result cube already covered by
-// some cube in dst is skipped (HeaderSpace::add_cube semantics). Returns the
-// number of cubes appended. src and dst may not alias.
+// intersection, in index order, skipping a result cube already covered by
+// some cube in dst (HeaderSpace::add_cube semantics). Returns the number of
+// cubes appended. src and dst may not alias.
 std::size_t intersect_all(const CubeArena& src, std::size_t first,
                           std::size_t last, const TernaryString& c,
-                          CubeArena& dst, bool dedup);
+                          CubeArena& dst);
 
 // Appends src[i] − b (the HSA cube-splitting difference, ascending bit
 // order) to dst for every i in [first, last). With dedup, each piece goes
@@ -125,30 +117,29 @@ std::size_t intersect_all(const CubeArena& src, std::size_t first,
 void subtract_into(const CubeArena& src, std::size_t first, std::size_t last,
                    const TernaryString& b, CubeArena& dst, bool dedup);
 
-// Single-cube variant: appends a − b to dst.
+// Single-cube variant: appends a − b to dst, with add_cube-style
+// subsumption.
 void subtract_cube_into(const TernaryString& a, const TernaryString& b,
-                        CubeArena& dst, bool dedup);
+                        CubeArena& dst);
 
 // Whole-space difference src − sub, left in dst (dst is reset first).
 // Fold of subtract_into over the cubes of `sub`, double-buffered through
 // `tmp`, with the same interleaved-simplify schedule as
-// HeaderSpace::subtract(HeaderSpace) — with dedup the resulting cube list is
+// HeaderSpace::subtract(HeaderSpace), so the resulting cube list is
 // cube-for-cube identical to that scalar path. Used by consumers that hold
 // both operands as arenas already (e.g. analysis::Verifier's blackhole
 // residuals). None of src/sub/dst/tmp may alias. Returns dst.size().
 std::size_t subtract_space_into(const CubeArena& src, const CubeArena& sub,
-                                CubeArena& dst, CubeArena& tmp, bool dedup);
+                                CubeArena& dst, CubeArena& tmp);
 
 // In-place subsumption cleanup of a[first, size): drops cube i when another
-// cube j in the range covers it (keeping the earlier of equal cubes),
-// compacting the survivors. Exact port of HeaderSpace::simplify.
+// cube covers it, compacting the survivors — HeaderSpace::simplify's result.
 //
-// Set assume_deduped when the range is the output of a dedup=true kernel
-// above: such lists have no earlier-slot-covers-later-slot pair and no equal
-// cubes, which halves the scan (only later cubes can subsume earlier ones).
-// Passing it on a list without that property silently produces a wrong
-// (under-simplified or over-dropped) result.
-void simplify_cubes(CubeArena& a, std::size_t first = 0,
-                    bool assume_deduped = false);
+// The range must be the output of the deduplicating kernels above
+// (intersect_all, subtract_cube_into, subtract_into with dedup): such lists
+// have no earlier-slot-covers-later-slot pair and no equal cubes, so only
+// later cubes can subsume earlier ones and one backward scan suffices. On a
+// list without that property the result is silently wrong.
+void simplify_cubes(CubeArena& a, std::size_t first = 0);
 
 }  // namespace sdnprobe::hsa

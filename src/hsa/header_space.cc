@@ -94,9 +94,9 @@ HeaderSpace HeaderSpace::intersect(const HeaderSpace& o) const {
   for (const auto& b : o.cubes_) rhs.push(b);
   dst.reset(w);
   for (const auto& a : cubes_) {
-    intersect_all(rhs, 0, rhs.size(), a, dst, /*dedup=*/true);
+    intersect_all(rhs, 0, rhs.size(), a, dst);
   }
-  simplify_cubes(dst, 0, /*assume_deduped=*/true);
+  simplify_cubes(dst);
   HeaderSpace r(w);
   r.assign_from(dst);
   return r;
@@ -110,8 +110,8 @@ HeaderSpace HeaderSpace::intersect(const TernaryString& cube) const {
   lhs.reset(w);
   for (const auto& a : cubes_) lhs.push(a);
   dst.reset(w);
-  intersect_all(lhs, 0, lhs.size(), cube, dst, /*dedup=*/true);
-  simplify_cubes(dst, 0, /*assume_deduped=*/true);
+  intersect_all(lhs, 0, lhs.size(), cube, dst);
+  simplify_cubes(dst);
   HeaderSpace r(w);
   r.assign_from(dst);
   return r;
@@ -142,9 +142,9 @@ HeaderSpace HeaderSpace::subtract(const TernaryString& cube) const {
   CubeArena& dst = s.a;
   dst.reset(width_);
   for (const auto& a : cubes_) {
-    subtract_cube_into(a, cube, dst, /*dedup=*/true);
+    subtract_cube_into(a, cube, dst);
   }
-  simplify_cubes(dst, 0, /*assume_deduped=*/true);
+  simplify_cubes(dst);
   HeaderSpace r(width_);
   r.assign_from(dst);
   return r;
@@ -167,12 +167,12 @@ HeaderSpace HeaderSpace::subtract(const HeaderSpace& o) const {
     std::swap(cur, nxt);
     if (cur->empty()) break;
     if (cur->size() > kSimplifyThreshold) {
-      simplify_cubes(*cur, 0, /*assume_deduped=*/true);
+      simplify_cubes(*cur);
     }
   }
   // Still dedup-clean here: simplify keeps a subsequence, which preserves
   // the no-earlier-covers-later property.
-  simplify_cubes(*cur, 0, /*assume_deduped=*/true);
+  simplify_cubes(*cur);
   HeaderSpace r(width_);
   r.assign_from(*cur);
   return r;

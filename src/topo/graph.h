@@ -27,9 +27,6 @@ struct Path {
   double cost = 0.0;
 
   bool empty() const { return nodes.empty(); }
-  std::size_t hop_count() const {
-    return nodes.empty() ? 0 : nodes.size() - 1;
-  }
   bool operator==(const Path& o) const { return nodes == o.nodes; }
 };
 

@@ -143,19 +143,13 @@ TEST(CubeArena, IntersectAllAgreesWithScalar) {
     for (int it = 0; it < 32; ++it) {
       const TernaryString probe =
           it == 0 ? TernaryString::wildcard(w) : random_cube(rng, w);
-      // Without dedup: plain pairwise intersection list.
-      std::vector<TernaryString> plain;
+      // The pairwise intersection list through add_cube.
+      std::vector<TernaryString> deduped;
       for (const auto& c : cubes) {
-        if (auto x = c.intersect(probe)) plain.push_back(*x);
+        if (auto x = c.intersect(probe)) ref_add_cube(deduped, *x);
       }
       CubeArena dst(w);
-      intersect_all(arena, 0, arena.size(), probe, dst, /*dedup=*/false);
-      EXPECT_EQ(arena_cubes(dst), plain);
-      // With dedup: add_cube semantics.
-      std::vector<TernaryString> deduped;
-      for (const auto& c : plain) ref_add_cube(deduped, c);
-      dst.clear();
-      intersect_all(arena, 0, arena.size(), probe, dst, /*dedup=*/true);
+      intersect_all(arena, 0, arena.size(), probe, dst);
       EXPECT_EQ(arena_cubes(dst), deduped);
     }
   }
@@ -188,28 +182,9 @@ TEST(CubeArena, SubtractIntoAgreesWithCubeDifference) {
   }
 }
 
-TEST(CubeArena, SimplifyAgreesWithScalarSimplify) {
-  util::Rng rng(6);
-  for (const int w : kWidths) {
-    for (int it = 0; it < 24; ++it) {
-      // Draw from a small pool so duplicates and covers are common.
-      const auto pool = random_cubes(rng, w, 6);
-      std::vector<TernaryString> cubes;
-      for (int i = 0; i < 18; ++i) {
-        cubes.push_back(pool[rng.pick_index(pool.size())]);
-      }
-      CubeArena arena(w);
-      for (const auto& c : cubes) arena.push(c);
-      simplify_cubes(arena);
-      EXPECT_EQ(arena_cubes(arena), ref_simplify(cubes))
-          << "width " << w << " iteration " << it;
-    }
-  }
-}
-
-// assume_deduped is only valid on dedup=true kernel output (no earlier cube
-// covers a later one); on such input it must match the generic verdict
-// exactly. Exercise it on real subtract_into output across widths.
+// simplify_cubes is only valid on deduplicating kernel output (no earlier
+// cube covers a later one); on such input it must match the scalar
+// simplify exactly. Exercise it on real subtract_into output across widths.
 TEST(CubeArena, SimplifyDedupedAgreesOnKernelOutput) {
   util::Rng rng(9);
   for (const int w : kWidths) {
@@ -222,7 +197,7 @@ TEST(CubeArena, SimplifyDedupedAgreesOnKernelOutput) {
       CubeArena dst(w);
       subtract_into(src, 0, src.size(), b, dst, /*dedup=*/true);
       const std::vector<TernaryString> produced = arena_cubes(dst);
-      simplify_cubes(dst, 0, /*assume_deduped=*/true);
+      simplify_cubes(dst);
       EXPECT_EQ(arena_cubes(dst), ref_simplify(produced))
           << "width " << w << " iteration " << it;
     }
@@ -286,8 +261,7 @@ TEST(CubeArena, InputSpaceMatchesScalarFoldExactly) {
 }
 
 // The whole-space fold kernel (analysis::Verifier's blackhole residuals)
-// must reproduce HeaderSpace::subtract(HeaderSpace) cube-for-cube with
-// dedup, and be set-equivalent without.
+// must reproduce HeaderSpace::subtract(HeaderSpace) cube-for-cube.
 TEST(CubeArena, SubtractSpaceIntoMatchesHeaderSpaceSubtract) {
   util::Rng rng(9);
   for (const int w : {8, 16, 64, 100}) {
@@ -301,13 +275,13 @@ TEST(CubeArena, SubtractSpaceIntoMatchesHeaderSpaceSubtract) {
       CubeArena src(w), sub(w), dst, tmp;
       for (const auto& c : a.cubes()) src.push(c);
       for (const auto& c : b.cubes()) sub.push(c);
-      subtract_space_into(src, sub, dst, tmp, /*dedup=*/true);
+      subtract_space_into(src, sub, dst, tmp);
       EXPECT_EQ(arena_cubes(dst), a.subtract(b).cubes())
           << "width " << w << " iteration " << it;
 
       // Empty-subtrahend fast path copies the source verbatim.
       CubeArena none(w), dst2, tmp2;
-      subtract_space_into(src, none, dst2, tmp2, /*dedup=*/true);
+      subtract_space_into(src, none, dst2, tmp2);
       EXPECT_EQ(arena_cubes(dst2), a.cubes());
     }
   }

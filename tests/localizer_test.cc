@@ -183,6 +183,105 @@ TEST(Localizer, ReportBookkeepingConsistent) {
   }
 }
 
+// --- Evidence on a hand-built network ------------------------------------
+//
+// A line 0 -- 1 -- 2 -- 3 with a spur 1 -- 4, one rule per switch (entry id
+// = switch id). Rules 0-2 forward the flow towards switch 3, rule 3 delivers
+// it to switch 3's host port, and rule 4 punts it to the controller. Rule 0
+// sets the low bit, so every header past switch 0 ends in 1; rules 1-3 also
+// match headers with bit 4 set, which rule 0 never emits. The cover is
+// the path 0-1-2-3 plus the singleton 4; each case plants one fault on
+// rule 1 and checks the evidence recorded for the full path.
+struct LineWithSpur {
+  flow::RuleSet rules;
+  std::unique_ptr<RuleGraph> graph;
+  std::unique_ptr<AnalysisSnapshot> snap;
+  sim::EventLoop loop;
+  std::unique_ptr<dataplane::Network> net;
+  std::unique_ptr<controller::Controller> ctrl;
+
+  static hsa::TernaryString ts(const char* s) {
+    return *hsa::TernaryString::parse(s);
+  }
+
+  static flow::RuleSet make_rules() {
+    topo::Graph g(5);
+    for (flow::SwitchId s = 0; s < 3; ++s) g.add_edge(s, s + 1, 1e-3);
+    g.add_edge(1, 4, 1e-3);
+    flow::RuleSet rs(g, 8);
+    for (flow::SwitchId s = 0; s < 5; ++s) {
+      flow::FlowEntry e;
+      e.switch_id = s;
+      e.priority = 10;
+      e.match = ts(s == 0 || s == 4 ? "0010xxxx" : "001xxxxx");
+      if (s == 0) e.set_field = ts("xxxxxxx1");
+      if (s < 3) {
+        e.action = flow::Action::output(*rs.ports().port_to(s, s + 1));
+      } else if (s == 3) {
+        e.action = flow::Action::output(rs.ports().host_port(3));
+      } else {
+        e.action = flow::Action::to_controller();
+      }
+      rs.add_entry(e);
+    }
+    return rs;
+  }
+
+  explicit LineWithSpur(dataplane::FaultSpec fault_on_rule_1)
+      : rules(make_rules()) {
+    graph = std::make_unique<RuleGraph>(rules);
+    snap = std::make_unique<AnalysisSnapshot>(*graph);
+    net = std::make_unique<dataplane::Network>(rules, loop);
+    ctrl = std::make_unique<controller::Controller>(rules, *net);
+    net->faults().add_fault(1, std::move(fault_on_rule_1));
+  }
+
+  // Runs the localizer and returns the evidence for the full path 0-1-2-3.
+  ProbeEvidence full_path_evidence() {
+    FaultLocalizer loc(*snap, *ctrl, loop);
+    const DetectionReport rep = loc.run();
+    EXPECT_EQ(rep.flagged_switches, std::vector<flow::SwitchId>{1});
+    for (const ProbeEvidence& ev : rep.evidence) {
+      if (ev.expected_path == std::vector<flow::EntryId>{0, 1, 2, 3}) {
+        return ev;
+      }
+    }
+    ADD_FAILURE() << "no evidence for the full path";
+    return ProbeEvidence();
+  }
+};
+
+TEST(Evidence, MisdirectToHostPortIsMisrouted) {
+  LineWithSpur fx(dataplane::FaultSpec::Misdirect(
+      LineWithSpur::make_rules().ports().host_port(1)));
+  const ProbeEvidence ev = fx.full_path_evidence();
+  EXPECT_EQ(ev.deviation, DeviationKind::kMisrouted);
+  EXPECT_EQ(ev.observed_switch, 1);
+  // Intact: the header as rule 0 left it.
+  EXPECT_TRUE(ev.observed_header.is_concrete());
+  EXPECT_TRUE(LineWithSpur::ts("0010xxx1").covers(ev.observed_header));
+}
+
+TEST(Evidence, ModifyFaultDeliversTheRewrittenHeader) {
+  LineWithSpur fx(dataplane::FaultSpec::Modify(LineWithSpur::ts("xxx1xxxx")));
+  const ProbeEvidence ev = fx.full_path_evidence();
+  EXPECT_EQ(ev.deviation, DeviationKind::kModifiedDelivery);
+  // The rewritten header misses the test point and leaves at switch 3.
+  EXPECT_EQ(ev.observed_switch, 3);
+  EXPECT_TRUE(ev.observed_header.is_concrete());
+  EXPECT_TRUE(LineWithSpur::ts("0011xxx1").covers(ev.observed_header));
+}
+
+TEST(Evidence, MisdirectIntoAPuntingRuleReturnsFromTheWrongSwitch) {
+  LineWithSpur fx(dataplane::FaultSpec::Misdirect(
+      *LineWithSpur::make_rules().ports().port_to(1, 4)));
+  const ProbeEvidence ev = fx.full_path_evidence();
+  EXPECT_EQ(ev.deviation, DeviationKind::kModifiedReturn);
+  EXPECT_EQ(ev.observed_switch, 4);
+  EXPECT_TRUE(ev.observed_header.is_concrete());
+  EXPECT_TRUE(LineWithSpur::ts("0010xxx1").covers(ev.observed_header));
+}
+
 TEST(DetectionReport, FlaggedTracksReassignedSwitchSet) {
   // Reassigning a same-size set must not leave flagged() answering for the
   // previous contents.

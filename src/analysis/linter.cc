@@ -330,8 +330,8 @@ void check_topology(const RuleSet& rules, LintReport& report) {
 
 // The shared structural battery. `dead` says whether an entry's input space
 // is empty; `out_space` yields r.out for live entries. Both are backed by
-// the rule graph's caches in the snapshot run and computed directly in the
-// ruleset run.
+// the rule graph's caches in the snapshot run and by one pass of
+// RuleSet::for_each_input_space() in the ruleset run.
 void lint_structural(const RuleSet& rules, const LintConfig& config,
                      const std::function<bool(EntryId)>& dead,
                      const std::function<hsa::HeaderSpace(EntryId)>& out_space,
@@ -462,10 +462,18 @@ void record_lint_telemetry(const LintReport& report) {
 LintReport Linter::run(const RuleSet& rules) const {
   telemetry::TraceSpan span("lint.run");
   LintReport report;
+  std::vector<hsa::HeaderSpace> in(rules.entry_count());
+  rules.for_each_input_space([&in](EntryId id, hsa::HeaderSpace space) {
+    in[static_cast<std::size_t>(id)] = std::move(space);
+  });
   lint_structural(
       rules, config_,
-      [&rules](EntryId id) { return rules.input_space(id).is_empty(); },
-      [&rules](EntryId id) { return rules.output_space(id); }, report);
+      [&in](EntryId id) { return in[static_cast<std::size_t>(id)].is_empty(); },
+      [&](EntryId id) {
+        return in[static_cast<std::size_t>(id)].transform(
+            rules.entry(id).set_field);
+      },
+      report);
   report.sort();
   record_lint_telemetry(report);
   return report;

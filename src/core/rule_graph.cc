@@ -3,66 +3,13 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "flow/prefix_index.h"
+#include "telemetry/trace.h"
 #include "util/check.h"
 #include "util/logging.h"
 
 namespace sdnprobe::core {
 namespace {
-
-// Buckets a table's vertices by the exact value of the first
-// min(kIndexBits, width) header bits of their match field, so edge
-// construction probes only plausible targets instead of every entry on the
-// peer switch. Entries whose match wildcards any indexed bit land in the
-// always-checked bucket.
-class PrefixIndex {
- public:
-  static constexpr int kIndexBits = 12;
-
-  PrefixIndex(int width) : bits_(std::min(kIndexBits, width)) {}
-
-  void add(VertexId v, const hsa::TernaryString& match) {
-    const auto key = key_of(match);
-    if (key.has_value()) {
-      exact_[*key].push_back(v);
-    } else {
-      wildcard_.push_back(v);
-    }
-  }
-
-  // Candidate vertices whose match might intersect `cube`.
-  void collect(const hsa::TernaryString& cube,
-               std::vector<VertexId>& out) const {
-    const auto key = key_of(cube);
-    if (key.has_value()) {
-      const auto it = exact_.find(*key);
-      if (it != exact_.end()) {
-        out.insert(out.end(), it->second.begin(), it->second.end());
-      }
-      out.insert(out.end(), wildcard_.begin(), wildcard_.end());
-    } else {
-      // Source cube wildcards an indexed bit: all buckets are plausible.
-      for (const auto& [k, vs] : exact_) {
-        out.insert(out.end(), vs.begin(), vs.end());
-      }
-      out.insert(out.end(), wildcard_.begin(), wildcard_.end());
-    }
-  }
-
- private:
-  std::optional<std::uint32_t> key_of(const hsa::TernaryString& t) const {
-    std::uint32_t key = 0;
-    for (int k = 0; k < bits_; ++k) {
-      const hsa::Trit tr = t.get(k);
-      if (tr == hsa::Trit::kWild) return std::nullopt;
-      key = (key << 1) | (tr == hsa::Trit::kOne ? 1u : 0u);
-    }
-    return key;
-  }
-
-  int bits_;
-  std::unordered_map<std::uint32_t, std::vector<VertexId>> exact_;
-  std::vector<VertexId> wildcard_;
-};
 
 // Where an entry hands packets off to, if anywhere: (switch, table).
 std::optional<std::pair<flow::SwitchId, flow::TableId>> handoff_target(
@@ -82,6 +29,17 @@ std::optional<std::pair<flow::SwitchId, flow::TableId>> handoff_target(
   return std::nullopt;
 }
 
+// True when some cube of `s` meets `cube`. An entry's input space lies inside
+// its match, so with cube = match(w) this is a necessary condition for
+// s ∩ in(w) ≠ ∅ that costs one test per cube of s, however fragmented
+// in(w) is.
+bool meets(const hsa::HeaderSpace& s, const hsa::TernaryString& cube) {
+  for (const auto& c : s.cubes()) {
+    if (c.intersects(cube)) return true;
+  }
+  return false;
+}
+
 bool spaces_intersect(const hsa::HeaderSpace& a, const hsa::HeaderSpace& b) {
   for (const auto& ca : a.cubes()) {
     for (const auto& cb : b.cubes()) {
@@ -96,6 +54,13 @@ bool spaces_intersect(const hsa::HeaderSpace& a, const hsa::HeaderSpace& b) {
 RuleGraph::RuleGraph(const flow::RuleSet& rules) : rules_(&rules) { build(); }
 
 void RuleGraph::build() {
+  telemetry::TraceSpan span("rule_graph.build");
+  build_vertices();
+  build_edges();
+}
+
+void RuleGraph::build_vertices() {
+  telemetry::TraceSpan span("rule_graph.input_spaces");
   const flow::RuleSet& rules = *rules_;
   const std::size_t n_entries = rules.entry_count();
   vertex_of_entry_.assign(n_entries, -1);
@@ -103,13 +68,10 @@ void RuleGraph::build() {
 
   // Vertices: testable entries only. Removed (tombstoned) entries are not
   // part of the policy at all — neither vertices nor dead entries.
-  for (flow::EntryId id = 0; id < static_cast<flow::EntryId>(n_entries);
-       ++id) {
-    if (rules.is_removed(id)) continue;
-    hsa::HeaderSpace in = rules.input_space(id);
+  rules.for_each_input_space([&](flow::EntryId id, hsa::HeaderSpace in) {
     if (in.is_empty()) {
       dead_entries_.push_back(id);
-      continue;
+      return;
     }
     const VertexId v = static_cast<VertexId>(entry_of_.size());
     vertex_of_entry_[static_cast<std::size_t>(id)] = v;
@@ -117,14 +79,22 @@ void RuleGraph::build() {
     entry_of_.push_back(id);
     out_.push_back(in.transform(rules.entry(id).set_field));
     in_.push_back(std::move(in));
-  }
+  });
+}
 
+void RuleGraph::build_edges() {
+  telemetry::TraceSpan span("rule_graph.edges");
+  const flow::RuleSet& rules = *rules_;
   const int V = vertex_count();
   adj_.resize(static_cast<std::size_t>(V));
   radj_.resize(static_cast<std::size_t>(V));
 
-  // Per-(switch, table) prefix index over vertices.
-  std::unordered_map<std::uint64_t, PrefixIndex> index;
+  // Per-(switch, table) prefix index over vertices, and the vertices'
+  // matches in one contiguous array: the index's candidate test reads one
+  // match per candidate, and a lookup through the entry table misses cache.
+  std::unordered_map<std::uint64_t, flow::PrefixIndex> index;
+  std::vector<hsa::TernaryString> matches;
+  matches.reserve(static_cast<std::size_t>(V));
   auto table_key = [](flow::SwitchId s, flow::TableId t) {
     return (static_cast<std::uint64_t>(s) << 16) |
            static_cast<std::uint64_t>(t);
@@ -134,12 +104,19 @@ void RuleGraph::build() {
     auto [it, inserted] = index.try_emplace(table_key(e.switch_id, e.table_id),
                                             rules.header_width());
     it->second.add(v, e.match);
+    matches.push_back(e.match);
   }
+  auto match_of = [&matches](VertexId w) -> const hsa::TernaryString& {
+    return matches[static_cast<std::size_t>(w)];
+  };
 
   // Step-1 edges: (ri, rj) iff ri hands off to rj's table and
-  // ri.out ∩ rj.in != ∅. `seen` is allocated once and reset via the
-  // `marked` scratch list — a per-vertex V-sized assign() would make edge
-  // construction Θ(V²) regardless of graph sparsity.
+  // ri.out ∩ rj.in != ∅. The index only returns candidates whose match
+  // meets the out-cube (rj.in ⊆ rj.match), in the order of a full bucket
+  // scan, so adjacency order does not depend on the filtering. `seen` is
+  // allocated once and reset via the `marked` scratch list — a per-vertex
+  // V-sized assign() would make edge construction Θ(V²) regardless of graph
+  // sparsity.
   std::vector<VertexId> candidates;
   std::vector<std::uint8_t> seen(static_cast<std::size_t>(V), 0);
   std::vector<VertexId> marked;
@@ -151,7 +128,7 @@ void RuleGraph::build() {
     if (idx == index.end()) continue;
     for (const auto& out_cube : out_space(v).cubes()) {
       candidates.clear();
-      idx->second.collect(out_cube, candidates);
+      idx->second.collect(out_cube, match_of, candidates);
       for (const VertexId w : candidates) {
         if (w == v || seen[static_cast<std::size_t>(w)]) continue;
         bool hit = false;
@@ -201,7 +178,10 @@ void RuleGraph::connect_vertex(VertexId v) {
     for (const auto& q : rules_->table(tgt->first, tgt->second).entries()) {
       const VertexId w = vertex_for(q.id);
       if (w < 0 || w == v || !is_active(w)) continue;
-      if (spaces_intersect(out_space(v), in_space(w))) add_edge(v, w);
+      if (meets(out_space(v), q.match) &&
+          spaces_intersect(out_space(v), in_space(w))) {
+        add_edge(v, w);
+      }
     }
   }
   // In-edges: entries able to hand off to v's table — rules on neighboring
@@ -214,7 +194,10 @@ void RuleGraph::connect_vertex(VertexId v) {
         tgt->second != e.table_id) {
       return;
     }
-    if (spaces_intersect(out_space(w), in_space(v))) add_edge(w, v);
+    if (meets(out_space(w), e.match) &&
+        spaces_intersect(out_space(w), in_space(v))) {
+      add_edge(w, v);
+    }
   };
   for (const flow::SwitchId nb : rules_->topology().neighbors(e.switch_id)) {
     for (flow::TableId t = 0; t < rules_->table_count(nb); ++t) {

@@ -138,8 +138,12 @@ class RuleGraph {
       std::size_t max_paths_per_vertex = 100000) const;
 
  private:
-  // Construction body: vertices, prefix index, step-1 edges.
+  // Construction body: build_vertices(), then build_edges().
   void build();
+  // Vertices and their in/out spaces, from RuleSet::for_each_input_space.
+  void build_vertices();
+  // Step-1 edges, found through a per-table flow::PrefixIndex.
+  void build_edges();
 
   // Removes every edge incident to v (both directions).
   void detach_vertex(VertexId v);

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -80,8 +81,11 @@ class RuleSet {
   // r.in for an entry (match minus higher-priority overlaps, §V-A).
   hsa::HeaderSpace input_space(EntryId id) const;
 
-  // r.out = T(r.in, r.s).
-  hsa::HeaderSpace output_space(EntryId id) const;
+  // Calls fn(id, input_space(id)) for every entry that is not removed, in
+  // ascending id order. One FlowTable::shadow_index() per table replaces
+  // the scan of the table prefix input_space(id) makes for each entry.
+  void for_each_input_space(
+      const std::function<void(EntryId, hsa::HeaderSpace)>& fn) const;
 
   // The switch an entry forwards to, when its action is kOutput toward a
   // neighboring switch (nullopt for drop/host-port/controller/goto).

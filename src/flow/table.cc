@@ -25,11 +25,13 @@ struct TableInstruments {
 };
 
 // Per-thread double-buffered scratch for the equal-priority prefix
-// subtraction chain. Reused across every input_space call on the thread
-// (graph construction, churn refresh), so steady state allocates nothing.
+// subtraction chain, plus input_space()'s shadow list. Reused across every
+// call on the thread (graph construction, churn refresh), so steady state
+// allocates nothing.
 struct SubtractScratch {
   hsa::CubeArena cur;
   hsa::CubeArena next;
+  std::vector<int> shadows;
 };
 
 SubtractScratch& scratch() {
@@ -94,14 +96,48 @@ std::vector<const FlowEntry*> FlowTable::overlapping_above(
 }
 
 hsa::HeaderSpace FlowTable::input_space(EntryId id) const {
-  const FlowEntry* target = nullptr;
-  for (const auto& e : entries_) {
-    if (e.id == id) {
-      target = &e;
-      break;
+  const auto target = std::find_if(
+      entries_.begin(), entries_.end(),
+      [id](const FlowEntry& e) { return e.id == id; });
+  if (target == entries_.end()) return hsa::HeaderSpace();
+  std::vector<int>& shadows = scratch().shadows;
+  shadows.clear();
+  for (auto it = entries_.begin(); it != target; ++it) {
+    if (it->match.intersects(target->match)) {
+      shadows.push_back(static_cast<int>(it - entries_.begin()));
     }
   }
-  if (!target) return hsa::HeaderSpace();
+  return shadow_chain(static_cast<std::size_t>(target - entries_.begin()),
+                      shadows);
+}
+
+PrefixIndex FlowTable::shadow_index() const {
+  PrefixIndex index(entries_.empty() ? 0 : entries_.front().match.width());
+  for (std::size_t pos = 0; pos < entries_.size(); ++pos) {
+    index.add(static_cast<int>(pos), entries_[pos].match);
+  }
+  return index;
+}
+
+hsa::HeaderSpace FlowTable::input_space_at(std::size_t pos,
+                                           const PrefixIndex& index) const {
+  // The index returns the intersecting matches before `pos` grouped by
+  // bucket; sorting puts them back in table order, the order input_space()
+  // subtracts them in.
+  std::vector<int>& shadows = scratch().shadows;
+  shadows.clear();
+  index.collect(
+      entries_[pos].match,
+      [this](int q) -> const hsa::TernaryString& {
+        return entries_[static_cast<std::size_t>(q)].match;
+      },
+      shadows, static_cast<int>(pos));
+  std::sort(shadows.begin(), shadows.end());
+  return shadow_chain(pos, shadows);
+}
+
+hsa::HeaderSpace FlowTable::shadow_chain(std::size_t pos,
+                                         std::span<const int> shadows) const {
   // r.in = match minus every overlap that wins lookup over r (§V-A). The
   // lookup winner is the first covering entry in table order — strictly
   // higher priority, or equal priority inserted earlier — so the
@@ -114,18 +150,20 @@ hsa::HeaderSpace FlowTable::input_space(EntryId id) const {
   // subsumption pass HeaderSpace::subtract(cube) applies, so the final cube
   // list is identical to the scalar fold it replaces — input_space feeds
   // volume-weighted probe-header sampling, which depends on the exact list.
+  const hsa::TernaryString& match = entries_[pos].match;
   SubtractScratch& s = scratch();
   hsa::CubeArena* cur = &s.cur;
   hsa::CubeArena* nxt = &s.next;
-  const int w = target->match.width();
+  const int w = match.width();
   cur->reset(w);
-  cur->push(target->match);
+  cur->push(match);
   std::size_t peak = 1;
-  for (const auto& q : entries_) {
-    if (&q == target) break;
-    if (!q.match.intersects(target->match)) continue;
+  for (const int q : shadows) {
+    SDNPROBE_DCHECK_LT(static_cast<std::size_t>(q), pos);
     nxt->reset(w);
-    hsa::subtract_into(*cur, 0, cur->size(), q.match, *nxt, /*dedup=*/true);
+    hsa::subtract_into(*cur, 0, cur->size(),
+                       entries_[static_cast<std::size_t>(q)].match, *nxt,
+                       /*dedup=*/true);
     hsa::simplify_cubes(*nxt);
     std::swap(cur, nxt);
     if (cur->size() > peak) peak = cur->size();

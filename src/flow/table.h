@@ -2,9 +2,11 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "flow/entry.h"
+#include "flow/prefix_index.h"
 #include "hsa/header_space.h"
 
 namespace sdnprobe::flow {
@@ -40,10 +42,26 @@ class FlowTable {
   // of all strictly-higher-priority overlapping matches (§V-A).
   hsa::HeaderSpace input_space(EntryId id) const;
 
+  // This table's matches indexed by position in entries(), for
+  // input_space_at(). Valid until the table changes.
+  PrefixIndex shadow_index() const;
+
+  // input_space() of the entry at position `pos`, cube for cube. Its
+  // shadowing candidates come from `index`, this table's shadow_index(),
+  // instead of a scan of the table prefix.
+  hsa::HeaderSpace input_space_at(std::size_t pos,
+                                  const PrefixIndex& index) const;
+
   // Entries q with q >o e (same table, higher priority, overlapping match).
   std::vector<const FlowEntry*> overlapping_above(const FlowEntry& e) const;
 
  private:
+  // entries_[pos].match minus the matches at `shadows`: ascending positions
+  // before pos whose matches intersect it. The one subtraction chain behind
+  // input_space() and input_space_at().
+  hsa::HeaderSpace shadow_chain(std::size_t pos,
+                                std::span<const int> shadows) const;
+
   std::vector<FlowEntry> entries_;
 };
 

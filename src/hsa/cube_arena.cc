@@ -1,5 +1,6 @@
 #include "hsa/cube_arena.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <new>
@@ -156,7 +157,13 @@ TernaryString CubeArena::view(std::size_t i) const {
 }
 
 void CubeArena::append_to(std::vector<TernaryString>& out) const {
-  out.reserve(out.size() + size_);
+  // An exact reserve is only right for an empty vector. Onto a non-empty one
+  // it would reallocate on every call and make repeated appends quadratic,
+  // so growth there stays geometric.
+  const std::size_t need = out.size() + size_;
+  if (need > out.capacity()) {
+    out.reserve(out.empty() ? need : std::max(need, 2 * out.capacity()));
+  }
   for (std::size_t i = 0; i < size_; ++i) out.push_back(view(i));
 }
 

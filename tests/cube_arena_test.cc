@@ -102,6 +102,29 @@ TEST(CubeArena, PushViewRoundTrip) {
   }
 }
 
+TEST(CubeArena, RepeatedAppendToKeepsOrderAndGrowsGeometrically) {
+  util::Rng rng(9);
+  std::vector<TernaryString> out;
+  std::vector<TernaryString> expected;
+  CubeArena arena(40);
+  std::size_t reallocations = 0;
+  for (int call = 0; call < 4000; ++call) {
+    arena.reset(40);
+    for (const auto& c :
+         random_cubes(rng, 40, 1 + static_cast<std::size_t>(call % 4))) {
+      arena.push(c);
+      expected.push_back(c);
+    }
+    const std::size_t capacity = out.capacity();
+    arena.append_to(out);
+    if (out.capacity() != capacity) ++reallocations;
+  }
+  EXPECT_EQ(out, expected);
+  // 10,000 cubes: a doubling vector reallocates about log2(10,000) times;
+  // an exact reserve per call would reallocate on every one of the 4,000.
+  EXPECT_LE(reallocations, 20u);
+}
+
 TEST(CubeArena, CoversAnyAgreesWithScalar) {
   util::Rng rng(2);
   for (const int w : kWidths) {

@@ -3,10 +3,13 @@
 // rulesets they produce must stay free of error-severity diagnostics.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "analysis/linter.h"
 #include "flow/campus.h"
 #include "flow/synthesizer.h"
 #include "topo/generator.h"
+#include "util/rng.h"
 
 namespace sdnprobe::flow {
 namespace {
@@ -113,6 +116,103 @@ TEST(FlowTable, EraseRemovesEntry) {
   EXPECT_TRUE(t.erase(7));
   EXPECT_FALSE(t.erase(7));
   EXPECT_EQ(t.lookup(ts("00000000")), nullptr);
+}
+
+// A random match drawn around one of a few base headers, so matches nest,
+// overlap and share index keys: an exact prefix of the base of up to 16 bits
+// (the synthesizer's routing entries) plus a few exact bits at every 29th
+// position, which reach the second 64-bit word on wide headers. One match in
+// four wildcards H[0], so it has no index key.
+hsa::TernaryString random_match(util::Rng& rng,
+                                const std::vector<hsa::TernaryString>& bases) {
+  const hsa::TernaryString& base = bases[rng.pick_index(bases.size())];
+  const int width = base.width();
+  hsa::TernaryString m(width);
+  const bool leading_wildcard = rng.next_bool(0.25);
+  const int prefix = static_cast<int>(rng.next_below(17));
+  for (int k = 0; k < width; ++k) {
+    if (k == 0 && leading_wildcard) continue;
+    if (k < prefix || (k % 29 == 5 && rng.next_bool(0.3))) {
+      m.set(k, base.get(k));
+    }
+  }
+  return m;
+}
+
+TEST(FlowTable, IndexedInputSpaceMatchesScannedCubeForCube) {
+  util::Rng rng(17);
+  // Widths below, at and above the prefix index's 12 bits, and past one
+  // 64-bit word.
+  for (const int width : {8, 12, 16, 32, 70, 128}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      std::vector<hsa::TernaryString> bases;
+      for (int b = 0; b < 3; ++b) {
+        hsa::TernaryString base(width);
+        for (int k = 0; k < width; ++k) {
+          base.set(k, rng.next_bool(0.5) ? hsa::Trit::kOne : hsa::Trit::kZero);
+        }
+        bases.push_back(base);
+      }
+      FlowTable t;
+      const int n = 10 + static_cast<int>(rng.next_below(60));
+      for (int i = 0; i < n; ++i) {
+        FlowEntry e;
+        e.id = i;
+        // Few priority levels: equal-priority ties are common.
+        e.priority = static_cast<int>(rng.next_below(5));
+        e.match = random_match(rng, bases);
+        t.insert(e);
+      }
+      for (int i = 0; i < n; ++i) {
+        if (rng.next_bool(0.2)) t.erase(i);
+      }
+      const PrefixIndex index = t.shadow_index();
+      for (std::size_t pos = 0; pos < t.size(); ++pos) {
+        const hsa::HeaderSpace indexed = t.input_space_at(pos, index);
+        const hsa::HeaderSpace scanned = t.input_space(t.entries()[pos].id);
+        EXPECT_EQ(indexed.width(), scanned.width());
+        ASSERT_EQ(indexed.cubes(), scanned.cubes())
+            << "width " << width << " trial " << trial << " position " << pos;
+      }
+    }
+  }
+}
+
+TEST(RuleSetTest, ForEachInputSpaceVisitsLiveEntriesInIdOrder) {
+  topo::Graph g(2);
+  g.add_edge(0, 1);
+  RuleSet rules(g, 16);
+  util::Rng rng(29);
+  std::vector<hsa::TernaryString> bases;
+  for (int b = 0; b < 2; ++b) {
+    hsa::TernaryString base(16);
+    for (int k = 0; k < 16; ++k) {
+      base.set(k, rng.next_bool(0.5) ? hsa::Trit::kOne : hsa::Trit::kZero);
+    }
+    bases.push_back(base);
+  }
+  for (int i = 0; i < 80; ++i) {
+    FlowEntry e;
+    e.switch_id = static_cast<SwitchId>(rng.next_below(2));
+    e.table_id = static_cast<TableId>(rng.next_below(2));
+    e.priority = static_cast<int>(rng.next_below(4));
+    e.match = random_match(rng, bases);
+    e.action = Action::drop();
+    rules.add_entry(std::move(e));
+  }
+  for (EntryId id = 0; id < 80; id += 7) rules.remove_entry(id);
+  std::vector<EntryId> visited;
+  rules.for_each_input_space([&](EntryId id, hsa::HeaderSpace in) {
+    visited.push_back(id);
+    const hsa::HeaderSpace scanned = rules.input_space(id);
+    EXPECT_EQ(in.width(), scanned.width());
+    EXPECT_EQ(in.cubes(), scanned.cubes()) << "entry " << id;
+  });
+  std::vector<EntryId> live;
+  for (EntryId id = 0; id < 80; ++id) {
+    if (!rules.is_removed(id)) live.push_back(id);
+  }
+  EXPECT_EQ(visited, live);
 }
 
 TEST(PortMapTest, RoundTripPorts) {

@@ -1,7 +1,8 @@
 // Campus-backbone audit (the paper's §VIII-A setting): two routing tables
-// with deep overlapping-rule chains, SAT-backed probe synthesis, and a full
-// audit pass that verifies every forwarding entry against the control-plane
-// intent, then localizes an injected misbehaving entry.
+// with deep overlapping-rule chains, probe synthesis with a lex-min header
+// fallback, and a full audit pass that verifies every forwarding entry
+// against the control-plane intent, then localizes an injected misbehaving
+// entry.
 //
 // Build & run:  cmake --build build && ./build/examples/campus_audit
 #include <cstdio>

@@ -36,8 +36,8 @@ enum class CheckId {
   kTopologyDuplicatePort,   // two ports of one switch bind the same peer
   kRuleGraphCycle,       // step-1 rule graph has a directed cycle
   kEmptyVertexSpace,     // active vertex with empty in/out header space
-  kUnsatEdge,            // edge whose transfer function the SAT encoder
-                         // cannot satisfy (HSA/SAT cross-check)
+  kUnsatEdge,            // edge whose recomputed transfer function has
+                         // no concrete member (edge-build cross-check)
   kAmbiguousPriority,    // two same-priority overlapping entries in a table
   // --- analysis::Verifier invariant checks (verifier.h). ---
   kUnreachablePair,      // declared can-reach pair with no witnessing class

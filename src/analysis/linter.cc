@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "sat/session.h"
 #include "telemetry/trace.h"
 #include "util/check.h"
 
@@ -389,31 +388,23 @@ void lint_rule_graph(const core::AnalysisSnapshot& snapshot,
     report.add(std::move(d));
   }
 
-  // SAT cross-check: every edge's transfer function (out(u) ∩ in(w)) must
-  // admit a concrete witness header. HSA says it does (the edge exists);
-  // the CNF encoding must agree.
-  if (config.sat_edge_budget == 0) return;
+  // Witness cross-check: every edge's transfer function (out(u) ∩ in(w))
+  // must admit a concrete header. The indexed build says it does (the edge
+  // exists); a fresh intersection and its lex-min member must agree.
+  if (config.edge_witness_budget == 0) return;
   std::size_t checked = 0;
   bool truncated = false;
-  // One incremental session serves every edge: each edge space is encoded
-  // behind its own activation guard, and clauses learned discharging one
-  // edge speed up the next (all spaces share the ruleset's header width).
-  std::optional<sat::HeaderSession> session;
   for (core::VertexId u = 0; u < snapshot.vertex_count() && !truncated; ++u) {
     for (const core::VertexId w : snapshot.successors(u)) {
-      if (checked == config.sat_edge_budget) {
+      if (checked == config.edge_witness_budget) {
         truncated = true;
         break;
       }
       ++checked;
-      const hsa::HeaderSpace edge_space =
-          snapshot.out_space(u).intersect(snapshot.in_space(w));
-      if (!session.has_value() && !edge_space.is_empty()) {
-        session.emplace(edge_space.width());
-      }
-      const bool witness =
-          !edge_space.is_empty() &&
-          session->find_header(edge_space).has_value();
+      const bool witness = snapshot.out_space(u)
+                               .intersect(snapshot.in_space(w))
+                               .min_member()
+                               .has_value();
       if (witness) continue;
       Diagnostic d;
       d.severity = Severity::kError;
@@ -433,8 +424,9 @@ void lint_rule_graph(const core::AnalysisSnapshot& snapshot,
     Diagnostic d;
     d.severity = Severity::kInfo;
     d.check = CheckId::kUnsatEdge;
+    // The wording is part of the lint output that reports are compared on.
     d.message = "SAT edge discharge truncated at " +
-                std::to_string(config.sat_edge_budget) + " of " +
+                std::to_string(config.edge_witness_budget) + " of " +
                 std::to_string(snapshot.graph().edge_count()) + " edges";
     report.add(std::move(d));
   }

@@ -6,8 +6,8 @@
 // cycle, or a dangling output port corrupts the rule graph and surfaces as a
 // confusing downstream failure. The linter detects these defects statically,
 // reusing the paper's own §V-A header-space algebra (overlap queries,
-// difference, set-field transforms) plus the SAT encoder as an independent
-// cross-check.
+// difference, set-field transforms) plus a per-edge witness search as an
+// independent cross-check of the rule-graph build.
 //
 // Check catalogue (see diagnostic.h for ids):
 //   shadowed-entry     W  entry fully covered by strictly-higher-priority
@@ -32,8 +32,9 @@
 //                         the paper's standing acyclicity assumption)
 //   empty-vertex-space E  active vertex with an empty in/out header space
 //                         (internal invariant; should never fire)
-//   unsat-edge         E  rule-graph edge whose transfer function the SAT
-//                         encoder cannot satisfy (HSA vs SAT cross-check)
+//   unsat-edge         E  rule-graph edge whose transfer function, recomputed
+//                         as out(u) ∩ in(w), has no concrete member (indexed
+//                         build vs fresh intersection cross-check)
 //
 // Severity model: errors are defects that make analysis results wrong or
 // meaningless; warnings are suspicious-but-functional structure; infos are
@@ -62,11 +63,11 @@ struct LintConfig {
   // them legal — insertion order decides — but depending on install order
   // is almost always a configuration bug, so warn by default.
   bool ambiguous_priority_check = true;
-  // Maximum number of rule-graph edges discharged through the SAT encoder
-  // (0 disables the check). When the graph has more edges, the first
-  // `sat_edge_budget` in deterministic order are checked and an info
-  // diagnostic records the truncation.
-  std::size_t sat_edge_budget = 512;
+  // Maximum number of rule-graph edges whose witness header is searched
+  // (unsat-edge; 0 disables the check). When the graph has more edges, the
+  // first `edge_witness_budget` in deterministic order are checked and an
+  // info diagnostic records the truncation.
+  std::size_t edge_witness_budget = 512;
   // Network-wide invariants build_checked_snapshot verifies over the
   // freshly built snapshot (analysis::Verifier); their diagnostics are
   // merged into the lint report. Empty = no verification.

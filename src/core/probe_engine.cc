@@ -64,12 +64,6 @@ PathCandidates sample_path_candidates(const AnalysisSnapshot& snap,
 
 }  // namespace
 
-sat::HeaderSession& ProbeEngine::session_for(int width) {
-  auto& slot = sessions_[width];
-  if (!slot) slot = std::make_unique<sat::HeaderSession>(width);
-  return *slot;
-}
-
 std::optional<hsa::TernaryString> ProbeEngine::pick_unique_header(
     const hsa::HeaderSpace& input_space, util::Rng& rng,
     const TrafficProfile* profile) {
@@ -110,13 +104,10 @@ std::optional<hsa::TernaryString> ProbeEngine::commit_unique_header(
 
 std::optional<hsa::TernaryString> ProbeEngine::sat_unique_header(
     const hsa::HeaderSpace& input_space) {
-  // The engine's persistent SAT session finds a header in the space
-  // differing from every previously issued header (the paper's MiniSat use,
-  // §VI). Guarded forbidden-header clauses and learned clauses carry over
-  // between fallbacks.
-  std::vector<hsa::TernaryString> forbidden(used_.begin(), used_.end());
+  // The lex-min header of the space that differs from every previously
+  // issued header (the paper's MiniSat use, §VI).
   EngineInstruments::get().sat_fallbacks.add();
-  auto h = session_for(input_space.width()).find_header(input_space, forbidden);
+  auto h = input_space.min_member(used_);
   if (h.has_value()) {
     ++stats_.headers_by_sat;
     EngineInstruments::get().committed.add();
@@ -188,7 +179,7 @@ std::vector<Probe> ProbeEngine::make_probes(const Cover& cover,
     util::parallel_for(pool_, n, generate);
   }
 
-  // Phase B (serial, cover order): uniqueness commit against `used_`, SAT
+  // Phase B (serial, cover order): uniqueness commit against `used_`, lex-min
   // fallback for paths whose every candidate collided, probe assembly.
   std::vector<Probe> probes;
   probes.reserve(n);

@@ -1,20 +1,20 @@
 // Probe construction (§V-B step 3 and §VI header uniqueness): turns cover
 // paths into concrete test packets with headers that (a) traverse the whole
 // tested path, (b) are unique across probes, via rejection sampling backed
-// by the SAT solver when sampling stalls.
+// by the exact lex-min unused member of the path's input space
+// (hsa::HeaderSpace::min_member) when sampling stalls — the role the
+// paper gives MiniSat.
 //
 // make_probes runs in two phases. Phase A — per-path input-space computation
 // and header-candidate sampling — is read-only over the snapshot and fans
 // out across worker threads, with path i sampling from its own derived RNG
 // stream. Phase B — the uniqueness commit against the `used_` header pool
-// (and the rare SAT fallback) — is serialized in cover order. Output is
+// (and the rare lex-min fallback) — is serialized in cover order. Output is
 // therefore bit-identical for any thread count, including 1.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -23,7 +23,6 @@
 #include "core/mlpc.h"
 #include "core/rule_graph.h"
 #include "core/traffic_profile.h"
-#include "sat/session.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -69,7 +68,7 @@ struct ProbeEngineConfig {
   // null pool means serial. `seed` / `randomized` are unused here — the
   // engine draws all randomness from the caller-provided Rng.
   CommonOptions common;
-  // Header candidates sampled per path before the SAT fallback.
+  // Header candidates sampled per path before the lex-min fallback.
   int sample_attempts = 16;
 };
 
@@ -110,13 +109,15 @@ class ProbeEngine {
       const hsa::HeaderSpace& input_space, util::Rng& rng,
       const TrafficProfile* profile);
 
-  // Phase-B helper: first non-colliding candidate, else SAT. Serial only.
+  // Phase-B helper: first non-colliding candidate, else the lex-min
+  // fallback. Serial only.
   std::optional<hsa::TernaryString> commit_unique_header(
       const hsa::HeaderSpace& input_space,
       const std::vector<hsa::TernaryString>& candidates);
 
-  // Slow path shared by both header pickers: the engine's SAT session finds
-  // a header in `input_space` differing from every issued header.
+  // Slow path shared by both header pickers: the lex-min header in
+  // `input_space` differing from every issued header. Counted as
+  // headers_by_sat / sat_failures, the paper's solver role.
   std::optional<hsa::TernaryString> sat_unique_header(
       const hsa::HeaderSpace& input_space);
 
@@ -125,18 +126,11 @@ class ProbeEngine {
   Probe finish_probe(const std::vector<VertexId>& path,
                      hsa::TernaryString header);
 
-  // The engine's persistent SAT session for the given header width, created
-  // on first use. The SAT fallback only ever runs in serialized phase-B
-  // code, and session answers are canonical (lex-min), so keeping sessions
-  // per engine preserves make_probes' thread-count determinism.
-  sat::HeaderSession& session_for(int width);
-
   const AnalysisSnapshot* snapshot_;
   ProbeEngineConfig config_;
   util::ThreadPool* pool_;
   std::uint64_t next_probe_id_ = 1;
   std::unordered_set<hsa::TernaryString, hsa::TernaryStringHash> used_;
-  std::unordered_map<int, std::unique_ptr<sat::HeaderSession>> sessions_;
   ProbeStats stats_;
 };
 

@@ -4,7 +4,7 @@
 //
 // The real dataset is not public. This generator reproduces the two knobs
 // that drive the paper's §VIII-A results — per-table entry counts and the
-// maximum overlap-chain depth (which determines SAT header-synthesis load) —
+// maximum overlap-chain depth (which determines header-synthesis load) —
 // as nested-prefix chains on a two-switch backbone segment.
 #pragma once
 

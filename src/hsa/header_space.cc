@@ -1,6 +1,7 @@
 #include "hsa/header_space.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -22,6 +23,40 @@ struct Scratch {
 Scratch& scratch() {
   thread_local Scratch s;
   return s;
+}
+
+// Lex order on concrete headers: the first differing bit (lowest index,
+// i.e. lowest word bit) decides, and the header holding 0 there is smaller.
+bool lex_less(const TernaryString& a, const TernaryString& b) {
+  for (int w = 0; w < TernaryString::kMaxWidth / 64; ++w) {
+    const std::uint64_t diff = a.bits_word(w) ^ b.bits_word(w);
+    if (diff != 0) return ((a.bits_word(w) >> std::countr_zero(diff)) & 1) == 0;
+  }
+  return false;
+}
+
+// Smallest point of `cube` outside `excluded`, walking the cube in lex order.
+std::optional<TernaryString> cube_min_member(
+    const TernaryString& cube,
+    const std::unordered_set<TernaryString, TernaryStringHash>& excluded) {
+  TernaryString h = cube;
+  std::vector<int> wild;
+  for (int k = 0; k < h.width(); ++k) {
+    if (h.get(k) != Trit::kWild) continue;
+    wild.push_back(k);
+    h.set(k, Trit::kZero);
+  }
+  while (excluded.count(h) != 0) {
+    // Binary increment over the wildcards, highest index least significant;
+    // a carry out of the lowest wildcard means the cube is used up.
+    auto k = wild.rbegin();
+    for (; k != wild.rend() && h.get(*k) == Trit::kOne; ++k) {
+      h.set(*k, Trit::kZero);
+    }
+    if (k == wild.rend()) return std::nullopt;
+    h.set(*k, Trit::kOne);
+  }
+  return h;
 }
 
 }  // namespace
@@ -236,6 +271,19 @@ std::optional<TernaryString> HeaderSpace::any_member() const {
     if (h.get(k) == Trit::kWild) h.set(k, Trit::kZero);
   }
   return h;
+}
+
+std::optional<TernaryString> HeaderSpace::min_member(
+    const std::unordered_set<TernaryString, TernaryStringHash>& excluded)
+    const {
+  std::optional<TernaryString> best;
+  for (const auto& cube : cubes_) {
+    auto h = cube_min_member(cube, excluded);
+    if (h.has_value() && (!best.has_value() || lex_less(*h, *best))) {
+      best = std::move(h);
+    }
+  }
+  return best;
 }
 
 std::string HeaderSpace::to_string() const {

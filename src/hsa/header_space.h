@@ -18,6 +18,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "hsa/ternary.h"
@@ -88,6 +89,19 @@ class HeaderSpace {
   // Deterministically picks some member header (first cube, wildcards -> 0).
   std::optional<TernaryString> any_member() const;
 
+  // The lexicographically smallest concrete header of (this − excluded),
+  // H[0] compared first and 0 < 1; nullopt when every member is excluded.
+  // This answers both of the paper's solver queries (§V-A: a header in
+  // r.m − ∪ overlaps; §VI: a probe header unlike every used one) without a
+  // CNF encoding. Each cube is walked in lex order — wildcards start at 0
+  // and binary-increment, highest index least significant — until a point
+  // outside `excluded` turns up, so a cube costs at most
+  // |excluded ∩ cube| + 1 hash lookups. A pure function of (cubes,
+  // excluded), hence identical for any caller history or thread count.
+  std::optional<TernaryString> min_member(
+      const std::unordered_set<TernaryString, TernaryStringHash>& excluded =
+          {}) const;
+
   std::string to_string() const;
 
   bool operator==(const HeaderSpace& o) const;
@@ -105,8 +119,8 @@ class HeaderSpace {
   std::vector<TernaryString> cubes_;
 };
 
-// Difference of two single cubes a − b as a cube list (helper shared with the
-// SAT encoding). Result cubes are pairwise disjoint.
+// Difference of two single cubes a − b as a cube list. Result cubes are
+// pairwise disjoint.
 std::vector<TernaryString> cube_difference(const TernaryString& a,
                                            const TernaryString& b);
 

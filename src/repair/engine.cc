@@ -171,8 +171,8 @@ bool RepairEngine::dry_run_verify(const Patch& patch) const {
 
 bool RepairEngine::lint_gate(const Patch& patch) const {
   analysis::LintConfig lc;
-  lc.strict = false;       // gate by comparison, not by throwing
-  lc.sat_edge_budget = 0;  // invariants already verified; skip SAT here
+  lc.strict = false;           // gate by comparison, not by throwing
+  lc.edge_witness_budget = 0;  // invariants already verified; skip witnesses
   analysis::LintReport base;
   (void)analysis::build_checked_snapshot(ctrl_->rules(), lc, &base);
   flow::RuleSet scratch = ctrl_->rules();

@@ -1,5 +1,5 @@
 // Wall-clock timing for pre-computation measurements (Table II's PCT column
-// and the §VIII-A SAT-solve latency numbers).
+// and the §VIII-A per-header synthesis latency numbers).
 #pragma once
 
 #include <chrono>

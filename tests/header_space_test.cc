@@ -1,9 +1,13 @@
 // Unit + property tests for hsa::HeaderSpace: union/intersect/subtract
-// algebra, the set-identities the rule-graph construction relies on, and
-// randomized membership cross-checks against a brute-force oracle.
+// algebra, the set-identities the rule-graph construction relies on,
+// randomized membership cross-checks against a brute-force oracle, and the
+// lex-min member search that picks fallback probe headers.
 #include "hsa/header_space.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <unordered_set>
 
 #include "util/rng.h"
 
@@ -181,6 +185,138 @@ TEST(HeaderSpace, ChainedSubtractionStaysBoundedAndExact) {
   HeaderSpace fold = HeaderSpace::full(w);
   for (const auto& c : holes) fold = fold.subtract(c);
   EXPECT_TRUE(result == fold);
+}
+
+using HeaderSet = std::unordered_set<TernaryString, TernaryStringHash>;
+
+// Brute-force oracle: the lexicographically smallest member of
+// space − excluded at small widths (H[0] is the most significant bit of
+// TernaryString::exact, so ascending integer order is ascending lex order).
+std::optional<TernaryString> oracle_lex_min(const HeaderSpace& space,
+                                            const HeaderSet& excluded) {
+  const int w = space.width();
+  for (std::uint64_t val = 0; val < (1ull << w); ++val) {
+    const TernaryString h = TernaryString::exact(val, w);
+    if (space.contains(h) && excluded.count(h) == 0) return h;
+  }
+  return std::nullopt;
+}
+
+TernaryString random_cube(util::Rng& rng, int width, double wild_p) {
+  TernaryString t(width);
+  for (int k = 0; k < width; ++k) {
+    if (rng.next_bool(wild_p)) continue;  // keep wildcard
+    t.set(k, rng.next_bool(0.5) ? Trit::kOne : Trit::kZero);
+  }
+  return t;
+}
+
+TEST(HeaderSpace, MinMemberMatchesBruteForceOracle) {
+  // Random unions and differences at widths 4-12. Each space is queried
+  // repeatedly, excluding every answer so far plus a few random headers,
+  // until it runs dry or 24 answers have been checked.
+  util::Rng rng(77);
+  int answers = 0;
+  int exhausted = 0;
+  for (int q = 0; q < 200; ++q) {
+    const int w = 4 + static_cast<int>(rng.next_below(9));
+    HeaderSpace space(w);
+    const int cubes = 1 + static_cast<int>(rng.next_below(3));
+    for (int i = 0; i < cubes; ++i) {
+      space = space.union_with(HeaderSpace(random_cube(rng, w, 0.6)));
+    }
+    if (rng.next_bool(0.5)) space = space.subtract(random_cube(rng, w, 0.5));
+
+    HeaderSet excluded;
+    for (int step = 0; step < 24; ++step) {
+      const auto expected = oracle_lex_min(space, excluded);
+      const auto got = space.min_member(excluded);
+      ASSERT_EQ(expected.has_value(), got.has_value())
+          << "query " << q << " step " << step << ": " << space.to_string();
+      if (!expected.has_value()) {
+        ++exhausted;
+        break;
+      }
+      ASSERT_EQ(*got, *expected)
+          << "query " << q << " step " << step << ": got "
+          << got->to_string() << ", oracle " << expected->to_string();
+      ++answers;
+      excluded.insert(*got);
+      if (rng.next_bool(0.3)) {
+        excluded.insert(TernaryString::exact(rng.next_below(1ull << w), w));
+      }
+    }
+  }
+  EXPECT_GT(answers, 1000) << "workload degenerate: spaces almost all empty";
+  EXPECT_GT(exhausted, 20) << "no space was ever queried dry";
+}
+
+TEST(HeaderSpace, MinMemberOfEmptySpaceIsNullopt) {
+  EXPECT_FALSE(HeaderSpace::empty(8).min_member().has_value());
+  EXPECT_FALSE(HeaderSpace(ts("01xxxxxx"))
+                   .subtract(ts("0xxxxxxx"))
+                   .min_member()
+                   .has_value());
+}
+
+TEST(HeaderSpace, MinMemberExhaustsTinySpace) {
+  // A 2-header space yields exactly its two headers, in order, then none.
+  const HeaderSpace space(ts("0110101x"));
+  HeaderSet used;
+  EXPECT_EQ(space.min_member(used), ts("01101010"));
+  used.insert(ts("01101010"));
+  EXPECT_EQ(space.min_member(used), ts("01101011"));
+  used.insert(ts("01101011"));
+  EXPECT_FALSE(space.min_member(used).has_value());
+}
+
+TEST(HeaderSpace, MinMemberFindsHeaderInDifference) {
+  // The §V-A query on the paper's example: c2.in = 001xxxxx − 00100xxx.
+  const HeaderSpace in =
+      HeaderSpace(ts("001xxxxx")).subtract(ts("00100xxx"));
+  EXPECT_EQ(in.min_member(), ts("00101000"));
+  // The smallest cube is not always listed first: the minimum is taken
+  // over every cube.
+  const HeaderSpace two =
+      HeaderSpace(ts("1xxxxxxx")).union_with(HeaderSpace(ts("01xxxxx1")));
+  ASSERT_EQ(two.cube_count(), 2u);
+  EXPECT_EQ(two.min_member(), ts("01000001"));
+}
+
+TEST(HeaderSpace, MinMemberDeepOverlapChain) {
+  // 65-deep nested prefixes over 96 bits (the campus §VIII-A regime): the
+  // residual of the rule at depth d is prefix(d) − prefix(d+1), whose
+  // smallest member is d ones, a zero, then zeros. Excluding that answer
+  // moves the last wildcard (H[95], the least significant) to 1.
+  constexpr int kWidth = 96;
+  HeaderSpace chain = HeaderSpace::full(kWidth);
+  TernaryString pinned = TernaryString::wildcard(kWidth);
+  for (int depth = 0; depth < 65; ++depth) {
+    pinned.set(depth, Trit::kOne);
+    chain = chain.subtract(pinned);
+  }
+  // full − ∪ prefixes = 0xxx…: the all-zero header.
+  EXPECT_EQ(chain.min_member(),
+            TernaryString::parse(std::string(kWidth, '0')));
+
+  TernaryString outer = TernaryString::wildcard(kWidth);
+  for (int depth = 0; depth < 65; ++depth) {
+    TernaryString inner = outer;
+    inner.set(depth, Trit::kOne);
+    const HeaderSpace residual = HeaderSpace(outer).subtract(inner);
+    std::string expected(static_cast<std::size_t>(kWidth), '0');
+    for (int k = 0; k < depth; ++k) expected[static_cast<std::size_t>(k)] = '1';
+    const auto h = residual.min_member();
+    ASSERT_TRUE(h.has_value()) << "depth " << depth;
+    EXPECT_EQ(h->to_string(), expected) << "depth " << depth;
+
+    HeaderSet used{*h};
+    expected.back() = '1';
+    const auto next = residual.min_member(used);
+    ASSERT_TRUE(next.has_value()) << "depth " << depth;
+    EXPECT_EQ(next->to_string(), expected) << "depth " << depth;
+    outer = inner;
+  }
 }
 
 }  // namespace

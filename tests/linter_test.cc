@@ -176,10 +176,10 @@ TEST(Linter, SnapshotRunFindsRuleGraphCycle) {
             Severity::kError);
 }
 
-TEST(Linter, SnapshotRunDischargesEdgesThroughSat) {
-  // A clean forwarding chain: the SAT cross-check must agree with HSA on
-  // every edge (no unsat-edge diagnostics), with no truncation at default
-  // budget.
+TEST(Linter, SnapshotRunFindsEdgeWitnesses) {
+  // A clean forwarding chain: the witness cross-check must find a header
+  // for every edge (no unsat-edge diagnostics), with no truncation at the
+  // default edge_witness_budget.
   Fixture f;
   f.add(0, 0, 10, ts("00xxxxxx"), flow::Action::output(f.port01()));
   f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));

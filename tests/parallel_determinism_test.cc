@@ -4,6 +4,7 @@
 // solver and the probe engine run on the pool their caller passes in.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -113,6 +114,67 @@ TEST(ParallelDeterminism, ProbeHeadersAndStatsIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(engine.stats() == ref_stats)
         << "threads=" << threads << " changed ProbeStats";
     EXPECT_EQ(rng_after, ref_rng_after);
+  }
+}
+
+// Polynomial hash of every probe's header, expected return and path.
+std::uint64_t probe_set_fingerprint(const std::vector<Probe>& probes) {
+  std::uint64_t fp = probes.size();
+  for (const auto& p : probes) {
+    for (const char c : p.header.to_string() + p.expected_return.to_string()) {
+      fp = fp * 1000003u + static_cast<std::uint64_t>(c);
+    }
+    for (const auto v : p.path) {
+      fp = fp * 1000003u + static_cast<std::uint64_t>(v);
+    }
+  }
+  return fp;
+}
+
+TEST(ParallelDeterminism, AllFallbackProbeReportsIdenticalAcrossThreadCounts) {
+  // sample_attempts = 0 sends every probe header through the lex-min
+  // fallback; reports must be bit-identical at 1/2/8 threads and equal the
+  // golden fingerprint.
+  topo::GeneratorConfig tc;
+  tc.node_count = 10;
+  tc.link_count = 16;
+  tc.seed = 3;
+  const topo::Graph g = topo::make_rocketfuel_like(tc);
+  flow::SynthesizerConfig sc;
+  sc.target_entry_count = 200;
+  sc.set_field_fraction = 0.2;
+  sc.seed = 4;
+  const flow::RuleSet rs = flow::synthesize_ruleset(g, sc);
+  const RuleGraph graph(rs);
+  const AnalysisSnapshot snap(graph);
+  const Cover cover = MlpcSolver().solve(snap);
+
+  std::vector<std::string> reference;
+  for (const int threads : {1, 2, 8}) {
+    ProbeEngineConfig cfg;
+    cfg.common.threads = threads;
+    cfg.sample_attempts = 0;
+    const auto pool =
+        threads > 1
+            ? std::make_unique<util::ThreadPool>(static_cast<std::size_t>(threads))
+            : nullptr;
+    ProbeEngine engine(snap, cfg, pool.get());
+    util::Rng rng(11);
+    const auto probes = engine.make_probes(cover, rng);
+    ASSERT_FALSE(probes.empty());
+    EXPECT_EQ(engine.stats().headers_by_sampling, 0u);
+    EXPECT_EQ(engine.stats().headers_by_sat,
+              static_cast<std::uint64_t>(probes.size()));
+    // Captured from the incremental-SAT session this search replaced.
+    EXPECT_EQ(probes.size(), 80u);
+    EXPECT_EQ(probe_set_fingerprint(probes), 11826447530750239864ull);
+    auto rendered = probe_fingerprints(probes);
+    if (reference.empty()) {
+      reference = std::move(rendered);
+    } else {
+      EXPECT_EQ(rendered, reference)
+          << "probe report diverged at " << threads << " threads";
+    }
   }
 }
 

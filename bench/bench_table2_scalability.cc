@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
   const auto& presets = topo::table_two_presets();
   const std::size_t count = full ? presets.size() : 3;
 
-  std::printf("%6s %9s %9s %6s | %5s %6s %10s %8s %9s %8s\n", "topo",
+  std::printf("%6s %9s %9s %6s | %5s %6s %10s %8s %9s %8s %8s\n", "topo",
               "rules", "switches", "links", "MLPS", "ALPS", "NLPS", "TPC",
-              "PCT(s)", "RG(s)");
+              "PCT(s)", "RG(s)", "MLPC(s)");
   for (std::size_t i = 0; i < count; ++i) {
     const auto& p = presets[i];
     bench::WorkloadSpec spec;
@@ -64,23 +64,26 @@ int main(int argc, char** argv) {
     const flow::RuleSet rs = flow::synthesize_ruleset(g, sc);
 
     // PCT = rule-graph construction + MLPC + header construction (§VIII-C).
-    // RG is the rule-graph construction share of it.
+    // RG and MLPC are the rule-graph construction and cover shares of it.
     util::WallTimer pct;
     core::RuleGraph graph(rs);
     const double rule_graph_s = pct.elapsed_seconds();
     core::AnalysisSnapshot snap(graph);
     core::MlpcConfig mc;
     mc.deterministic_restarts = 2;  // keep the big presets tractable
+    const double mlpc_start_s = pct.elapsed_seconds();
     const core::Cover cover = core::MlpcSolver(mc).solve(snap);
     const double pct_s = pct.elapsed_seconds();
+    const double mlpc_s = pct_s - mlpc_start_s;
 
     const auto stats =
         core::compute_legal_path_stats(graph, full ? 20'000'000 : 4'000'000);
-    std::printf("%6s %9zu %9d %6d | %5zu %6.2f %9zu%s %8zu %9.1f %8.2f\n",
-                p.name, rs.entry_count(), g.node_count(), g.edge_count(),
-                stats.max_length, stats.average_length, stats.total_paths,
-                stats.truncated ? "+" : " ", cover.path_count(), pct_s,
-                rule_graph_s);
+    std::printf(
+        "%6s %9zu %9d %6d | %5zu %6.2f %9zu%s %8zu %9.1f %8.2f %8.2f\n",
+        p.name, rs.entry_count(), g.node_count(), g.edge_count(),
+        stats.max_length, stats.average_length, stats.total_paths,
+        stats.truncated ? "+" : " ", cover.path_count(), pct_s, rule_graph_s,
+        mlpc_s);
     auto& row = report.add_row();
     row["topo"] = p.name;
     row["rules"] = std::uint64_t{rs.entry_count()};
@@ -93,6 +96,7 @@ int main(int argc, char** argv) {
     row["tpc"] = std::uint64_t{cover.path_count()};
     row["pct_s"] = pct_s;
     row["rule_graph_s"] = rule_graph_s;
+    row["mlpc_s"] = mlpc_s;
 
     if (i + 1 == count) {
       // Thread-scaling sweep on the largest topology run: the parallel

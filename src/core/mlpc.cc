@@ -8,6 +8,7 @@
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
+#include "util/check.h"
 
 namespace sdnprobe::core {
 namespace {
@@ -218,8 +219,12 @@ void commit_merge(std::vector<WorkPath>& paths, std::vector<int>& head_path_of,
 struct Loc {
   int path = -1;
   int idx = -1;
+
+  bool operator==(const Loc&) const = default;
 };
 
+// From-scratch twin of LocationIndex, checked against it under
+// SDNPROBE_DCHECK after every relocation.
 std::vector<Loc> build_locations(int vertex_count,
                                  const std::vector<WorkPath>& paths) {
   std::vector<Loc> loc(static_cast<std::size_t>(vertex_count));
@@ -236,18 +241,129 @@ std::vector<Loc> build_locations(int vertex_count,
   return loc;
 }
 
+// The augmentation phase's first-(path, index) index, updated in place after
+// each successful augmentation at the cost of the two rewritten paths.
+//
+// Each vertex keeps a singly linked list, in one flat node pool, of the slots
+// (path, index) it was recorded at. A node is live while its path is alive
+// and the slot still holds the vertex; dead nodes are dropped the next time
+// the vertex is relocated. An augmentation rewrites only the augmenting path
+// p and its donor r, and every vertex leaving the donor or a path it kills
+// lands on the new p or r. So after one, every vertex whose slots changed
+// is on p or r: relocate() records the current slots of those vertices and
+// takes each one's least live slot. Every other vertex's slots lie on
+// untouched paths, so its entry still holds.
+class LocationIndex {
+ public:
+  LocationIndex(int vertex_count, const std::vector<WorkPath>& paths)
+      : first_(static_cast<std::size_t>(vertex_count)),
+        head_(static_cast<std::size_t>(vertex_count), -1) {
+    for (std::size_t pi = 0; pi < paths.size(); ++pi) {
+      if (!paths[pi].alive) continue;
+      const auto& vs = paths[pi].vertices;
+      for (std::size_t i = 0; i < vs.size(); ++i) {
+        push_node(vs[i], static_cast<int>(pi), static_cast<int>(i));
+        Loc& l = first_[static_cast<std::size_t>(vs[i])];
+        if (l.path < 0) l = Loc{static_cast<int>(pi), static_cast<int>(i)};
+      }
+    }
+  }
+
+  const std::vector<Loc>& locations() const { return first_; }
+
+  // Brings the index up to date after an augmentation that rewrote path `p`
+  // and donor `r` (-1 when no donor was used).
+  void relocate(const std::vector<WorkPath>& paths, int p, int r) {
+    for (const int pi : {p, r}) {
+      if (pi < 0) continue;
+      const auto& vs = paths[static_cast<std::size_t>(pi)].vertices;
+      for (std::size_t i = 0; i < vs.size(); ++i) {
+        record(vs[i], pi, static_cast<int>(i));
+      }
+    }
+    for (const int pi : {p, r}) {
+      if (pi < 0) continue;
+      for (const VertexId v : paths[static_cast<std::size_t>(pi)].vertices) {
+        refresh(paths, v);
+      }
+    }
+  }
+
+ private:
+  struct Node {
+    int path;
+    int idx;
+    int next;  // -1 ends the list
+  };
+
+  void push_node(VertexId v, int path, int idx) {
+    int& head = head_[static_cast<std::size_t>(v)];
+    const Node node{path, idx, head};
+    if (free_ >= 0) {
+      head = free_;
+      free_ = nodes_[static_cast<std::size_t>(free_)].next;
+      nodes_[static_cast<std::size_t>(head)] = node;
+    } else {
+      head = static_cast<int>(nodes_.size());
+      nodes_.push_back(node);
+    }
+  }
+
+  // Adds slot (path, idx) to v's list unless it is already there.
+  void record(VertexId v, int path, int idx) {
+    for (int n = head_[static_cast<std::size_t>(v)]; n >= 0;
+         n = nodes_[static_cast<std::size_t>(n)].next) {
+      const Node& node = nodes_[static_cast<std::size_t>(n)];
+      if (node.path == path && node.idx == idx) return;
+    }
+    push_node(v, path, idx);
+  }
+
+  // Unlinks v's dead nodes and sets its entry to the least live slot.
+  void refresh(const std::vector<WorkPath>& paths, VertexId v) {
+    Loc best;
+    int* link = &head_[static_cast<std::size_t>(v)];
+    while (*link >= 0) {
+      const int n = *link;
+      Node& node = nodes_[static_cast<std::size_t>(n)];
+      const WorkPath& path = paths[static_cast<std::size_t>(node.path)];
+      if (!path.alive ||
+          static_cast<std::size_t>(node.idx) >= path.vertices.size() ||
+          path.vertices[static_cast<std::size_t>(node.idx)] != v) {
+        *link = node.next;
+        node.next = free_;
+        free_ = n;
+        continue;
+      }
+      if (best.path < 0 || node.path < best.path ||
+          (node.path == best.path && node.idx < best.idx)) {
+        best = Loc{node.path, node.idx};
+      }
+      link = &node.next;
+    }
+    first_[static_cast<std::size_t>(v)] = best;
+  }
+
+  std::vector<Loc> first_;
+  std::vector<int> head_;  // per vertex: first node of its list, -1 if none
+  std::vector<Node> nodes_;
+  int free_ = -1;  // head of the free-node list
+};
+
 // One alternation of a legal augmenting path (Definition 3): the stranded
 // tail of `pi` either finds a free head outright, or captures the suffix of
 // a donor path whose freshly exposed tail can merge onto a free head.
-// Returns true when the total path count decreased by one. The augmenting
-// DFS marks `visited`; the nested donor-tail search, which runs while that
-// DFS is live, marks `secondary_visited`.
+// Returns true when the total path count decreased by one, and then sets
+// `donor` to the path whose suffix was captured (-1 for a plain merge). The
+// augmenting DFS marks `visited`; the nested donor-tail search, which runs
+// while that DFS is live, marks `secondary_visited`.
 bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
              std::vector<int>& head_path_of, const std::vector<Loc>& loc,
              int pi, std::size_t budget, VisitedSet& visited,
-             VisitedSet& secondary_visited) {
+             VisitedSet& secondary_visited, int& donor) {
   WorkPath& p = paths[static_cast<std::size_t>(pi)];
   visited.clear();
+  donor = -1;
   std::vector<VertexId> route;
 
   std::function<bool(VertexId, const hsa::HeaderSpace&)> dfs =
@@ -293,6 +409,7 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
                                    budget, nullptr);
             if (auto res = secondary.find(l.path)) {
               commit_merge(paths, head_path_of, l.path, std::move(*res));
+              donor = l.path;
               return true;
             }
             p = p_backup;
@@ -370,7 +487,8 @@ Cover MlpcSolver::solve_once(const AnalysisSnapshot& g,
     if (!g.is_active(v)) continue;  // deactivated by an incremental update
     WorkPath p;
     p.vertices = {v};
-    p.output_space = g.propagate(g.full_space(), v);
+    // The graph stores out(v) = T(in(v), v.s) = propagate(full, v).
+    p.output_space = g.out_space(v);
     assert(!p.output_space.is_empty());
     head_path_of[static_cast<std::size_t>(v)] = static_cast<int>(paths.size());
     paths.push_back(std::move(p));
@@ -421,15 +539,18 @@ Cover MlpcSolver::solve_once(const AnalysisSnapshot& g,
   // alternation of the augmenting path, applied until a fixed point.
   if (!config_.common.randomized) {
     VisitedSet augment_visited(V);
+    LocationIndex loc(V, paths);
     for (int sweep = 0; sweep < 4; ++sweep) {
       bool progress = false;
-      std::vector<Loc> loc = build_locations(V, paths);
       for (std::size_t pi = 0; pi < paths.size(); ++pi) {
         if (!paths[pi].alive) continue;
-        if (augment(g, paths, head_path_of, loc, static_cast<int>(pi),
-                    config_.search_budget, augment_visited, search_visited)) {
+        int donor = -1;
+        if (augment(g, paths, head_path_of, loc.locations(),
+                    static_cast<int>(pi), config_.search_budget,
+                    augment_visited, search_visited, donor)) {
           progress = true;
-          loc = build_locations(V, paths);
+          loc.relocate(paths, static_cast<int>(pi), donor);
+          SDNPROBE_DCHECK(loc.locations() == build_locations(V, paths));
         }
       }
       if (!progress) break;

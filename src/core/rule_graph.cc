@@ -40,6 +40,11 @@ bool meets(const hsa::HeaderSpace& s, const hsa::TernaryString& cube) {
   return false;
 }
 
+// True when the set field writes no bit, so T(·, s) is the identity.
+bool writes_nothing(const hsa::TernaryString& set_field) {
+  return (set_field.mask_word(0) | set_field.mask_word(1)) == 0;
+}
+
 bool spaces_intersect(const hsa::HeaderSpace& a, const hsa::HeaderSpace& b) {
   for (const auto& ca : a.cubes()) {
     for (const auto& cb : b.cubes()) {
@@ -357,8 +362,14 @@ VertexId RuleGraph::vertex_for(flow::EntryId id) const {
 hsa::HeaderSpace RuleGraph::propagate(const hsa::HeaderSpace& incoming,
                                       VertexId v) const {
   SDNPROBE_DCHECK_EQ(incoming.width(), rules_->header_width());
-  return incoming.intersect(in_space(v))
-      .transform(rules_->entry(entry_of(v)).set_field);
+  // intersect() returns a subsumption-clean cube list (no cube covers
+  // another), and transform() hands a clean list back unchanged under the
+  // identity, so skipping it when the set field writes nothing is exact,
+  // cube for cube. Most entries have no set field.
+  hsa::HeaderSpace hs = incoming.intersect(in_space(v));
+  const hsa::TernaryString& set_field = rules_->entry(entry_of(v)).set_field;
+  if (writes_nothing(set_field)) return hs;
+  return hs.transform(set_field);
 }
 
 hsa::HeaderSpace RuleGraph::path_output_space(
@@ -374,10 +385,15 @@ hsa::HeaderSpace RuleGraph::path_output_space(
 hsa::HeaderSpace RuleGraph::path_input_space(
     const std::vector<VertexId>& path) const {
   // Backward propagation: S := T^{-1}(S, v.s) ∩ v.in, from last to first.
+  // S is always the full space or an intersect() result, hence
+  // subsumption-clean, so the identity pre-image may be skipped exactly (see
+  // propagate()).
   hsa::HeaderSpace hs = hsa::HeaderSpace::full(rules_->header_width());
   for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    const auto& e = rules_->entry(entry_of(*it));
-    hs = hs.inverse_transform(e.set_field).intersect(in_space(*it));
+    const hsa::TernaryString& set_field =
+        rules_->entry(entry_of(*it)).set_field;
+    if (!writes_nothing(set_field)) hs = hs.inverse_transform(set_field);
+    hs = hs.intersect(in_space(*it));
     if (hs.is_empty()) break;
   }
   return hs;

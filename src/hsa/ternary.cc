@@ -1,5 +1,6 @@
 #include "hsa/ternary.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -155,15 +156,16 @@ std::optional<TernaryString> TernaryString::inverse_transform(
 
 TernaryString TernaryString::sample(util::Rng& rng) const {
   TernaryString r = *this;
+  // One draw per word, whatever the width, so the caller's stream advances
+  // the same way for every cube. Random bits land on wildcards only, and the
+  // mask becomes exactly the `width_` in-range bits.
   for (std::size_t w = 0; w < kWords; ++w) {
+    const int in_range = std::clamp(width_ - 64 * static_cast<int>(w), 0, 64);
+    const std::uint64_t width_mask =
+        in_range == 64 ? ~0ULL : (1ULL << in_range) - 1;
     const std::uint64_t random = rng.next();
-    r.bits_[w] |= random & ~mask_[w];
-    r.mask_[w] = ~0ULL;
-  }
-  // Clear bits beyond the width and fix the mask to exactly `width_` bits.
-  for (int k = width_; k < kMaxWidth; ++k) {
-    r.mask_[static_cast<std::size_t>(word_of(k))] &= ~bit_of(k);
-    r.bits_[static_cast<std::size_t>(word_of(k))] &= ~bit_of(k);
+    r.bits_[w] = (bits_[w] | (random & ~mask_[w])) & width_mask;
+    r.mask_[w] = width_mask;
   }
   return r;
 }

@@ -1,21 +1,27 @@
 // Tests for RuleGraph construction (§V-A). The indexed build and the
 // incremental churn path agree with a naive all-pairs reference and with a
 // rebuild on random rulesets with set fields and goto tables. A golden pin
-// holds the exact adjacency order and the deterministic MLPC cover of a
-// fixed 10k-rule network, so a build change that reorders successor lists
-// (and with them covers and probe headers) fails here.
+// holds the exact adjacency order, the deterministic and randomized MLPC
+// covers and the probe headers of a fixed 10k-rule network, so a build or
+// cover change that reorders successor lists, paths or cubes fails here.
+// Oracle tests hold the identity set-field fast paths of propagate() and
+// path_input_space() to the unskipped transforms, cube for cube.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/analysis_snapshot.h"
 #include "core/mlpc.h"
+#include "core/probe_engine.h"
 #include "core/rule_graph.h"
 #include "flow/synthesizer.h"
+#include "hsa/cube_arena.h"
 #include "topo/generator.h"
 #include "util/rng.h"
 
@@ -23,22 +29,24 @@ namespace sdnprobe::core {
 namespace {
 
 // A cube agreeing with `base` on an exact prefix of up to `max_prefix` bits
-// and on a few scattered bits past it.
+// and, with probability `scatter` each, on bits past it.
 hsa::TernaryString random_cube(util::Rng& rng, const hsa::TernaryString& base,
-                               int max_prefix) {
+                               int max_prefix, double scatter) {
   hsa::TernaryString c(base.width());
   const int prefix =
       static_cast<int>(rng.next_below(static_cast<std::uint64_t>(max_prefix)));
   for (int k = 0; k < base.width(); ++k) {
-    if (k < prefix || rng.next_bool(0.05)) c.set(k, base.get(k));
+    if (k < prefix || rng.next_bool(scatter)) c.set(k, base.get(k));
   }
   return c;
 }
 
 // A ring of `switches` switches, each with `tables` tables of random
 // entries: outputs to neighbors or the host port, gotos to later tables,
-// drops, and set fields on about a third of the entries.
-flow::RuleSet random_ruleset(util::Rng& rng, int width) {
+// drops, and set fields on about a third of the entries. Matches and set
+// fields pin each bit past their prefix with probability `scatter`.
+flow::RuleSet random_ruleset(util::Rng& rng, int width,
+                             double scatter = 0.05) {
   const int switches = 3 + static_cast<int>(rng.next_below(3));
   topo::Graph g(switches);
   for (int s = 0; s < switches; ++s) g.add_edge(s, (s + 1) % switches);
@@ -58,9 +66,11 @@ flow::RuleSet random_ruleset(util::Rng& rng, int width) {
     e.switch_id = static_cast<flow::SwitchId>(rng.next_below(switches));
     e.table_id = static_cast<flow::TableId>(rng.next_below(kTables));
     e.priority = static_cast<int>(rng.next_below(6));
-    e.match = random_cube(rng, bases[rng.pick_index(bases.size())], 14);
+    e.match =
+        random_cube(rng, bases[rng.pick_index(bases.size())], 14, scatter);
     if (rng.next_bool(0.3)) {
-      e.set_field = random_cube(rng, bases[rng.pick_index(bases.size())], 4);
+      e.set_field =
+          random_cube(rng, bases[rng.pick_index(bases.size())], 4, scatter);
     }
     const std::uint64_t kind = rng.next_below(4);
     if (kind == 0 && e.table_id + 1 < kTables) {
@@ -207,6 +217,24 @@ flow::RuleSet ten_k_network() {
   return flow::synthesize_ruleset(g, sc);
 }
 
+// Polynomial hash of a cover's vertex sequences.
+std::uint64_t cover_fingerprint(const Cover& cover) {
+  std::uint64_t fp = cover.path_count();
+  for (const CoverPath& path : cover.paths) {
+    for (const VertexId v : path.vertices) {
+      fp = fp * 1000003u + static_cast<std::uint64_t>(v);
+    }
+  }
+  return fp;
+}
+
+std::uint64_t text_fingerprint(std::uint64_t fp, const std::string& text) {
+  for (const char c : text) {
+    fp = fp * 1000003u + static_cast<std::uint64_t>(c);
+  }
+  return fp * 1000003u + '|';
+}
+
 TEST(RuleGraphBuild, GoldenAdjacencyOrderAndCover) {
   const flow::RuleSet rules = ten_k_network();
   const AnalysisSnapshot snap = AnalysisSnapshot::build(rules);
@@ -221,18 +249,228 @@ TEST(RuleGraphBuild, GoldenAdjacencyOrderAndCover) {
     }
   }
   const Cover cover = MlpcSolver().solve(snap);
-  std::uint64_t cover_fp = cover.path_count();
+  // The cover's output spaces, cube lists in order.
+  std::uint64_t output_fp = cover.path_count();
   for (const CoverPath& path : cover.paths) {
-    for (const VertexId v : path.vertices) {
-      cover_fp = cover_fp * 1000003u + static_cast<std::uint64_t>(v);
-    }
+    output_fp = text_fingerprint(output_fp, path.output_space.to_string());
+  }
+  // Single-restart deterministic covers at three seeds. Best-of-4 keeps one
+  // restart's cover; these keep each one's augmentation result.
+  std::vector<std::uint64_t> single_restart_fp;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    MlpcConfig mc;
+    mc.deterministic_restarts = 1;
+    mc.common.seed = seed;
+    single_restart_fp.push_back(
+        cover_fingerprint(MlpcSolver(mc).solve(snap)));
+  }
+  // Randomized covers (§V-C) at three seeds.
+  std::vector<std::uint64_t> randomized_fp;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    MlpcConfig mc;
+    mc.common.randomized = true;
+    mc.common.seed = seed;
+    randomized_fp.push_back(cover_fingerprint(MlpcSolver(mc).solve(snap)));
+  }
+  // The deterministic cover's probe headers and expected returns.
+  util::Rng rng(5);
+  const std::vector<Probe> probes = ProbeEngine(snap).make_probes(cover, rng);
+  std::uint64_t probe_fp = probes.size();
+  for (const Probe& probe : probes) {
+    probe_fp = text_fingerprint(probe_fp, probe.header.to_string());
+    probe_fp = text_fingerprint(probe_fp, probe.expected_return.to_string());
   }
   // Captured from the all-pairs-scan build this indexed build replaced.
   EXPECT_EQ(g.vertex_count(), 9808);
   EXPECT_EQ(g.edge_count(), 25230u);
   EXPECT_EQ(adjacency, 17622417678315721005ull);
   EXPECT_EQ(cover.path_count(), 2624u);
-  EXPECT_EQ(cover_fp, 9979110213392525675ull);
+  EXPECT_EQ(cover_fingerprint(cover), 9979110213392525675ull);
+  // Captured from the rescanning location index and the unskipped identity
+  // transforms that the in-place index and the fast path replaced.
+  EXPECT_EQ(output_fp, 11295370610402052419ull);
+  EXPECT_EQ(single_restart_fp,
+            (std::vector<std::uint64_t>{5695168895141839927ull,
+                                        14471721284236331200ull,
+                                        224257766454073583ull}));
+  EXPECT_EQ(randomized_fp,
+            (std::vector<std::uint64_t>{18208853019844127900ull,
+                                        3706627389957218145ull,
+                                        1145407354524932060ull}));
+  EXPECT_EQ(probes.size(), 2624u);
+  EXPECT_EQ(probe_fp, 5780369882050885653ull);
+}
+
+// A header space of 1-4 cubes near random vertices' matches (a few exact
+// bits relaxed, a few pinned), sometimes with a hole cut out, and sometimes
+// handed over as a raw cube list with a duplicate and a covered cube: the
+// fast path relies on intersect()'s output being clean, not on its input.
+hsa::HeaderSpace random_space(util::Rng& rng, const RuleGraph& g) {
+  const int width = g.rules().header_width();
+  auto near_match = [&] {
+    const VertexId v =
+        static_cast<VertexId>(rng.next_below(
+            static_cast<std::uint64_t>(g.vertex_count())));
+    hsa::TernaryString c = g.rules().entry(g.entry_of(v)).match;
+    for (int k = 0; k < width; ++k) {
+      if (rng.next_bool(0.2)) {
+        c.set(k, hsa::Trit::kWild);
+      } else if (c.get(k) == hsa::Trit::kWild && rng.next_bool(0.03)) {
+        c.set(k, rng.next_bool(0.5) ? hsa::Trit::kOne : hsa::Trit::kZero);
+      }
+    }
+    return c;
+  };
+  const int n = 1 + static_cast<int>(rng.next_below(4));
+  if (rng.next_bool(0.25)) {
+    hsa::CubeArena raw(width);
+    for (int i = 0; i < n; ++i) {
+      const hsa::TernaryString c = near_match();
+      raw.push(c);
+      raw.push(c);
+      if (auto inside = c.intersect(near_match())) raw.push(*inside);
+    }
+    return hsa::HeaderSpace::from_arena(raw);
+  }
+  hsa::HeaderSpace hs(width);
+  for (int i = 0; i < n; ++i) {
+    hs = hs.union_with(hsa::HeaderSpace(near_match()));
+  }
+  if (rng.next_bool(0.5)) hs = hs.subtract(near_match());
+  return hs;
+}
+
+// Rulesets for the oracles below, at widths 8-128. Past width 70 the
+// scatter falls so a match pins about as many stray bits as at 70: at 0.05,
+// overlapping 128-bit matches fragment input spaces into thousands of cubes
+// and the build alone takes seconds. Even so, a few input spaces run to
+// thousands of cubes; the oracles skip those vertices, whose folds would
+// take most of the test's time.
+flow::RuleSet oracle_ruleset(util::Rng& rng, int width) {
+  return random_ruleset(rng, width, std::min(0.05, 3.5 / width));
+}
+constexpr std::size_t kOracleMaxCubes = 64;
+
+// The fast paths skip T(·, s) and its pre-image when s writes nothing. They
+// must agree, cube for cube, with the unskipped transforms at every width
+// and for set fields that do write bits.
+TEST(RuleGraphPropagate, MatchesUnskippedTransformCubeForCube) {
+  util::Rng rules_rng(47);
+  util::Rng rng(48);
+  std::size_t identity = 0;
+  std::size_t rewriting = 0;
+  std::size_t non_empty = 0;
+  for (const int width : {8, 16, 33, 64, 70, 100, 128}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const flow::RuleSet rules = oracle_ruleset(rules_rng, width);
+      const RuleGraph g(rules);
+      for (VertexId v = 0; v < g.vertex_count(); ++v) {
+        if (g.in_space(v).cube_count() > kOracleMaxCubes) continue;
+        const hsa::TernaryString& sf = rules.entry(g.entry_of(v)).set_field;
+        (sf.wildcard_count() == width ? identity : rewriting) += 1;
+        for (int q = 0; q < 3; ++q) {
+          const hsa::HeaderSpace hs = random_space(rng, g);
+          const hsa::HeaderSpace got = g.propagate(hs, v);
+          EXPECT_EQ(got.cubes(),
+                    hs.intersect(g.in_space(v)).transform(sf).cubes())
+              << "width " << width << " vertex " << v << " set "
+              << sf.to_string() << " space " << hs.to_string();
+          EXPECT_EQ(got.width(), width);
+          non_empty += got.is_empty() ? 0 : 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(identity, 100u);
+  EXPECT_GT(rewriting, 100u);
+  EXPECT_GT(non_empty, 100u);
+}
+
+TEST(RuleGraphPropagate, PathInputSpaceMatchesUnskippedBackwardFold) {
+  util::Rng rules_rng(53);
+  util::Rng rng(54);
+  std::size_t legal = 0;
+  for (const int width : {8, 16, 33, 64, 70, 100, 128}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const flow::RuleSet rules = oracle_ruleset(rules_rng, width);
+      const RuleGraph g(rules);
+      auto small = [&g](VertexId v) {
+        return g.in_space(v).cube_count() <= kOracleMaxCubes;
+      };
+      for (VertexId start = 0; start < g.vertex_count(); ++start) {
+        if (!small(start)) continue;
+        // A random step-1 walk of up to 6 small-space vertices.
+        std::vector<VertexId> path{start};
+        while (path.size() < 6 && !g.successors(path.back()).empty()) {
+          const auto succ = g.successors(path.back());
+          const VertexId next = succ[rng.pick_index(succ.size())];
+          if (!small(next)) break;
+          path.push_back(next);
+        }
+        hsa::HeaderSpace expected = hsa::HeaderSpace::full(width);
+        for (auto it = path.rbegin(); it != path.rend(); ++it) {
+          expected = expected
+                         .inverse_transform(rules.entry(g.entry_of(*it)).set_field)
+                         .intersect(g.in_space(*it));
+          if (expected.is_empty()) break;
+        }
+        const hsa::HeaderSpace got = g.path_input_space(path);
+        EXPECT_EQ(got.cubes(), expected.cubes())
+            << "width " << width << " start " << start;
+        legal += got.is_empty() || path.size() < 2 ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_GT(legal, 100u);
+}
+
+// MLPC starts every singleton path from the stored out-space instead of
+// propagating the full space through the vertex, so the two must be the same
+// cube list on every vertex — after a build and along a churn stream.
+TEST(RuleGraphPropagate, OutSpaceEqualsPropagateFromFullUnderChurn) {
+  flow::RuleSet rules = ten_k_network();
+  RuleGraph g(rules);
+  auto expect_out_spaces = [&](int step) {
+    const hsa::HeaderSpace full =
+        hsa::HeaderSpace::full(rules.header_width());
+    for (VertexId v = 0; v < g.vertex_count(); ++v) {
+      ASSERT_EQ(g.out_space(v).cubes(), g.propagate(full, v).cubes())
+          << "vertex " << v << " after step " << step;
+    }
+  };
+  expect_out_spaces(0);
+
+  // Reservoir entries on the same topology, installed under fresh ids,
+  // interleaved with removals of random live entries.
+  flow::SynthesizerConfig rc;
+  rc.target_entry_count = 600;
+  rc.subnet_bits = 12;
+  rc.set_field_fraction = 0.2;
+  rc.seed = 59;
+  const flow::RuleSet reservoir =
+      flow::synthesize_ruleset(rules.topology(), rc);
+  util::Rng rng(61);
+  std::vector<flow::EntryId> live;
+  for (std::size_t i = 0; i < rules.entry_count(); ++i) {
+    live.push_back(static_cast<flow::EntryId>(i));
+  }
+  std::size_t next = 0;
+  for (int step = 1; step <= 300; ++step) {
+    if (next < reservoir.entry_count() && rng.next_bool(0.5)) {
+      flow::FlowEntry e = reservoir.entry(static_cast<flow::EntryId>(next++));
+      e.id = -1;
+      const flow::EntryId id = rules.add_entry(std::move(e));
+      g.apply_entry_added(id);
+      live.push_back(id);
+    } else {
+      const std::size_t pick = rng.pick_index(live.size());
+      const flow::EntryId id = live[pick];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      ASSERT_TRUE(rules.remove_entry(id));
+      g.apply_entry_removed(id);
+    }
+    if (step % 100 == 0) expect_out_spaces(step);
+  }
 }
 
 }  // namespace

@@ -150,6 +150,49 @@ TEST(TernaryString, SampleVariesWildcardBits) {
   EXPECT_TRUE(saw_difference);
 }
 
+// The per-bit loop sample() used before its width mask: fill every
+// wildcard word bit from two draws, then clear bits width..127 one by one.
+TernaryString per_bit_reference_sample(const TernaryString& cube,
+                                       util::Rng& rng) {
+  std::uint64_t bits[2];
+  std::uint64_t mask[2];
+  for (int w = 0; w < 2; ++w) {
+    bits[w] = cube.bits_word(w) | (rng.next() & ~cube.mask_word(w));
+    mask[w] = ~0ULL;
+  }
+  for (int k = cube.width(); k < TernaryString::kMaxWidth; ++k) {
+    mask[k >> 6] &= ~(1ULL << (k & 63));
+    bits[k >> 6] &= ~(1ULL << (k & 63));
+  }
+  return TernaryString::from_words(cube.width(), bits[0], bits[1], mask[0],
+                                   mask[1]);
+}
+
+TEST(TernaryString, SampleMatchesPerBitReference) {
+  util::Rng cubes(11);
+  for (int width = 0; width <= TernaryString::kMaxWidth; ++width) {
+    for (int trial = 0; trial < 40; ++trial) {
+      TernaryString cube(width);
+      const double exact = cubes.next_double();
+      for (int k = 0; k < width; ++k) {
+        if (cubes.next_bool(exact)) {
+          cube.set(k, cubes.next_bool(0.5) ? Trit::kOne : Trit::kZero);
+        }
+      }
+      const std::uint64_t seed = cubes.next();
+      util::Rng fast(seed);
+      util::Rng reference(seed);
+      const TernaryString h = cube.sample(fast);
+      EXPECT_EQ(h, per_bit_reference_sample(cube, reference))
+          << "width " << width << " cube " << cube.to_string();
+      EXPECT_EQ(h.width(), width);
+      EXPECT_TRUE(h.is_concrete());
+      // Same number of draws: the streams stay in step afterwards.
+      EXPECT_EQ(fast.next(), reference.next()) << "width " << width;
+    }
+  }
+}
+
 TEST(TernaryString, HashDistinguishesMaskFromBits) {
   const auto a = *TernaryString::parse("0x");  // exact 0 then wildcard
   const auto b = *TernaryString::parse("x0");

@@ -1,13 +1,14 @@
-// Hot-path microbench for the arena-backed cube algebra and the batched
-// dataplane (DESIGN.md §13): the three throughput numbers the refactor was
-// bought for, each against its pre-refactor baseline.
+// Hot-path microbench for the header-space algebra and the batched
+// dataplane (DESIGN.md §13): three throughput numbers, each against a
+// straightforward baseline.
 //
-//   cube-ops/sec       subtract chains through hsa::CubeArena kernels vs the
-//                      original vector<TernaryString> algorithms (embedded
-//                      below, verbatim semantics) — same inputs, outputs
+//   cube-ops/sec       HeaderSpace::subtract chains vs the plain
+//                      vector<TernaryString> algorithms (embedded below:
+//                      add_cube dedup, a two-direction subsumption pass,
+//                      cube_difference splitting) — same inputs, outputs
 //                      checked identical cube-for-cube.
 //   rules-ingested/sec FlowTable::input_space (the rule-graph construction
-//                      hot loop) over a synthesized ruleset vs the scalar
+//                      hot loop) over a synthesized ruleset vs the same
 //                      reference fold.
 //   probes-injected/sec packet_out_batch vs looping packet_out through the
 //                      event loop, identical packets, observable behavior
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "hsa/cube_arena.h"
 #include "hsa/header_space.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -25,7 +25,7 @@ using namespace sdnprobe;
 
 namespace {
 
-// --- Pre-refactor scalar reference (the code subtract() used to run). ---
+// --- Scalar reference: the plain vector algorithms. ---
 
 void ref_add_cube(std::vector<hsa::TernaryString>& cubes,
                   const hsa::TernaryString& c) {
@@ -81,14 +81,14 @@ hsa::TernaryString random_prefix_cube(util::Rng& rng, int width,
 int main(int argc, char** argv) {
   const bool full = bench::has_flag(argc, argv, "--full");
   bench::print_header(
-      "Hot-path throughput: arena cube algebra + batched injection",
+      "Hot-path throughput: header-space algebra + batched injection",
       "SDNProbe ICDCS'18 SectionVIII (precomputation & probing overhead)");
   bench::BenchReport report(
       "hotpath",
       "SDNProbe ICDCS'18 SectionVIII (precomputation & probing overhead)",
       full);
 
-  // ---- 1. cube-ops/sec: subtract chains, arena vs scalar reference. ----
+  // ---- 1. cube-ops/sec: subtract chains, HeaderSpace vs reference. ----
   // One "cube op" = one (cube − cube) difference step in the chain; both
   // sides execute exactly the same ops on the same inputs, and the final
   // cube populations are checked identical. Two regimes:
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   //   dense  — wildcard target minus scattered-bit cubes, the HSA cascade
   //            that fans out to hundreds of working cubes (linting,
   //            legal-path propagation, the §V-A worst case). Here the
-  //            subsumption scans dominate and layout decides throughput.
+  //            subsumption scans dominate.
   struct CubeOpsResult {
     std::uint64_t ops = 0;
     std::size_t cubes = 0;
@@ -106,28 +106,11 @@ int main(int argc, char** argv) {
   auto run_cube_ops =
       [](const std::vector<hsa::TernaryString>& targets,
          const std::vector<std::vector<hsa::TernaryString>>& shadows,
-         int width, bool arena) {
+         bool reference) {
         CubeOpsResult r;
-        hsa::CubeArena a(width), b(width);
         util::WallTimer timer;
         for (std::size_t i = 0; i < targets.size(); ++i) {
-          if (arena) {
-            hsa::CubeArena* cur = &a;
-            hsa::CubeArena* nxt = &b;
-            cur->reset(width);
-            cur->push(targets[i]);
-            for (const auto& s : shadows[i]) {
-              if (!s.intersects(targets[i])) continue;
-              r.ops += cur->size();
-              nxt->reset(width);
-              hsa::subtract_into(*cur, 0, cur->size(), s, *nxt,
-                                 /*dedup=*/true);
-              hsa::simplify_cubes(*nxt);
-              std::swap(cur, nxt);
-              if (cur->empty()) break;
-            }
-            r.cubes += cur->size();
-          } else {
+          if (reference) {
             std::vector<hsa::TernaryString> cur{targets[i]};
             for (const auto& s : shadows[i]) {
               if (!s.intersects(targets[i])) continue;
@@ -136,6 +119,15 @@ int main(int argc, char** argv) {
               if (cur.empty()) break;
             }
             r.cubes += cur.size();
+          } else {
+            hsa::HeaderSpace cur(targets[i]);
+            for (const auto& s : shadows[i]) {
+              if (!s.intersects(targets[i])) continue;
+              r.ops += cur.cube_count();
+              cur = cur.subtract(s);
+              if (cur.is_empty()) break;
+            }
+            r.cubes += cur.cube_count();
           }
         }
         r.seconds = timer.elapsed_seconds();
@@ -184,34 +176,34 @@ int main(int argc, char** argv) {
       }
 
       const CubeOpsResult scalar =
-          run_cube_ops(targets, shadows, rg.width, /*arena=*/false);
-      const CubeOpsResult arena =
-          run_cube_ops(targets, shadows, rg.width, /*arena=*/true);
-      if (scalar.cubes != arena.cubes || scalar.ops != arena.ops) {
+          run_cube_ops(targets, shadows, /*reference=*/true);
+      const CubeOpsResult hs = run_cube_ops(targets, shadows,
+                                            /*reference=*/false);
+      if (scalar.cubes != hs.cubes || scalar.ops != hs.ops) {
         std::printf(
-            "DIVERGENCE (%s): scalar %zu cubes / %llu ops, arena %zu / "
+            "DIVERGENCE (%s): scalar %zu cubes / %llu ops, HeaderSpace %zu / "
             "%llu\n",
             rg.name, scalar.cubes,
-            static_cast<unsigned long long>(scalar.ops), arena.cubes,
-            static_cast<unsigned long long>(arena.ops));
+            static_cast<unsigned long long>(scalar.ops), hs.cubes,
+            static_cast<unsigned long long>(hs.ops));
         return 1;
       }
       const double scalar_rate =
           static_cast<double>(scalar.ops) / scalar.seconds;
-      const double arena_rate = static_cast<double>(arena.ops) / arena.seconds;
-      const double speedup = arena_rate / scalar_rate;
-      std::printf("cube ops (%-6s): scalar %10.0f ops/s | arena %10.0f "
+      const double hs_rate = static_cast<double>(hs.ops) / hs.seconds;
+      const double speedup = hs_rate / scalar_rate;
+      std::printf("cube ops (%-6s): scalar %10.0f ops/s | HeaderSpace %10.0f "
                   "ops/s | %5.1fx\n",
-                  rg.name, scalar_rate, arena_rate, speedup);
+                  rg.name, scalar_rate, hs_rate, speedup);
       auto& row = report.add_row();
       row["section"] = "cube_ops";
       row["regime"] = rg.name;
-      row["ops"] = arena.ops;
+      row["ops"] = hs.ops;
       row["scalar_ops_per_sec"] = scalar_rate;
-      row["arena_ops_per_sec"] = arena_rate;
+      row["header_space_ops_per_sec"] = hs_rate;
       row["speedup"] = speedup;
       if (rg.dense) {
-        report.set_summary("cube_ops_per_sec", arena_rate);
+        report.set_summary("cube_ops_per_sec", hs_rate);
         report.set_summary("cube_ops_speedup", speedup);
       }
     }
@@ -242,35 +234,35 @@ int main(int argc, char** argv) {
     }
     const double ref_s = ref_timer.elapsed_seconds();
 
-    std::size_t arena_cubes = 0;
-    util::WallTimer arena_timer;
+    std::size_t table_cubes = 0;
+    util::WallTimer table_timer;
     for (const auto& e : entries) {
       if (w.rules.is_removed(e.id)) continue;
-      arena_cubes +=
+      table_cubes +=
           w.rules.table(e.switch_id, e.table_id).input_space(e.id)
               .cube_count();
     }
-    const double arena_s = arena_timer.elapsed_seconds();
+    const double table_s = table_timer.elapsed_seconds();
 
-    if (ref_cubes != arena_cubes) {
+    if (ref_cubes != table_cubes) {
       std::printf("DIVERGENCE: reference %zu cubes, input_space %zu\n",
-                  ref_cubes, arena_cubes);
+                  ref_cubes, table_cubes);
       return 1;
     }
     const double n = static_cast<double>(entries.size());
     const double ref_rate = n / ref_s;
-    const double arena_rate = n / arena_s;
-    const double speedup = arena_rate / ref_rate;
-    std::printf("rule ingest   : scalar %10.0f rules/s | arena %10.0f "
+    const double table_rate = n / table_s;
+    const double speedup = table_rate / ref_rate;
+    std::printf("rule ingest   : scalar %10.0f rules/s | input_space %10.0f "
                 "rules/s | %5.1fx   (%zu rules)\n",
-                ref_rate, arena_rate, speedup, entries.size());
+                ref_rate, table_rate, speedup, entries.size());
     auto& row = report.add_row();
     row["section"] = "rule_ingest";
     row["rules"] = std::uint64_t{entries.size()};
     row["scalar_rules_per_sec"] = ref_rate;
-    row["arena_rules_per_sec"] = arena_rate;
+    row["input_space_rules_per_sec"] = table_rate;
     row["speedup"] = speedup;
-    report.set_summary("rules_ingested_per_sec", arena_rate);
+    report.set_summary("rules_ingested_per_sec", table_rate);
     report.set_summary("rules_ingested_speedup", speedup);
   }
 

@@ -331,7 +331,7 @@ void check_topology(const RuleSet& rules, LintReport& report) {
 // is empty; `out_space` yields r.out for live entries. Both are backed by
 // the rule graph's caches in the snapshot run and by one pass of
 // RuleSet::for_each_input_space() in the ruleset run.
-void lint_structural(const RuleSet& rules, const LintConfig& config,
+void lint_structural(const RuleSet& rules,
                      const std::function<bool(EntryId)>& dead,
                      const std::function<hsa::HeaderSpace(EntryId)>& out_space,
                      LintReport& report) {
@@ -347,9 +347,7 @@ void lint_structural(const RuleSet& rules, const LintConfig& config,
       }
     }
   }
-  if (config.ambiguous_priority_check) {
-    check_ambiguous_priority(rules, report);
-  }
+  check_ambiguous_priority(rules, report);
   check_goto_structure(rules, report);
   check_topology(rules, report);
 }
@@ -459,7 +457,7 @@ LintReport Linter::run(const RuleSet& rules) const {
     in[static_cast<std::size_t>(id)] = std::move(space);
   });
   lint_structural(
-      rules, config_,
+      rules,
       [&in](EntryId id) { return in[static_cast<std::size_t>(id)].is_empty(); },
       [&](EntryId id) {
         return in[static_cast<std::size_t>(id)].transform(
@@ -476,7 +474,7 @@ LintReport Linter::run(const core::AnalysisSnapshot& snapshot) const {
   const RuleSet& rules = snapshot.rules();
   LintReport report;
   lint_structural(
-      rules, config_,
+      rules,
       [&snapshot](EntryId id) { return snapshot.vertex_for(id) < 0; },
       [&snapshot](EntryId id) {
         const core::VertexId v = snapshot.vertex_for(id);
@@ -525,7 +523,7 @@ core::AnalysisSnapshot build_checked_snapshot(const flow::RuleSet& rules,
     const bool violated = verify_report.has_errors();
     for (const Diagnostic& d : verify_report.diagnostics()) report.add(d);
     report.sort();
-    if (config.invariant_strict && violated) {
+    if (config.strict && violated) {
       throw LintError(std::move(report));
     }
   }

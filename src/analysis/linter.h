@@ -24,7 +24,7 @@
 //   ambiguous-priority W  two same-priority overlapping entries in one
 //                         table: legal under the tie-aware semantics
 //                         (insertion order wins) but almost always a
-//                         configuration bug; per-check toggle in LintConfig
+//                         configuration bug
 //   unreachable-table  W  a non-0 table no goto chain from table 0 reaches
 //   topology-*         E/W asymmetric adjacency, duplicate port bindings
 //                         (E); disconnected topology (W)
@@ -55,14 +55,10 @@
 namespace sdnprobe::analysis {
 
 struct LintConfig {
-  // Error-severity diagnostics abort snapshot construction in
-  // build_checked_snapshot (throwing LintError).
+  // Error-severity diagnostics, the lint's own and those of `invariants`,
+  // abort snapshot construction in build_checked_snapshot (throwing
+  // LintError).
   bool strict = false;
-  // Flag pairs of same-priority overlapping entries in one table
-  // (ambiguous-priority). The tie-aware semantics from the churn work make
-  // them legal — insertion order decides — but depending on install order
-  // is almost always a configuration bug, so warn by default.
-  bool ambiguous_priority_check = true;
   // Maximum number of rule-graph edges whose witness header is searched
   // (unsat-edge; 0 disables the check). When the graph has more edges, the
   // first `edge_witness_budget` in deterministic order are checked and an
@@ -72,9 +68,6 @@ struct LintConfig {
   // freshly built snapshot (analysis::Verifier); their diagnostics are
   // merged into the lint report. Empty = no verification.
   InvariantSet invariants;
-  // Error-severity *invariant* findings abort snapshot construction
-  // (throwing LintError), independent of `strict`.
-  bool invariant_strict = false;
 };
 
 class Linter {
@@ -112,7 +105,7 @@ class LintError : public std::runtime_error {
 //     (construction is aborted; no snapshot escapes);
 //   - with a non-empty config.invariants: verifies them over the snapshot
 //     and merges the verify diagnostics into the report; with
-//     config.invariant_strict, invariant violations also throw LintError;
+//     config.strict, invariant violations also throw LintError;
 //   - otherwise: returns the snapshot (and the full report through
 //     `report_out` when non-null).
 // `rules` must outlive the returned snapshot, as with

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "hsa/cube_arena.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/check.h"
@@ -25,19 +24,6 @@ std::string join_ids(const std::vector<int>& ids) {
     os << ids[i];
   }
   return os.str();
-}
-
-// Arena scratch for the blackhole residual subtraction. Distinct from
-// HeaderSpace's internal scratch (header_space.cc), so interleaving with
-// HeaderSpace algebra is safe; each residual computation fully consumes it
-// before the walk resumes.
-struct ResidualScratch {
-  hsa::CubeArena out, sub, dst, tmp;
-};
-
-ResidualScratch& residual_scratch() {
-  thread_local ResidualScratch s;
-  return s;
 }
 
 // One equivalence class's verification: the built-in loop/blackhole walk
@@ -185,18 +171,14 @@ class ClassWalk {
   }
 
   // The emitted space no successor absorbs: a table-miss at the handoff
-  // target. Word-parallel fold over the arena scratch.
+  // target: `out` minus every successor's cubes, in successor order.
   hsa::HeaderSpace residual_space(VertexId v, const hsa::HeaderSpace& out) {
-    ResidualScratch& s = residual_scratch();
-    const int width = snap_.header_width();
-    s.out.reset(width);
-    for (const auto& c : out.cubes()) s.out.push(c);
-    s.sub.reset(width);
+    absorbed_.clear();
     for (const VertexId w : snap_.successors(v)) {
-      for (const auto& c : snap_.in_space(w).cubes()) s.sub.push(c);
+      const auto& cubes = snap_.in_space(w).cubes();
+      absorbed_.insert(absorbed_.end(), cubes.begin(), cubes.end());
     }
-    hsa::subtract_space_into(s.out, s.sub, s.dst, s.tmp);
-    return hsa::HeaderSpace::from_arena(s.dst);
+    return out.subtract(absorbed_);
   }
 
   // The loop/blackhole walk. `in` is non-empty and ⊆ in_space(v).
@@ -334,6 +316,7 @@ class ClassWalk {
   std::vector<std::uint8_t> loop_reported_;
   std::vector<std::uint8_t> blackhole_reported_;
   std::vector<VertexId> path_;
+  std::vector<hsa::TernaryString> absorbed_;  // residual_space's subtrahend
   Verifier::ClassResult result_;
 };
 

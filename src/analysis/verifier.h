@@ -6,8 +6,8 @@
 // vertex's tie-aware input space (per-table input spaces are pairwise
 // disjoint, so the classes partition everything each switch can absorb from
 // a host). Each class is verified independently by propagating its header
-// space through the rule graph — word-parallel hsa::CubeArena kernels do
-// the set algebra — and checking the declared InvariantSet:
+// space through the rule graph with hsa::HeaderSpace algebra and checking
+// the declared InvariantSet:
 //
 //   loop-free        a propagated space revisiting an on-stack vertex is a
 //                    forwarding loop (kForwardingLoop, with the cycle and

@@ -2,40 +2,22 @@
 
 #include <algorithm>
 
-#include "hsa/cube_arena.h"
 #include "telemetry/metrics.h"
 #include "util/check.h"
 
 namespace sdnprobe::flow {
 namespace {
 
-struct TableInstruments {
-  telemetry::Histogram& input_space_cubes;
-  telemetry::Histogram& arena_occupancy;
-  static TableInstruments& get() {
-    static auto& reg = telemetry::MetricsRegistry::global();
-    static TableInstruments i{
-        reg.histogram("flow.input_space.cubes",
-                      {1, 2, 4, 8, 16, 32, 64, 128, 256}),
-        reg.histogram("hsa.arena.occupancy",
-                      {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
-    };
-    return i;
-  }
-};
+telemetry::Histogram& input_space_cubes() {
+  static auto& h = telemetry::MetricsRegistry::global().histogram(
+      "flow.input_space.cubes", {1, 2, 4, 8, 16, 32, 64, 128, 256});
+  return h;
+}
 
-// Per-thread double-buffered scratch for the equal-priority prefix
-// subtraction chain, plus input_space()'s shadow list. Reused across every
-// call on the thread (graph construction, churn refresh), so steady state
-// allocates nothing.
-struct SubtractScratch {
-  hsa::CubeArena cur;
-  hsa::CubeArena next;
-  std::vector<int> shadows;
-};
-
-SubtractScratch& scratch() {
-  thread_local SubtractScratch s;
+// input_space()'s shadow list, reused across every call on the thread
+// (graph construction, churn refresh).
+std::vector<int>& shadow_scratch() {
+  thread_local std::vector<int> s;
   return s;
 }
 
@@ -100,7 +82,7 @@ hsa::HeaderSpace FlowTable::input_space(EntryId id) const {
       entries_.begin(), entries_.end(),
       [id](const FlowEntry& e) { return e.id == id; });
   if (target == entries_.end()) return hsa::HeaderSpace();
-  std::vector<int>& shadows = scratch().shadows;
+  std::vector<int>& shadows = shadow_scratch();
   shadows.clear();
   for (auto it = entries_.begin(); it != target; ++it) {
     if (it->match.intersects(target->match)) {
@@ -124,7 +106,7 @@ hsa::HeaderSpace FlowTable::input_space_at(std::size_t pos,
   // The index returns the intersecting matches before `pos` grouped by
   // bucket; sorting puts them back in table order, the order input_space()
   // subtracts them in.
-  std::vector<int>& shadows = scratch().shadows;
+  std::vector<int>& shadows = shadow_scratch();
   shadows.clear();
   index.collect(
       entries_[pos].match,
@@ -145,34 +127,16 @@ hsa::HeaderSpace FlowTable::shadow_chain(std::size_t pos,
   // overlapping_above(). (OpenFlow leaves same-priority overlap undefined;
   // the simulated switch resolves it by insertion order, and the analysis
   // must model the switch it verifies.)
-  // The chain runs in per-thread arena scratch (hsa/cube_arena.h): each step
-  // is subtract_into with add_cube-style dedup followed by the same
-  // subsumption pass HeaderSpace::subtract(cube) applies, so the final cube
-  // list is identical to the scalar fold it replaces — input_space feeds
-  // volume-weighted probe-header sampling, which depends on the exact list.
-  const hsa::TernaryString& match = entries_[pos].match;
-  SubtractScratch& s = scratch();
-  hsa::CubeArena* cur = &s.cur;
-  hsa::CubeArena* nxt = &s.next;
-  const int w = match.width();
-  cur->reset(w);
-  cur->push(match);
-  std::size_t peak = 1;
+  // input_space feeds volume-weighted probe-header sampling, which depends
+  // on the exact cube list, so the fold's order is part of the contract.
+  hsa::HeaderSpace in(entries_[pos].match);
   for (const int q : shadows) {
     SDNPROBE_DCHECK_LT(static_cast<std::size_t>(q), pos);
-    nxt->reset(w);
-    hsa::subtract_into(*cur, 0, cur->size(),
-                       entries_[static_cast<std::size_t>(q)].match, *nxt,
-                       /*dedup=*/true);
-    hsa::simplify_cubes(*nxt);
-    std::swap(cur, nxt);
-    if (cur->size() > peak) peak = cur->size();
-    if (cur->empty()) break;
+    in = in.subtract(entries_[static_cast<std::size_t>(q)].match);
+    if (in.is_empty()) break;
   }
-  auto& tm = TableInstruments::get();
-  tm.arena_occupancy.record(static_cast<double>(peak));
-  tm.input_space_cubes.record(static_cast<double>(cur->size()));
-  return hsa::HeaderSpace::from_arena(*cur);
+  input_space_cubes().record(static_cast<double>(in.cube_count()));
+  return in;
 }
 
 }  // namespace sdnprobe::flow

@@ -1,23 +1,133 @@
 #include "hsa/header_space.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
-
-#include "hsa/cube_arena.h"
+#include <type_traits>
+#include <utility>
 
 namespace sdnprobe::hsa {
 namespace {
 
-// Per-thread scratch arenas for the cube algebra. Every public operation
-// fully consumes the scratch before returning, and the arena kernels never
-// call back into HeaderSpace, so reuse across calls (and across the
-// double-buffered chains below) is safe. Capacity is retained between calls:
-// steady-state churn recomputation allocates nothing.
+// The cube kernels are templated on kOne = "width fits one 64-bit word".
+// Cubes of width <= 64 have zero high words (a TernaryString invariant), so
+// the specialization halves the word tests of every subsumption scan, which
+// is where the O(n^2) time of the algebra goes. The tests are spelled out
+// on raw words so that they inline into those scans.
+template <typename F>
+decltype(auto) by_width(int width, F&& f) {
+  return width <= 64 ? f(std::true_type{}) : f(std::false_type{});
+}
+
+// Cube j covers cube c: every exact bit of j is exact in c with the same
+// value. One fused test per word; "not covered" is the common outcome.
+template <bool kOne>
+bool covers(const TernaryString& j, const TernaryString& c) {
+  for (int w = 0; w < (kOne ? 1 : 2); ++w) {
+    if ((j.mask_word(w) & ~c.mask_word(w)) |
+        ((j.bits_word(w) ^ c.bits_word(w)) & j.mask_word(w))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Some bit is exact in both cubes with differing values.
+template <bool kOne>
+bool disjoint(const TernaryString& a, const TernaryString& b) {
+  for (int w = 0; w < (kOne ? 1 : 2); ++w) {
+    if ((a.bits_word(w) ^ b.bits_word(w)) & a.mask_word(w) & b.mask_word(w)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Appends c unless a cube already in `cubes` covers it. Lists built only
+// this way have no cube covering a later one, and no equal cubes.
+template <bool kOne>
+void add_cube(std::vector<TernaryString>& cubes, const TernaryString& c) {
+  for (const auto& x : cubes) {
+    if (covers<kOne>(x, c)) return;
+  }
+  cubes.push_back(c);
+}
+
+// Appends a ∩ b through add_cube when the cubes meet.
+template <bool kOne>
+void add_intersection(std::vector<TernaryString>& cubes,
+                      const TernaryString& a, const TernaryString& b) {
+  if (disjoint<kOne>(a, b)) return;
+  const std::uint64_t m0 = a.mask_word(0) | b.mask_word(0);
+  const std::uint64_t m1 = a.mask_word(1) | b.mask_word(1);
+  add_cube<kOne>(cubes, TernaryString::from_words(
+                            a.width(), (a.bits_word(0) | b.bits_word(0)) & m0,
+                            (a.bits_word(1) | b.bits_word(1)) & m1, m0, m1));
+}
+
+// Appends the pieces of a − b to `cubes` in cube_difference's order, each
+// through add_cube when `dedup`.
+template <bool kOne>
+void add_difference(std::vector<TernaryString>& cubes, const TernaryString& a,
+                    const TernaryString& b, bool dedup) {
+  auto add = [&](const TernaryString& c) {
+    if (dedup) {
+      add_cube<kOne>(cubes, c);
+    } else {
+      cubes.push_back(c);
+    }
+  };
+  if (disjoint<kOne>(a, b)) {
+    add(a);
+    return;
+  }
+  // At each bit, ascending, where b is exact and the running remainder
+  // wildcard, peel off the half that disagrees with b. The final remainder
+  // lies inside b and is dropped.
+  std::uint64_t rb[2] = {a.bits_word(0), a.bits_word(1)};
+  std::uint64_t rm[2] = {a.mask_word(0), a.mask_word(1)};
+  for (int w = 0; w < (kOne ? 1 : 2); ++w) {
+    std::uint64_t split = b.mask_word(w) & ~rm[w];
+    while (split != 0) {
+      const std::uint64_t bit = split & (~split + 1);  // lowest set bit
+      split &= split - 1;
+      std::uint64_t pb[2] = {rb[0], rb[1]};
+      std::uint64_t pm[2] = {rm[0], rm[1]};
+      pm[w] |= bit;
+      pb[w] |= ~b.bits_word(w) & bit;
+      add(TernaryString::from_words(a.width(), pb[0], pb[1], pm[0], pm[1]));
+      rm[w] |= bit;
+      rb[w] |= b.bits_word(w) & bit;
+    }
+  }
+}
+
+// Drops, in place, every cube that a later cube covers. On an add_cube-built
+// list, or a subsequence of one, no cube covers a later one, so the result
+// has no cube covering another. Compaction is safe: writes land at slots
+// <= i while every read is at a slot > i.
+template <bool kOne>
+void simplify(std::vector<TernaryString>& cubes) {
+  const std::size_t n = cubes.size();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    bool covered = false;
+    for (std::size_t j = i + 1; j < n && !covered; ++j) {
+      covered = covers<kOne>(cubes[j], cubes[i]);
+    }
+    if (covered) continue;
+    if (kept != i) cubes[kept] = cubes[i];
+    ++kept;
+  }
+  cubes.resize(kept);
+}
+
+// Per-thread working lists. Every operation copies its result out before
+// returning, and no kernel calls back into HeaderSpace, so reuse across
+// calls is safe; capacity is kept between calls.
 struct Scratch {
-  CubeArena a;
-  CubeArena b;
+  std::vector<TernaryString> a;
+  std::vector<TernaryString> b;
 };
 
 Scratch& scratch() {
@@ -69,17 +179,6 @@ HeaderSpace HeaderSpace::full(int width) {
   return HeaderSpace(TernaryString::wildcard(width));
 }
 
-HeaderSpace HeaderSpace::from_arena(const CubeArena& arena) {
-  HeaderSpace r(arena.width());
-  arena.append_to(r.cubes_);
-  return r;
-}
-
-void HeaderSpace::assign_from(const CubeArena& arena) {
-  cubes_.clear();
-  arena.append_to(cubes_);
-}
-
 bool HeaderSpace::contains(const TernaryString& h) const {
   for (const auto& c : cubes_) {
     if (c.covers(h)) return true;
@@ -88,68 +187,63 @@ bool HeaderSpace::contains(const TernaryString& h) const {
 }
 
 bool HeaderSpace::covers_cube(const TernaryString& c) const {
-  // c ⊆ this  <=>  c − this == ∅. Double-buffered arena chain; no dedup, to
-  // keep the piece lists exactly those of the scalar remainder algorithm.
-  Scratch& s = scratch();
-  CubeArena* cur = &s.a;
-  CubeArena* nxt = &s.b;
-  cur->reset(c.width());
-  cur->push(c);
-  for (const auto& mine : cubes_) {
-    nxt->reset(c.width());
-    subtract_into(*cur, 0, cur->size(), mine, *nxt, /*dedup=*/false);
-    std::swap(cur, nxt);
-    if (cur->empty()) return true;
-  }
-  return cur->empty();
-}
-
-void HeaderSpace::add_cube(const TernaryString& c) {
-  for (const auto& existing : cubes_) {
-    if (existing.covers(c)) return;
-  }
-  cubes_.push_back(c);
+  // c ⊆ this  <=>  c − this == ∅. No dedup, to keep the piece lists exactly
+  // those of the plain remainder algorithm.
+  return by_width(c.width(), [&](auto one) {
+    constexpr bool kOne = decltype(one)::value;
+    Scratch& s = scratch();
+    std::vector<TernaryString>* cur = &s.a;
+    std::vector<TernaryString>* nxt = &s.b;
+    cur->assign(1, c);
+    for (const auto& mine : cubes_) {
+      nxt->clear();
+      for (const auto& piece : *cur) {
+        add_difference<kOne>(*nxt, piece, mine, /*dedup=*/false);
+      }
+      std::swap(cur, nxt);
+      if (cur->empty()) return true;
+    }
+    return cur->empty();
+  });
 }
 
 HeaderSpace HeaderSpace::union_with(const HeaderSpace& o) const {
   assert(width_ == o.width_ || is_empty() || o.is_empty());
-  HeaderSpace r = *this;
-  if (r.width_ == 0) r.width_ = o.width_;
-  for (const auto& c : o.cubes_) r.add_cube(c);
-  r.simplify();
-  return r;
+  const int w = width_ ? width_ : o.width_;
+  return by_width(w, [&](auto one) {
+    constexpr bool kOne = decltype(one)::value;
+    std::vector<TernaryString>& work = scratch().a;
+    work.assign(cubes_.begin(), cubes_.end());
+    for (const auto& c : o.cubes_) add_cube<kOne>(work, c);
+    simplify<kOne>(work);
+    return HeaderSpace(w, work);
+  });
 }
 
 HeaderSpace HeaderSpace::intersect(const HeaderSpace& o) const {
   const int w = width_ ? width_ : o.width_;
-  Scratch& s = scratch();
-  CubeArena& rhs = s.a;
-  CubeArena& dst = s.b;
-  rhs.reset(w);
-  for (const auto& b : o.cubes_) rhs.push(b);
-  dst.reset(w);
-  for (const auto& a : cubes_) {
-    intersect_all(rhs, 0, rhs.size(), a, dst);
-  }
-  simplify_cubes(dst);
-  HeaderSpace r(w);
-  r.assign_from(dst);
-  return r;
+  return by_width(w, [&](auto one) {
+    constexpr bool kOne = decltype(one)::value;
+    std::vector<TernaryString>& work = scratch().a;
+    work.clear();
+    for (const auto& a : cubes_) {
+      for (const auto& b : o.cubes_) add_intersection<kOne>(work, b, a);
+    }
+    simplify<kOne>(work);
+    return HeaderSpace(w, work);
+  });
 }
 
 HeaderSpace HeaderSpace::intersect(const TernaryString& cube) const {
   const int w = width_ ? width_ : cube.width();
-  Scratch& s = scratch();
-  CubeArena& lhs = s.a;
-  CubeArena& dst = s.b;
-  lhs.reset(w);
-  for (const auto& a : cubes_) lhs.push(a);
-  dst.reset(w);
-  intersect_all(lhs, 0, lhs.size(), cube, dst);
-  simplify_cubes(dst);
-  HeaderSpace r(w);
-  r.assign_from(dst);
-  return r;
+  return by_width(w, [&](auto one) {
+    constexpr bool kOne = decltype(one)::value;
+    std::vector<TernaryString>& work = scratch().a;
+    work.clear();
+    for (const auto& a : cubes_) add_intersection<kOne>(work, a, cube);
+    simplify<kOne>(work);
+    return HeaderSpace(w, work);
+  });
 }
 
 std::vector<TernaryString> cube_difference(const TernaryString& a,
@@ -173,81 +267,71 @@ std::vector<TernaryString> cube_difference(const TernaryString& a,
 }
 
 HeaderSpace HeaderSpace::subtract(const TernaryString& cube) const {
-  Scratch& s = scratch();
-  CubeArena& dst = s.a;
-  dst.reset(width_);
-  for (const auto& a : cubes_) {
-    subtract_cube_into(a, cube, dst);
-  }
-  simplify_cubes(dst);
-  HeaderSpace r(width_);
-  r.assign_from(dst);
-  return r;
+  return by_width(width_, [&](auto one) {
+    constexpr bool kOne = decltype(one)::value;
+    std::vector<TernaryString>& work = scratch().a;
+    work.clear();
+    for (const auto& a : cubes_) {
+      add_difference<kOne>(work, a, cube, /*dedup=*/true);
+    }
+    simplify<kOne>(work);
+    return HeaderSpace(width_, work);
+  });
 }
 
 HeaderSpace HeaderSpace::subtract(const HeaderSpace& o) const {
-  if (cubes_.empty() || o.cubes_.empty()) return *this;
-  // Fold of single-cube subtractions over double-buffered arena scratch.
-  // Each step applies add_cube-style dedup; a full simplify() pass runs
-  // whenever the working list crosses kSimplifyThreshold (and once at the
-  // end), bounding cube-count blow-up on long chains.
-  Scratch& s = scratch();
-  CubeArena* cur = &s.a;
-  CubeArena* nxt = &s.b;
-  cur->reset(width_);
-  for (const auto& c : cubes_) cur->push(c);
-  for (const auto& b : o.cubes_) {
-    nxt->reset(width_);
-    subtract_into(*cur, 0, cur->size(), b, *nxt, /*dedup=*/true);
-    std::swap(cur, nxt);
-    if (cur->empty()) break;
-    if (cur->size() > kSimplifyThreshold) {
-      simplify_cubes(*cur);
+  return subtract(std::span<const TernaryString>(o.cubes_));
+}
+
+HeaderSpace HeaderSpace::subtract(std::span<const TernaryString> cubes) const {
+  if (cubes_.empty() || cubes.empty()) return *this;
+  // Fold of single-cube differences with add_cube dedup. Cleanup runs
+  // whenever the working list crosses kSimplifyThreshold, and once at the
+  // end, bounding cube-count blow-up on long chains; a cleaned list is a
+  // subsequence of an add_cube-built one, so the next step keeps it clean.
+  return by_width(width_, [&](auto one) {
+    constexpr bool kOne = decltype(one)::value;
+    Scratch& s = scratch();
+    std::vector<TernaryString>* cur = &s.a;
+    std::vector<TernaryString>* nxt = &s.b;
+    cur->assign(cubes_.begin(), cubes_.end());
+    for (const auto& b : cubes) {
+      nxt->clear();
+      for (const auto& a : *cur) {
+        add_difference<kOne>(*nxt, a, b, /*dedup=*/true);
+      }
+      std::swap(cur, nxt);
+      if (cur->empty()) break;
+      if (cur->size() > kSimplifyThreshold) simplify<kOne>(*cur);
     }
-  }
-  // Still dedup-clean here: simplify keeps a subsequence, which preserves
-  // the no-earlier-covers-later property.
-  simplify_cubes(*cur);
-  HeaderSpace r(width_);
-  r.assign_from(*cur);
-  return r;
+    simplify<kOne>(*cur);
+    return HeaderSpace(width_, *cur);
+  });
 }
 
 HeaderSpace HeaderSpace::transform(const TernaryString& set_field) const {
-  HeaderSpace r(width_);
-  for (const auto& c : cubes_) r.add_cube(c.transform(set_field));
-  r.simplify();
-  return r;
+  return by_width(width_, [&](auto one) {
+    constexpr bool kOne = decltype(one)::value;
+    std::vector<TernaryString>& work = scratch().a;
+    work.clear();
+    for (const auto& c : cubes_) add_cube<kOne>(work, c.transform(set_field));
+    simplify<kOne>(work);
+    return HeaderSpace(width_, work);
+  });
 }
 
 HeaderSpace HeaderSpace::inverse_transform(
     const TernaryString& set_field) const {
-  HeaderSpace r(width_);
-  for (const auto& c : cubes_) {
-    if (auto pre = c.inverse_transform(set_field)) r.add_cube(*pre);
-  }
-  r.simplify();
-  return r;
-}
-
-void HeaderSpace::simplify() {
-  std::vector<TernaryString> kept;
-  kept.reserve(cubes_.size());
-  for (std::size_t i = 0; i < cubes_.size(); ++i) {
-    bool covered = false;
-    for (std::size_t j = 0; j < cubes_.size(); ++j) {
-      if (i == j) continue;
-      if (cubes_[j].covers(cubes_[i]) &&
-          !(cubes_[i].covers(cubes_[j]) && j > i)) {
-        // Drop i if j strictly covers it, or if they are equal keep only the
-        // earlier one.
-        covered = true;
-        break;
-      }
+  return by_width(width_, [&](auto one) {
+    constexpr bool kOne = decltype(one)::value;
+    std::vector<TernaryString>& work = scratch().a;
+    work.clear();
+    for (const auto& c : cubes_) {
+      if (auto pre = c.inverse_transform(set_field)) add_cube<kOne>(work, *pre);
     }
-    if (!covered) kept.push_back(cubes_[i]);
-  }
-  cubes_ = std::move(kept);
+    simplify<kOne>(work);
+    return HeaderSpace(width_, work);
+  });
 }
 
 std::optional<TernaryString> HeaderSpace::sample(util::Rng& rng) const {

@@ -6,17 +6,16 @@
 //   O_{i+1} = T(O_i ∩ r.in, r.s)          (legal-path propagation, Def. 1)
 //   HS(ℓ) sampling for probe headers       (§V-B step 3, §V-C)
 //
-// Difference can grow the cube count; subtract() runs simplify() subsumption
-// cleanup automatically whenever the working cube list crosses
-// kSimplifyThreshold, so chained subtractions stay bounded.
-//
-// Internally the cube algebra runs over per-thread hsa::CubeArena scratch
-// (SoA word arrays, see hsa/cube_arena.h) instead of temporary
-// std::vector<TernaryString>s; the public cube-list API is unchanged and the
-// produced cube lists are identical to the scalar algorithms.
+// Every space the API returns is subsumption-clean: no cube covers another.
+// Operations build their result in a per-thread working list, adding each
+// new cube only if no cube already there covers it, then drop the cubes a
+// later one covers; on such a list one backward scan finds them all.
+// Difference can grow the cube count, so a multi-cube subtract() also runs
+// that cleanup whenever the working list crosses kSimplifyThreshold.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -26,11 +25,9 @@
 
 namespace sdnprobe::hsa {
 
-class CubeArena;
-
 class HeaderSpace {
  public:
-  // Cube count past which subtract() interleaves simplify() passes while
+  // Cube count past which subtract() interleaves subsumption cleanup while
   // folding a multi-cube subtrahend (guards against cube blow-up on long
   // subtraction chains).
   static constexpr std::size_t kSimplifyThreshold = 24;
@@ -53,8 +50,8 @@ class HeaderSpace {
   // True when the concrete header `h` belongs to the set.
   bool contains(const TernaryString& h) const;
 
-  // True when this set covers every header of cube `c` (used by simplify and
-  // by the tests' equivalence checks). Exact but potentially exponential in
+  // True when this set covers every header of cube `c` (used by operator==
+  // and the tests' equivalence checks). Exact but potentially exponential in
   // pathological cases; our rule widths keep it cheap.
   bool covers_cube(const TernaryString& c) const;
 
@@ -65,9 +62,12 @@ class HeaderSpace {
   HeaderSpace intersect(const HeaderSpace& o) const;
   HeaderSpace intersect(const TernaryString& cube) const;
 
-  // Set difference this − o, the HSA cube-splitting algorithm.
+  // Set difference this − o, the HSA cube-splitting algorithm. The span
+  // form subtracts the union of `cubes`, folded in order, for callers whose
+  // subtrahend is spread over several spaces.
   HeaderSpace subtract(const HeaderSpace& o) const;
   HeaderSpace subtract(const TernaryString& cube) const;
+  HeaderSpace subtract(std::span<const TernaryString> cubes) const;
 
   // Applies the set-field transform T(·, s) to every cube.
   HeaderSpace transform(const TernaryString& set_field) const;
@@ -76,10 +76,6 @@ class HeaderSpace {
   // Used for backward legal-path propagation (computing the injectable
   // header space of a tested path).
   HeaderSpace inverse_transform(const TernaryString& set_field) const;
-
-  // Removes cubes covered by other single cubes (cheap pass), keeping the
-  // represented set identical.
-  void simplify();
 
   // Samples one concrete header ~ proportionally to cube volume (exact when
   // cubes are disjoint; mildly biased toward overlaps otherwise, which is
@@ -106,14 +102,10 @@ class HeaderSpace {
 
   bool operator==(const HeaderSpace& o) const;
 
-  // Materializes the arena's cubes verbatim (no dedup/simplify — the caller
-  // guarantees the list is already subsumption-clean). Hot-path bridge for
-  // FlowTable::input_space, which composes its result in arena scratch.
-  static HeaderSpace from_arena(const CubeArena& arena);
-
  private:
-  void add_cube(const TernaryString& c);
-  void assign_from(const CubeArena& arena);
+  // A subsumption-clean working list, copied at exact size.
+  HeaderSpace(int width, const std::vector<TernaryString>& cubes)
+      : width_(width), cubes_(cubes.begin(), cubes.end()) {}
 
   int width_;
   std::vector<TernaryString> cubes_;

@@ -15,10 +15,6 @@ constexpr std::uint64_t bit_of(int k) {
 
 }  // namespace
 
-TernaryString::TernaryString(int width) : width_(width) {
-  assert(width >= 0 && width <= kMaxWidth);
-}
-
 std::optional<TernaryString> TernaryString::parse(std::string_view s) {
   if (s.size() > static_cast<std::size_t>(kMaxWidth)) return std::nullopt;
   TernaryString t(static_cast<int>(s.size()));
@@ -168,18 +164,6 @@ TernaryString TernaryString::sample(util::Rng& rng) const {
     r.mask_[w] = width_mask;
   }
   return r;
-}
-
-TernaryString TernaryString::from_words(int width, std::uint64_t b0,
-                                        std::uint64_t b1, std::uint64_t m0,
-                                        std::uint64_t m1) {
-  TernaryString t(width);
-  assert((b0 & ~m0) == 0 && (b1 & ~m1) == 0);
-  t.bits_[0] = b0;
-  t.bits_[1] = b1;
-  t.mask_[0] = m0;
-  t.mask_[1] = m1;
-  return t;
 }
 
 std::uint64_t TernaryString::as_uint() const {

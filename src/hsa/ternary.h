@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -34,7 +35,9 @@ class TernaryString {
   static constexpr int kMaxWidth = 128;
 
   // Constructs the all-wildcard string {x}^width (the identity header space).
-  explicit TernaryString(int width = 0);
+  explicit TernaryString(int width = 0) : width_(width) {
+    assert(width >= 0 && width <= kMaxWidth);
+  }
 
   // Parses a string of '0'/'1'/'x'/'X' characters; e.g. "0010xxxx".
   // Returns std::nullopt on invalid characters or width > kMaxWidth.
@@ -93,7 +96,8 @@ class TernaryString {
   // unsigned integer; wildcard bits read as 0. Mainly for diagnostics.
   std::uint64_t as_uint() const;
 
-  // Raw word access for the SoA cube-arena kernels (hsa/cube_arena.h).
+  // Raw word access for the cube kernels of hsa::HeaderSpace, which run
+  // their subsumption scans on words so that the tests inline.
   // Word w holds header bits [64w, 64w+63], bit k at position (k & 63).
   std::uint64_t bits_word(int w) const {
     return bits_[static_cast<std::size_t>(w)];
@@ -103,10 +107,17 @@ class TernaryString {
   }
 
   // Rebuilds a string from raw words. The caller guarantees the class
-  // invariants: bits ⊆ mask, and no word bit at or beyond `width`.
+  // invariants: bits ⊆ mask, and no word bit at or beyond `width`. Inline:
+  // the cube kernels build one string per split piece.
   static TernaryString from_words(int width, std::uint64_t b0,
                                   std::uint64_t b1, std::uint64_t m0,
-                                  std::uint64_t m1);
+                                  std::uint64_t m1) {
+    assert((b0 & ~m0) == 0 && (b1 & ~m1) == 0);
+    TernaryString t(width);
+    t.bits_ = {b0, b1};
+    t.mask_ = {m0, m1};
+    return t;
+  }
 
   std::string to_string() const;
 

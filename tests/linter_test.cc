@@ -277,18 +277,6 @@ TEST(Linter, AmbiguousPriorityOverlapIsWarnedAtTheLaterEntry) {
   EXPECT_EQ(d->payload[0].second, std::to_string(first));
 }
 
-TEST(Linter, AmbiguousPriorityCheckCanBeDisabled) {
-  Fixture f;
-  f.add(0, 0, 10, ts("00xxxxxx"), flow::Action::output(f.port01()));
-  f.add(0, 0, 10, ts("0xxxxxxx"), flow::Action::output(f.host(0)));
-  f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
-  LintConfig config;
-  config.ambiguous_priority_check = false;
-  const LintReport report = Linter(config).run(f.rules);
-  EXPECT_EQ(report.count(CheckId::kAmbiguousPriority), 0u)
-      << report.to_string();
-}
-
 TEST(Linter, SamePriorityDisjointEntriesAreNotAmbiguous) {
   Fixture f;
   f.add(0, 0, 10, ts("00xxxxxx"), flow::Action::output(f.port01()));
@@ -341,7 +329,7 @@ TEST(BuildCheckedSnapshot, InvariantStrictModeRefusesViolatedSnapshots) {
   f.add(1, 0, 10, ts("0xxxxxxx"), flow::Action::output(f.host(1)));
   LintConfig config;
   config.invariants.add(Invariant::no_reach(0, 1));
-  config.invariant_strict = true;
+  config.strict = true;
   try {
     build_checked_snapshot(f.rules, config);
     FAIL() << "expected LintError";

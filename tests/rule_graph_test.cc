@@ -21,7 +21,6 @@
 #include "core/probe_engine.h"
 #include "core/rule_graph.h"
 #include "flow/synthesizer.h"
-#include "hsa/cube_arena.h"
 #include "topo/generator.h"
 #include "util/rng.h"
 
@@ -302,9 +301,7 @@ TEST(RuleGraphBuild, GoldenAdjacencyOrderAndCover) {
 }
 
 // A header space of 1-4 cubes near random vertices' matches (a few exact
-// bits relaxed, a few pinned), sometimes with a hole cut out, and sometimes
-// handed over as a raw cube list with a duplicate and a covered cube: the
-// fast path relies on intersect()'s output being clean, not on its input.
+// bits relaxed, a few pinned), sometimes with a hole cut out.
 hsa::HeaderSpace random_space(util::Rng& rng, const RuleGraph& g) {
   const int width = g.rules().header_width();
   auto near_match = [&] {
@@ -322,16 +319,6 @@ hsa::HeaderSpace random_space(util::Rng& rng, const RuleGraph& g) {
     return c;
   };
   const int n = 1 + static_cast<int>(rng.next_below(4));
-  if (rng.next_bool(0.25)) {
-    hsa::CubeArena raw(width);
-    for (int i = 0; i < n; ++i) {
-      const hsa::TernaryString c = near_match();
-      raw.push(c);
-      raw.push(c);
-      if (auto inside = c.intersect(near_match())) raw.push(*inside);
-    }
-    return hsa::HeaderSpace::from_arena(raw);
-  }
   hsa::HeaderSpace hs(width);
   for (int i = 0; i < n; ++i) {
     hs = hs.union_with(hsa::HeaderSpace(near_match()));

@@ -1,6 +1,6 @@
-// Hot-path microbench for the header-space algebra and the batched
-// dataplane (DESIGN.md §13): three throughput numbers, each against a
-// straightforward baseline.
+// Hot-path microbench for the header-space algebra, the flow-table index
+// and the batched dataplane (DESIGN.md §13): four sections, each timed
+// against a straightforward baseline.
 //
 //   cube-ops/sec       HeaderSpace::subtract chains vs the plain
 //                      vector<TernaryString> algorithms (embedded below:
@@ -13,7 +13,13 @@
 //   probes-injected/sec packet_out_batch vs looping packet_out through the
 //                      event loop, identical packets, observable behavior
 //                      already pinned by dataplane_test.
+//   lookups/sec,       FlowTable::lookup on random concrete headers, and the
+//   flowmods/sec       six FlowMods of a §VI test point (install and
+//                      teardown), vs a linear-scan table (embedded below) —
+//                      same operations, results checked identical.
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -64,6 +70,43 @@ std::vector<hsa::TernaryString> ref_subtract(
   }
   return ref_simplify(r);
 }
+
+// --- Linear-scan reference: a flow table where every operation scans. ---
+
+struct LinearTable {
+  void insert(const flow::FlowEntry& e) {
+    entries.insert(std::find_if(entries.begin(), entries.end(),
+                                [&e](const flow::FlowEntry& x) {
+                                  return x.priority < e.priority;
+                                }),
+                   e);
+  }
+  std::vector<flow::FlowEntry>::iterator find(flow::EntryId id) {
+    return std::find_if(entries.begin(), entries.end(),
+                        [id](const flow::FlowEntry& x) { return x.id == id; });
+  }
+  bool erase(flow::EntryId id) {
+    const auto it = find(id);
+    if (it == entries.end()) return false;
+    entries.erase(it);
+    return true;
+  }
+  bool update_actions(flow::EntryId id, const hsa::TernaryString& set_field,
+                      const flow::Action& action) {
+    const auto it = find(id);
+    if (it == entries.end()) return false;
+    it->set_field = set_field;
+    it->action = action;
+    return true;
+  }
+  const flow::FlowEntry* lookup(const hsa::TernaryString& h) const {
+    for (const auto& e : entries) {
+      if (e.match.covers(h)) return &e;
+    }
+    return nullptr;
+  }
+  std::vector<flow::FlowEntry> entries;
+};
 
 hsa::TernaryString random_prefix_cube(util::Rng& rng, int width,
                                       int max_prefix) {
@@ -351,7 +394,177 @@ int main(int argc, char** argv) {
     report.set_summary("probes_injected_speedup", speedup);
   }
 
-  std::printf("\nall three sections verified output-identical to their "
-              "scalar baselines before timing was reported\n");
+  // ---- 4. flow table: lookups and §VI test-point FlowMods. ----
+  // Every switch's policy table, as the data plane holds it, against the
+  // same entries in a linear-scan table. Lookups: half the headers are
+  // drawn from a random entry's match (hits), half anywhere (mostly
+  // misses). FlowMods: the controller's test-point sequence (copy insert
+  // into the test table, redirect by update_actions, concrete test-entry
+  // insert; then the three undone), for a batch of terminals per round.
+  {
+    bench::WorkloadSpec spec;
+    spec.switches = 30;
+    spec.links = 54;
+    spec.rule_target = full ? 82740 : 30000;
+    const bench::Workload w = bench::make_workload(spec);
+    const int n_sw = w.rules.switch_count();
+    const int width = w.rules.header_width();
+    std::vector<flow::FlowTable> tables;
+    std::vector<LinearTable> refs;
+    for (flow::SwitchId s = 0; s < n_sw; ++s) {
+      tables.push_back(w.rules.table(s, 0));
+      refs.push_back(LinearTable{w.rules.table(s, 0).entries()});
+    }
+
+    util::Rng rng(11);
+    const int n_lookups = full ? 400000 : 100000;
+    std::vector<std::pair<flow::SwitchId, hsa::TernaryString>> headers;
+    headers.reserve(static_cast<std::size_t>(n_lookups));
+    for (int i = 0; i < n_lookups; ++i) {
+      const auto s = static_cast<flow::SwitchId>(
+          rng.next_below(static_cast<std::uint64_t>(n_sw)));
+      const auto& es = tables[static_cast<std::size_t>(s)].entries();
+      const hsa::TernaryString& from =
+          i % 2 == 0 ? es[rng.pick_index(es.size())].match
+                     : hsa::TernaryString::wildcard(width);
+      headers.emplace_back(s, from.sample(rng));
+    }
+    auto run_lookups = [&](auto& ts) {
+      std::uint64_t digest = 0;
+      for (const auto& [s, h] : headers) {
+        const flow::FlowEntry* e = ts[static_cast<std::size_t>(s)].lookup(h);
+        digest = digest * 1000003u +
+                 static_cast<std::uint64_t>(e ? e->id + 1 : 0);
+      }
+      return digest;
+    };
+    util::WallTimer ref_lookup_timer;
+    const std::uint64_t ref_digest = run_lookups(refs);
+    const double ref_lookup_s = ref_lookup_timer.elapsed_seconds();
+    util::WallTimer lookup_timer;
+    const std::uint64_t digest = run_lookups(tables);
+    const double lookup_s = lookup_timer.elapsed_seconds();
+    if (digest != ref_digest) {
+      std::printf("DIVERGENCE: flow-table lookups differ from the linear "
+                  "scan\n");
+      return 1;
+    }
+
+    // The same test points for both tables: per round, `per_round`
+    // terminals spread over the switches, each with one concrete header
+    // from its match.
+    constexpr int kTestEntryPriority = std::numeric_limits<int>::max() / 2;
+    constexpr flow::EntryId kTestIdBase = 1 << 24;
+    const int rounds = full ? 8 : 4;
+    const int per_round = 8000;
+    struct TestPoint {
+      flow::SwitchId sw;
+      flow::EntryId terminal;
+      hsa::TernaryString header;
+    };
+    std::vector<std::vector<TestPoint>> plan(static_cast<std::size_t>(rounds));
+    for (auto& round : plan) {
+      std::vector<flow::EntryId> used;
+      while (static_cast<int>(round.size()) < per_round) {
+        const auto& e = w.rules.entry(static_cast<flow::EntryId>(
+            rng.pick_index(w.rules.entry_count())));
+        if (std::find(used.begin(), used.end(), e.id) != used.end()) continue;
+        used.push_back(e.id);
+        round.push_back({e.switch_id, e.id, e.match.sample(rng)});
+      }
+    }
+    auto run_flowmods = [&](auto& policy, auto& test) {
+      std::uint64_t digest = 0;
+      std::uint64_t mods = 0;
+      flow::EntryId next_id = kTestIdBase;
+      for (const auto& round : plan) {
+        std::vector<std::pair<flow::EntryId, flow::EntryId>> ids;
+        for (const TestPoint& tp : round) {
+          auto& pt = policy[static_cast<std::size_t>(tp.sw)];
+          auto& tt = test[static_cast<std::size_t>(tp.sw)];
+          const flow::FlowEntry& r = w.rules.entry(tp.terminal);
+          flow::FlowEntry copy = r;
+          copy.id = next_id++;
+          copy.table_id = 1;
+          copy.is_test_entry = true;
+          tt.insert(copy);
+          pt.update_actions(r.id, hsa::TernaryString::wildcard(width),
+                            flow::Action::goto_table(1));
+          flow::FlowEntry te;
+          te.id = next_id++;
+          te.switch_id = tp.sw;
+          te.table_id = 1;
+          te.priority = kTestEntryPriority;
+          te.match = tp.header;
+          te.set_field = hsa::TernaryString::wildcard(width);
+          te.action = flow::Action::to_controller();
+          te.is_test_entry = true;
+          tt.insert(te);
+          ids.emplace_back(copy.id, te.id);
+          mods += 3;
+        }
+        // What the round's probes would meet at their terminals.
+        for (const TestPoint& tp : round) {
+          const flow::FlowEntry* e =
+              test[static_cast<std::size_t>(tp.sw)].lookup(tp.header);
+          digest = digest * 1000003u +
+                   static_cast<std::uint64_t>(e ? e->id + 1 : 0);
+        }
+        for (std::size_t i = 0; i < round.size(); ++i) {
+          const TestPoint& tp = round[i];
+          auto& tt = test[static_cast<std::size_t>(tp.sw)];
+          const flow::FlowEntry& r = w.rules.entry(tp.terminal);
+          tt.erase(ids[i].second);
+          policy[static_cast<std::size_t>(tp.sw)].update_actions(
+              r.id, r.set_field, r.action);
+          tt.erase(ids[i].first);
+          mods += 3;
+        }
+      }
+      return std::pair{digest, mods};
+    };
+    std::vector<LinearTable> ref_test(static_cast<std::size_t>(n_sw));
+    util::WallTimer ref_mod_timer;
+    const auto [ref_mod_digest, ref_mods] = run_flowmods(refs, ref_test);
+    const double ref_mod_s = ref_mod_timer.elapsed_seconds();
+    std::vector<flow::FlowTable> test(static_cast<std::size_t>(n_sw));
+    util::WallTimer mod_timer;
+    const auto [mod_digest, mods] = run_flowmods(tables, test);
+    const double mod_s = mod_timer.elapsed_seconds();
+    if (mod_digest != ref_mod_digest || mods != ref_mods) {
+      std::printf("DIVERGENCE: test-point FlowMods differ from the linear "
+                  "scan\n");
+      return 1;
+    }
+
+    const double ref_lookup_rate = n_lookups / ref_lookup_s;
+    const double lookup_rate = n_lookups / lookup_s;
+    const double ref_mod_rate = static_cast<double>(mods) / ref_mod_s;
+    const double mod_rate = static_cast<double>(mods) / mod_s;
+    std::printf("table lookup  : linear %10.0f lkp/s  | indexed %10.0f "
+                "lkp/s | %5.1fx   (%zu rules)\n",
+                ref_lookup_rate, lookup_rate, lookup_rate / ref_lookup_rate,
+                w.rules.entry_count());
+    std::printf("test FlowMods : linear %10.0f mod/s  | indexed %10.0f "
+                "mod/s | %5.1fx   (%llu FlowMods)\n",
+                ref_mod_rate, mod_rate, mod_rate / ref_mod_rate,
+                static_cast<unsigned long long>(mods));
+    auto& row = report.add_row();
+    row["section"] = "flow_table";
+    row["rules"] = std::uint64_t{w.rules.entry_count()};
+    row["lookups"] = std::uint64_t{static_cast<std::uint64_t>(n_lookups)};
+    row["linear_lookups_per_sec"] = ref_lookup_rate;
+    row["indexed_lookups_per_sec"] = lookup_rate;
+    row["flowmods"] = mods;
+    row["linear_flowmods_per_sec"] = ref_mod_rate;
+    row["indexed_flowmods_per_sec"] = mod_rate;
+    report.set_summary("table_lookups_per_sec", lookup_rate);
+    report.set_summary("table_lookups_speedup", lookup_rate / ref_lookup_rate);
+    report.set_summary("test_point_flowmods_per_sec", mod_rate);
+    report.set_summary("test_point_flowmods_speedup", mod_rate / ref_mod_rate);
+  }
+
+  std::printf("\nall four sections verified output-identical to their "
+              "baselines before timing was reported\n");
   return 0;
 }

@@ -37,9 +37,7 @@ Network::Network(const flow::RuleSet& rules, sim::EventLoop& loop,
     auto& sw_tables = tables_[static_cast<std::size_t>(s)];
     sw_tables.resize(static_cast<std::size_t>(n_tables));
     for (flow::TableId t = 0; t < n_tables; ++t) {
-      for (const auto& e : rules.table(s, t).entries()) {
-        sw_tables[static_cast<std::size_t>(t)].insert(e);
-      }
+      sw_tables[static_cast<std::size_t>(t)] = rules.table(s, t);
     }
   }
 }

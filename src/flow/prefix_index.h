@@ -7,9 +7,9 @@
 // buckets whose key agrees with its own exact indexed bits, then tests each
 // visited match with one cube intersection, so it returns exactly the
 // intersecting ids. The index stores ids only; the caller hands collect()
-// the id -> match mapping it already owns. Both rule-graph phases run on it:
-// the shadowing chain of FlowTable::input_space_at (ids are table positions)
-// and the step-1 edge scan of core::RuleGraph (ids are vertices).
+// the id -> match mapping it already owns. The step-1 edge scan of
+// core::RuleGraph runs on it (ids are vertices); FlowTable's live index
+// buckets its entries by the same prefix_key().
 #pragma once
 
 #include <cstdint>
@@ -20,6 +20,25 @@
 #include "hsa/ternary.h"
 
 namespace sdnprobe::flow {
+
+// The first `bits` header bits of a cube (bits <= 32) as an integer, H[0]
+// most significant: `exact` has a 1 for every exact bit, `value` their
+// values. Read straight off the cube's first word, where H[k] is bit k.
+struct PrefixKey {
+  std::uint32_t value = 0;
+  std::uint32_t exact = 0;
+};
+
+inline PrefixKey prefix_key(const hsa::TernaryString& t, int bits) {
+  PrefixKey key;
+  const std::uint64_t b = t.bits_word(0);
+  const std::uint64_t m = t.mask_word(0);
+  for (int k = 0; k < bits; ++k) {
+    key.value = (key.value << 1) | static_cast<std::uint32_t>((b >> k) & 1);
+    key.exact = (key.exact << 1) | static_cast<std::uint32_t>((m >> k) & 1);
+  }
+  return key;
+}
 
 class PrefixIndex {
  public:
@@ -45,7 +64,7 @@ class PrefixIndex {
         if (match_of(id).intersects(cube)) out.push_back(id);
       }
     };
-    const Key key = key_of(cube);
+    const PrefixKey key = prefix_key(cube, bits_);
     if (key.exact == all_exact_) {
       const auto it = exact_.find(key.value);
       if (it != exact_.end()) take(it->second);
@@ -60,14 +79,6 @@ class PrefixIndex {
   }
 
  private:
-  // Indexed bits H[0..bits_-1] as an integer, H[0] most significant;
-  // `exact` has a 1 for every exact bit, `value` their values.
-  struct Key {
-    std::uint32_t value = 0;
-    std::uint32_t exact = 0;
-  };
-  Key key_of(const hsa::TernaryString& t) const;
-
   int bits_;
   std::uint32_t all_exact_;
   std::unordered_map<std::uint32_t, std::vector<int>> exact_;

@@ -89,25 +89,8 @@ hsa::HeaderSpace RuleSet::input_space(EntryId id) const {
 
 void RuleSet::for_each_input_space(
     const std::function<void(EntryId, hsa::HeaderSpace)>& fn) const {
-  std::vector<std::vector<PrefixIndex>> index(tables_.size());
-  std::vector<std::size_t> pos_of(entries_.size());
-  for (std::size_t sw = 0; sw < tables_.size(); ++sw) {
-    for (const FlowTable& t : tables_[sw]) {
-      index[sw].push_back(t.shadow_index());
-      for (std::size_t pos = 0; pos < t.size(); ++pos) {
-        pos_of[static_cast<std::size_t>(t.entries()[pos].id)] = pos;
-      }
-    }
-  }
-  // Id order, not table order: each result is handed over as soon as it is
-  // computed, so callers allocate per-entry state in the same order as a
-  // loop over input_space(id) would.
   for (const FlowEntry& e : entries_) {
-    if (is_removed(e.id)) continue;
-    const auto sw = static_cast<std::size_t>(e.switch_id);
-    const auto t = static_cast<std::size_t>(e.table_id);
-    fn(e.id, tables_[sw][t].input_space_at(
-                 pos_of[static_cast<std::size_t>(e.id)], index[sw][t]));
+    if (!is_removed(e.id)) fn(e.id, input_space(e.id));
   }
 }
 

@@ -82,8 +82,9 @@ class RuleSet {
   hsa::HeaderSpace input_space(EntryId id) const;
 
   // Calls fn(id, input_space(id)) for every entry that is not removed, in
-  // ascending id order. One FlowTable::shadow_index() per table replaces
-  // the scan of the table prefix input_space(id) makes for each entry.
+  // ascending id order. Id order, not table order: each result is handed
+  // over as soon as it is computed, so callers allocate per-entry state in
+  // id order.
   void for_each_input_space(
       const std::function<void(EntryId, hsa::HeaderSpace)>& fn) const;
 

@@ -1,8 +1,12 @@
 // A single OpenFlow flow table: priority-ordered matching over flow entries.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <optional>
-#include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "flow/entry.h"
@@ -14,9 +18,17 @@ namespace sdnprobe::flow {
 // Stores entries sorted by descending priority (ties broken by insertion
 // order, matching OVS behavior closely enough for our purposes). Lookup
 // returns the highest-priority entry whose match covers the header.
+//
+// A live index, changed only by insert(), erase() and update_actions(),
+// answers lookups, FlowMods and input spaces without scanning the table
+// (DESIGN.md §13). Every entry has a rank, one integer in table order, and
+// sits in one tier: concrete matches in an exact-value list, matches exact
+// on the first min(PrefixIndex::kIndexBits, width) header bits in the
+// bucket of that prefix_key(), the rest in one wildcard list.
 class FlowTable {
  public:
-  // Inserts an entry (copied). Keeps descending-priority order.
+  // Inserts an entry (copied) after every entry of priority >= its own.
+  // Ids must be unique within the table.
   void insert(const FlowEntry& e);
 
   // Removes the entry with the given id; returns true if found.
@@ -30,7 +42,8 @@ class FlowTable {
   bool update_actions(EntryId id, const hsa::TernaryString& set_field,
                       const Action& action);
 
-  // Highest-priority match for a concrete header, or nullptr.
+  // Highest-priority match for a header (the first entry in table order
+  // whose match covers it), or nullptr.
   const FlowEntry* lookup(const hsa::TernaryString& header) const;
 
   // All entries, descending priority.
@@ -39,30 +52,50 @@ class FlowTable {
   bool empty() const { return entries_.empty(); }
 
   // The paper's r.in for an entry in this table: its match minus the union
-  // of all strictly-higher-priority overlapping matches (§V-A).
+  // of all strictly-higher-priority overlapping matches (§V-A). Empty for
+  // an id the table does not hold.
   hsa::HeaderSpace input_space(EntryId id) const;
-
-  // This table's matches indexed by position in entries(), for
-  // input_space_at(). Valid until the table changes.
-  PrefixIndex shadow_index() const;
-
-  // input_space() of the entry at position `pos`, cube for cube. Its
-  // shadowing candidates come from `index`, this table's shadow_index(),
-  // instead of a scan of the table prefix.
-  hsa::HeaderSpace input_space_at(std::size_t pos,
-                                  const PrefixIndex& index) const;
 
   // Entries q with q >o e (same table, higher priority, overlapping match).
   std::vector<const FlowEntry*> overlapping_above(const FlowEntry& e) const;
 
  private:
-  // entries_[pos].match minus the matches at `shadows`: ascending positions
-  // before pos whose matches intersect it. The one subtraction chain behind
-  // input_space() and input_space_at().
-  hsa::HeaderSpace shadow_chain(std::size_t pos,
-                                std::span<const int> shadows) const;
+  // Table order as one integer: the high half orders priorities
+  // descending, the low half is a sequence number that grows within a
+  // priority, so a later insert sorts after its equal-priority peers.
+  using Rank = std::uint64_t;
 
+  // One indexed match: its rank and raw words, so tier scans test cover
+  // and overlap without reaching into entries_.
+  struct Slot {
+    Rank rank;
+    std::array<std::uint64_t, 2> bits;
+    std::array<std::uint64_t, 2> mask;
+  };
+
+  using IdIter = std::vector<std::pair<EntryId, Rank>>::const_iterator;
+
+  static Slot slot_of(Rank rank, const hsa::TernaryString& match);
+  int key_bits() const { return std::min(PrefixIndex::kIndexBits, width_); }
+  // PrefixKey::exact of a match exact on every indexed bit.
+  std::uint32_t all_exact() const {
+    return (std::uint32_t{1} << key_bits()) - 1;
+  }
+  // The rank-ordered tier holding a non-concrete match; nullptr when its
+  // bucket does not exist and `create` is false.
+  std::vector<Slot>* rank_tier(const hsa::TernaryString& match, bool create);
+  // First ids_ element whose id is not below `id`.
+  IdIter find_id(EntryId id) const;
+  std::optional<std::size_t> position_of(EntryId id) const;
+  std::size_t position_of_rank(Rank rank) const;
+
+  int width_ = 0;
   std::vector<FlowEntry> entries_;
+  std::vector<Rank> ranks_;                    // ranks_[pos] ranks entries_[pos]
+  std::vector<std::pair<EntryId, Rank>> ids_;  // ascending id
+  std::vector<Slot> exact_;                    // ascending (bits, rank)
+  std::unordered_map<std::uint32_t, std::vector<Slot>> buckets_;  // by rank
+  std::vector<Slot> wildcard_;                                     // by rank
 };
 
 }  // namespace sdnprobe::flow

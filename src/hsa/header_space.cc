@@ -187,23 +187,28 @@ bool HeaderSpace::contains(const TernaryString& h) const {
 }
 
 bool HeaderSpace::covers_cube(const TernaryString& c) const {
-  // c ⊆ this  <=>  c − this == ∅. No dedup, to keep the piece lists exactly
-  // those of the plain remainder algorithm.
+  // c ⊆ this  <=>  c − this == ∅, walked depth first. The pieces of a
+  // difference fold are pairwise disjoint, so add_cube dedup could never
+  // drop one; what bounds the work is stopping at the first piece that no
+  // remaining cube meets, which shows c is not covered.
   return by_width(c.width(), [&](auto one) {
     constexpr bool kOne = decltype(one)::value;
     Scratch& s = scratch();
-    std::vector<TernaryString>* cur = &s.a;
-    std::vector<TernaryString>* nxt = &s.b;
-    cur->assign(1, c);
-    for (const auto& mine : cubes_) {
-      nxt->clear();
-      for (const auto& piece : *cur) {
-        add_difference<kOne>(*nxt, piece, mine, /*dedup=*/false);
-      }
-      std::swap(cur, nxt);
-      if (cur->empty()) return true;
+    std::vector<TernaryString>& pieces = s.a;
+    thread_local std::vector<std::size_t> next;  // per piece: cubes_ index
+    pieces.assign(1, c);
+    next.assign(1, 0);
+    while (!pieces.empty()) {
+      const TernaryString piece = pieces.back();
+      std::size_t i = next.back();
+      pieces.pop_back();
+      next.pop_back();
+      while (i < cubes_.size() && disjoint<kOne>(piece, cubes_[i])) ++i;
+      if (i == cubes_.size()) return false;
+      add_difference<kOne>(pieces, piece, cubes_[i], /*dedup=*/false);
+      next.resize(pieces.size(), i + 1);
     }
-    return cur->empty();
+    return true;
   });
 }
 

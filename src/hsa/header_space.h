@@ -51,8 +51,8 @@ class HeaderSpace {
   bool contains(const TernaryString& h) const;
 
   // True when this set covers every header of cube `c` (used by operator==
-  // and the tests' equivalence checks). Exact but potentially exponential in
-  // pathological cases; our rule widths keep it cheap.
+  // and the tests' equivalence checks). Exact; a depth-first split of c that
+  // stops at the first piece no cube meets, so an uncovered c is cheap.
   bool covers_cube(const TernaryString& c) const;
 
   // Set union (cube list concatenation + subsumption cleanup).

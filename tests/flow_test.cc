@@ -3,6 +3,8 @@
 // rulesets they produce must stay free of error-severity diagnostics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "analysis/linter.h"
@@ -139,21 +141,83 @@ hsa::TernaryString random_match(util::Rng& rng,
   return m;
 }
 
+// The linear-scan flow table the indexed FlowTable must agree with: a
+// vector in table order, where every operation is a scan.
+struct LinearTable {
+  void insert(const FlowEntry& e) {
+    const auto it = std::find_if(
+        entries.begin(), entries.end(),
+        [&e](const FlowEntry& x) { return x.priority < e.priority; });
+    entries.insert(it, e);
+  }
+
+  bool erase(EntryId id) {
+    const auto it = find(id);
+    if (it == entries.end()) return false;
+    entries.erase(it);
+    return true;
+  }
+
+  bool update_actions(EntryId id, const hsa::TernaryString& set_field,
+                      const Action& action) {
+    const auto it = find(id);
+    if (it == entries.end()) return false;
+    it->set_field = set_field;
+    it->action = action;
+    return true;
+  }
+
+  const FlowEntry* lookup(const hsa::TernaryString& h) const {
+    for (const auto& e : entries) {
+      if (e.match.covers(h)) return &e;
+    }
+    return nullptr;
+  }
+
+  // The match minus every earlier overlapping match, in table order.
+  hsa::HeaderSpace input_space(EntryId id) {
+    const auto target = find(id);
+    if (target == entries.end()) return hsa::HeaderSpace();
+    hsa::HeaderSpace in(target->match);
+    for (auto it = entries.begin(); it != target; ++it) {
+      if (!it->match.intersects(target->match)) continue;
+      in = in.subtract(it->match);
+      if (in.is_empty()) break;
+    }
+    return in;
+  }
+
+  std::vector<FlowEntry>::iterator find(EntryId id) {
+    return std::find_if(entries.begin(), entries.end(),
+                        [id](const FlowEntry& x) { return x.id == id; });
+  }
+
+  std::vector<FlowEntry> entries;
+};
+
+std::vector<hsa::TernaryString> random_bases(util::Rng& rng, int width,
+                                             int count) {
+  std::vector<hsa::TernaryString> bases;
+  for (int b = 0; b < count; ++b) {
+    hsa::TernaryString base(width);
+    for (int k = 0; k < width; ++k) {
+      base.set(k, rng.next_bool(0.5) ? hsa::Trit::kOne : hsa::Trit::kZero);
+    }
+    bases.push_back(base);
+  }
+  return bases;
+}
+
 TEST(FlowTable, IndexedInputSpaceMatchesScannedCubeForCube) {
   util::Rng rng(17);
   // Widths below, at and above the prefix index's 12 bits, and past one
   // 64-bit word.
   for (const int width : {8, 12, 16, 32, 70, 128}) {
     for (int trial = 0; trial < 12; ++trial) {
-      std::vector<hsa::TernaryString> bases;
-      for (int b = 0; b < 3; ++b) {
-        hsa::TernaryString base(width);
-        for (int k = 0; k < width; ++k) {
-          base.set(k, rng.next_bool(0.5) ? hsa::Trit::kOne : hsa::Trit::kZero);
-        }
-        bases.push_back(base);
-      }
+      const std::vector<hsa::TernaryString> bases =
+          random_bases(rng, width, 3);
       FlowTable t;
+      LinearTable ref;
       const int n = 10 + static_cast<int>(rng.next_below(60));
       for (int i = 0; i < n; ++i) {
         FlowEntry e;
@@ -162,19 +226,151 @@ TEST(FlowTable, IndexedInputSpaceMatchesScannedCubeForCube) {
         e.priority = static_cast<int>(rng.next_below(5));
         e.match = random_match(rng, bases);
         t.insert(e);
+        ref.insert(e);
       }
       for (int i = 0; i < n; ++i) {
-        if (rng.next_bool(0.2)) t.erase(i);
+        if (rng.next_bool(0.2)) {
+          t.erase(i);
+          ref.erase(i);
+        }
       }
-      const PrefixIndex index = t.shadow_index();
-      for (std::size_t pos = 0; pos < t.size(); ++pos) {
-        const hsa::HeaderSpace indexed = t.input_space_at(pos, index);
-        const hsa::HeaderSpace scanned = t.input_space(t.entries()[pos].id);
+      for (const FlowEntry& e : ref.entries) {
+        const hsa::HeaderSpace indexed = t.input_space(e.id);
+        const hsa::HeaderSpace scanned = ref.input_space(e.id);
         EXPECT_EQ(indexed.width(), scanned.width());
         ASSERT_EQ(indexed.cubes(), scanned.cubes())
-            << "width " << width << " trial " << trial << " position " << pos;
+            << "width " << width << " trial " << trial << " entry " << e.id;
       }
     }
+  }
+}
+
+// One seeded FlowMod stream applied to the indexed table and to the
+// linear-scan reference; after every step the two must agree on entry
+// order, on lookup, and on every input space cube for cube.
+TEST(FlowTable, IndexedTableMatchesLinearScanUnderFlowModStream) {
+  // The §VI test-entry priority, and the extremes of the rank encoding.
+  const std::vector<int> priorities = {std::numeric_limits<int>::min(),
+                                       -1,
+                                       0,
+                                       1,
+                                       2,
+                                       std::numeric_limits<int>::max() / 2,
+                                       std::numeric_limits<int>::max()};
+  util::Rng rng(2024);
+  // Widths below 12 shrink the bucket key; 64/65 straddle the word edge.
+  for (const int width : {4, 8, 12, 13, 64, 65, 128}) {
+    const std::vector<hsa::TernaryString> bases = random_bases(rng, width, 3);
+    FlowTable t;
+    LinearTable ref;
+    std::vector<EntryId> live;
+    EntryId next_id = 0;
+    int hits = 0;
+    int misses = 0;
+    for (int step = 0; step < 100; ++step) {
+      const double op = rng.next_double();
+      // Tables of 4 to 24 entries keep the every-step checks cheap.
+      if ((op < 0.5 && live.size() < 24) || live.size() < 4) {
+        FlowEntry e;
+        // Ids mostly ascend, as the controller allocates them; some land
+        // below existing ones.
+        e.id = rng.next_bool(0.8) ? next_id : next_id + 1000;
+        next_id += rng.next_bool(0.8) ? 1 : 3;
+        if (std::find(live.begin(), live.end(), e.id) != live.end()) continue;
+        if (rng.next_bool(0.2)) {
+          // A §VI test entry: a concrete header at the top priority, often
+          // one some policy entry also matches.
+          e.priority = std::numeric_limits<int>::max() / 2;
+          e.match = (live.empty() || rng.next_bool(0.3)
+                         ? bases[rng.pick_index(bases.size())]
+                         : ref.find(live[rng.pick_index(live.size())])->match)
+                        .sample(rng);
+          e.action = Action::to_controller();
+        } else {
+          // Mostly the few policy levels, so equal-priority ties are common.
+          e.priority = rng.next_bool(0.8)
+                           ? static_cast<int>(rng.next_below(3))
+                           : priorities[rng.pick_index(priorities.size())];
+          e.match = random_match(rng, bases);
+          e.action = Action::output(static_cast<PortId>(rng.next_below(4)));
+        }
+        e.set_field = hsa::TernaryString::wildcard(width);
+        t.insert(e);
+        ref.insert(e);
+        live.push_back(e.id);
+      } else if (op < 0.75) {
+        // Erase a live id, or one that is gone or never existed.
+        const EntryId id = rng.next_bool(0.8)
+                               ? live[rng.pick_index(live.size())]
+                               : static_cast<EntryId>(rng.next_below(
+                                     static_cast<std::uint64_t>(next_id) + 5));
+        ASSERT_EQ(t.erase(id), ref.erase(id)) << "step " << step;
+        live.erase(std::remove(live.begin(), live.end(), id), live.end());
+      } else {
+        const EntryId id = rng.next_bool(0.8)
+                               ? live[rng.pick_index(live.size())]
+                               : static_cast<EntryId>(rng.next_below(
+                                     static_cast<std::uint64_t>(next_id) + 5));
+        hsa::TernaryString set = hsa::TernaryString::wildcard(width);
+        set.set(static_cast<int>(rng.next_below(
+                    static_cast<std::uint64_t>(width))),
+                hsa::Trit::kOne);
+        const Action action =
+            rng.next_bool(0.5) ? Action::goto_table(1) : Action::drop();
+        ASSERT_EQ(t.update_actions(id, set, action),
+                  ref.update_actions(id, set, action))
+            << "step " << step;
+      }
+      // A copied table carries its index along (the data plane copies
+      // every policy table).
+      if (step == 50) t = FlowTable(t);
+
+      ASSERT_EQ(t.size(), ref.entries.size()) << "step " << step;
+      for (std::size_t pos = 0; pos < t.size(); ++pos) {
+        const FlowEntry& a = t.entries()[pos];
+        const FlowEntry& b = ref.entries[pos];
+        ASSERT_EQ(a.id, b.id) << "width " << width << " step " << step;
+        ASSERT_EQ(a.priority, b.priority);
+        ASSERT_EQ(a.match, b.match);
+        ASSERT_EQ(a.set_field, b.set_field);
+        ASSERT_TRUE(a.action == b.action);
+      }
+      for (int q = 0; q < 12; ++q) {
+        // Hits: a header drawn from a live match; misses: a header near a
+        // base, or anywhere. The last two keep a wildcard bit.
+        hsa::TernaryString h =
+            (q % 2 == 0 && !live.empty()
+                 ? ref.find(live[rng.pick_index(live.size())])->match
+             : q % 4 == 1 ? random_match(rng, bases)
+                          : hsa::TernaryString::wildcard(width))
+                .sample(rng);
+        if (q >= 10) {
+          h.set(static_cast<int>(rng.next_below(
+                    static_cast<std::uint64_t>(width))),
+                hsa::Trit::kWild);
+        }
+        const FlowEntry* got = t.lookup(h);
+        const FlowEntry* want = ref.lookup(h);
+        ASSERT_EQ(got == nullptr, want == nullptr)
+            << "width " << width << " step " << step << " header "
+            << h.to_string();
+        if (want != nullptr) {
+          ASSERT_EQ(got->id, want->id)
+              << "width " << width << " step " << step << " header "
+              << h.to_string();
+          ++hits;
+        } else {
+          ++misses;
+        }
+      }
+      for (const FlowEntry& e : ref.entries) {
+        ASSERT_EQ(t.input_space(e.id).cubes(), ref.input_space(e.id).cubes())
+            << "width " << width << " step " << step << " entry " << e.id;
+      }
+    }
+    // A catch-all match is often live, so misses are the rarer outcome.
+    EXPECT_GT(hits, 600) << "width " << width;
+    EXPECT_GT(misses, 15) << "width " << width;
   }
 }
 

@@ -498,6 +498,60 @@ TEST(HeaderSpace, CoversCubeMatchesScalarRemainder) {
   EXPECT_GT(covered, 20) << "too few probes were covered";
 }
 
+// covers_cube at width 128 with six cubes of ~26 exact bits each and probes
+// of ~64, checked against subtract. The full wildcard is checked on its own:
+// six such cubes hold at most 6 * 2^-26 of the space, and subtract takes
+// seconds to split the wildcard against them, while covers_cube stops at the
+// first uncovered piece.
+TEST(HeaderSpace, CoversCubeOnWideCubesAgreesWithSubtract) {
+  util::Rng rng(26);
+  constexpr int w = 128;
+  const double wild = 1.0 - 26.0 / w;
+  int covered = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    HeaderSpace scattered(w);
+    for (int i = 0; i < 6; ++i) {
+      scattered = scattered.union_with(HeaderSpace(random_cube(rng, w, wild)));
+    }
+    EXPECT_FALSE(scattered.covers_cube(TernaryString::wildcard(w)));
+    // Three pairs of cubes that differ in one exact bit: each pair's union
+    // covers the cube with that bit wildcarded, which neither cube does.
+    HeaderSpace paired(w);
+    std::vector<TernaryString> merged;
+    for (int pair = 0; pair < 3; ++pair) {
+      const TernaryString a = random_cube(rng, w, wild);
+      int k = static_cast<int>(rng.next_below(w));
+      while (a.get(k) == Trit::kWild) k = (k + 1) % w;
+      TernaryString b = a;
+      b.set(k, a.get(k) == Trit::kOne ? Trit::kZero : Trit::kOne);
+      paired = paired.union_with(HeaderSpace(a)).union_with(HeaderSpace(b));
+      TernaryString m = a;
+      m.set(k, Trit::kWild);
+      merged.push_back(m);
+    }
+    for (int it = 0; it < 64; ++it) {
+      TernaryString probe = random_cube(rng, w, 0.5);
+      if (it % 2 == 1) {
+        // A merged cube with about half its wildcards fixed: covered by
+        // the union of a pair only.
+        probe = merged[rng.pick_index(merged.size())];
+        for (int j = 0; j < w; ++j) {
+          if (probe.get(j) == Trit::kWild && rng.next_bool(0.5)) {
+            probe.set(j, rng.next_bool(0.5) ? Trit::kOne : Trit::kZero);
+          }
+        }
+      }
+      for (const HeaderSpace* space : {&scattered, &paired}) {
+        const bool want = HeaderSpace(probe).subtract(*space).is_empty();
+        EXPECT_EQ(space->covers_cube(probe), want)
+            << "trial " << trial << " probe " << probe.to_string();
+        covered += want ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GE(covered, 64) << "too few probes were covered";
+}
+
 // FlowTable::input_space folds subtract(cube) over the table prefix; its
 // result must be cube for cube the reference fold.
 TEST(HeaderSpace, InputSpaceMatchesScalarFoldExactly) {

@@ -1,6 +1,6 @@
-// Hot-path microbench for the header-space algebra, the flow-table index
-// and the batched dataplane (DESIGN.md §13): four sections, each timed
-// against a straightforward baseline.
+// Hot-path microbench for the header-space algebra and the flow-table index
+// (DESIGN.md §13): three sections, each timed against a straightforward
+// baseline.
 //
 //   cube-ops/sec       HeaderSpace::subtract chains vs the plain
 //                      vector<TernaryString> algorithms (embedded below:
@@ -10,9 +10,6 @@
 //   rules-ingested/sec FlowTable::input_space (the rule-graph construction
 //                      hot loop) over a synthesized ruleset vs the same
 //                      reference fold.
-//   probes-injected/sec packet_out_batch vs looping packet_out through the
-//                      event loop, identical packets, observable behavior
-//                      already pinned by dataplane_test.
 //   lookups/sec,       FlowTable::lookup on random concrete headers, and the
 //   flowmods/sec       six FlowMods of a §VI test point (install and
 //                      teardown), vs a linear-scan table (embedded below) —
@@ -124,7 +121,7 @@ hsa::TernaryString random_prefix_cube(util::Rng& rng, int width,
 int main(int argc, char** argv) {
   const bool full = bench::has_flag(argc, argv, "--full");
   bench::print_header(
-      "Hot-path throughput: header-space algebra + batched injection",
+      "Hot-path throughput: header-space algebra + flow tables",
       "SDNProbe ICDCS'18 SectionVIII (precomputation & probing overhead)");
   bench::BenchReport report(
       "hotpath",
@@ -309,92 +306,7 @@ int main(int argc, char** argv) {
     report.set_summary("rules_ingested_speedup", speedup);
   }
 
-  // ---- 3. probes-injected/sec: batched vs per-packet PacketOut. ----
-  {
-    bench::WorkloadSpec spec;
-    spec.switches = 20;
-    spec.links = 36;
-    spec.rule_target = full ? 5000 : 2000;
-    const bench::Workload w = bench::make_workload(spec);
-    const int probes = full ? 20000 : 5000;
-    const double spacing = 1e-5;
-    util::Rng rng(7);
-
-    auto make_items = [&] {
-      std::vector<dataplane::BatchPacketOut> items;
-      items.reserve(static_cast<std::size_t>(probes));
-      double t = 0.0;
-      for (int i = 0; i < probes; ++i) {
-        dataplane::Packet p;
-        hsa::TernaryString h =
-            hsa::TernaryString::wildcard(w.rules.header_width());
-        for (int k = 0; k < w.rules.header_width(); ++k) {
-          h.set(k, rng.next_bool(0.5) ? hsa::Trit::kOne : hsa::Trit::kZero);
-        }
-        p.header = h;
-        p.probe_id = static_cast<std::uint64_t>(i) + 1;
-        items.push_back(
-            {static_cast<flow::SwitchId>(rng.next_below(
-                 static_cast<std::uint64_t>(spec.switches))),
-             std::move(p), t});
-        // Bursts of 32 share a send time (one probing round's spacing).
-        if (i % 32 == 31) t += spacing;
-      }
-      return items;
-    };
-    const auto items_seq = make_items();
-    rng.reseed(7);
-    auto items_bat = make_items();
-
-    std::uint64_t seq_injected = 0;
-    util::WallTimer seq_timer;
-    {
-      sim::EventLoop loop;
-      dataplane::Network net(w.rules, loop);
-      for (const auto& it : items_seq) {
-        loop.schedule_at(it.send_at, [&net, sw = it.sw, p = it.packet] {
-          net.packet_out(sw, p);
-        });
-      }
-      loop.run();
-      seq_injected = net.counters().packets_injected;
-    }
-    const double seq_s = seq_timer.elapsed_seconds();
-
-    std::uint64_t bat_injected = 0;
-    util::WallTimer bat_timer;
-    {
-      sim::EventLoop loop;
-      dataplane::Network net(w.rules, loop);
-      net.packet_out_batch(std::move(items_bat));
-      loop.run();
-      bat_injected = net.counters().packets_injected;
-    }
-    const double bat_s = bat_timer.elapsed_seconds();
-
-    if (seq_injected != bat_injected) {
-      std::printf("DIVERGENCE: sequential injected %llu, batched %llu\n",
-                  static_cast<unsigned long long>(seq_injected),
-                  static_cast<unsigned long long>(bat_injected));
-      return 1;
-    }
-    const double seq_rate = static_cast<double>(probes) / seq_s;
-    const double bat_rate = static_cast<double>(probes) / bat_s;
-    const double speedup = bat_rate / seq_rate;
-    std::printf("probe inject  : perpkt %10.0f prb/s  | batch %10.0f prb/s  "
-                "| %5.1fx   (%d probes)\n",
-                seq_rate, bat_rate, speedup, probes);
-    auto& row = report.add_row();
-    row["section"] = "probe_inject";
-    row["probes"] = std::uint64_t{static_cast<std::uint64_t>(probes)};
-    row["per_packet_probes_per_sec"] = seq_rate;
-    row["batched_probes_per_sec"] = bat_rate;
-    row["speedup"] = speedup;
-    report.set_summary("probes_injected_per_sec", bat_rate);
-    report.set_summary("probes_injected_speedup", speedup);
-  }
-
-  // ---- 4. flow table: lookups and §VI test-point FlowMods. ----
+  // ---- 3. flow table: lookups and §VI test-point FlowMods. ----
   // Every switch's policy table, as the data plane holds it, against the
   // same entries in a linear-scan table. Lookups: half the headers are
   // drawn from a random entry's match (hits), half anywhere (mostly
@@ -564,7 +476,7 @@ int main(int argc, char** argv) {
     report.set_summary("test_point_flowmods_speedup", mod_rate / ref_mod_rate);
   }
 
-  std::printf("\nall four sections verified output-identical to their "
+  std::printf("\nall three sections verified output-identical to their "
               "baselines before timing was reported\n");
   return 0;
 }

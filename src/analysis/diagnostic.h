@@ -25,7 +25,7 @@ enum class Severity { kInfo = 0, kWarning = 1, kError = 2 };
 // Stable check identifiers; check_name() gives the kebab-case spelling used
 // in reports and tests.
 enum class CheckId {
-  kShadowedEntry,        // entry fully covered by higher-priority overlaps
+  kShadowedEntry,        // entry fully covered by earlier overlaps
   kEmptyMatch,           // effective match empty along every forwarding path
   kGotoCycle,            // cycle in a switch's goto-table graph
   kUnreachableTable,     // table never targeted by any goto chain from 0

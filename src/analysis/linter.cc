@@ -32,26 +32,6 @@ Location entry_location(const FlowEntry& e) {
   return Location{e.switch_id, e.table_id, e.id};
 }
 
-// Where an entry hands packets off to, if anywhere: (switch, table). Mirrors
-// the rule graph's edge-target logic so the linter reasons about the same
-// forwarding continuations the graph encodes.
-std::optional<std::pair<SwitchId, TableId>> handoff_target(
-    const RuleSet& rules, const FlowEntry& e) {
-  switch (e.action.type) {
-    case flow::ActionType::kOutput: {
-      const auto peer = rules.ports().peer_of(e.switch_id, e.action.out_port);
-      if (!peer.has_value()) return std::nullopt;  // host port or invalid
-      return std::make_pair(*peer, TableId{0});
-    }
-    case flow::ActionType::kGotoTable:
-      return std::make_pair(e.switch_id, e.action.next_table);
-    case flow::ActionType::kDrop:
-    case flow::ActionType::kToController:
-      return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 bool valid_output_port(const RuleSet& rules, const FlowEntry& e) {
   // Ports 0..degree-1 reach neighbors; port degree is the host port.
   return e.action.out_port >= 0 &&
@@ -66,10 +46,13 @@ bool valid_goto_target(const RuleSet& rules, const FlowEntry& e) {
 
 void add_shadowed_diagnostic(const RuleSet& rules, const FlowEntry& e,
                              LintReport& report) {
-  const auto& table = rules.table(e.switch_id, e.table_id);
+  // The entries that win lookup over e where they overlap it: every
+  // overlapping entry earlier in table order, equal-priority ones included
+  // (the set FlowTable::input_space subtracts).
   std::vector<int> covering;
-  for (const FlowEntry* q : table.overlapping_above(e)) {
-    covering.push_back(q->id);
+  for (const FlowEntry& q : rules.table(e.switch_id, e.table_id).entries()) {
+    if (q.id == e.id) break;
+    if (q.match.intersects(e.match)) covering.push_back(q.id);
   }
   Diagnostic d;
   // Warning, not error: realistic destination-based rulesets legitimately
@@ -82,7 +65,7 @@ void add_shadowed_diagnostic(const RuleSet& rules, const FlowEntry& e,
   d.location = entry_location(e);
   d.message = "entry is fully shadowed by " +
               std::to_string(covering.size()) +
-              " higher-priority overlapping entr" +
+              " earlier overlapping entr" +
               (covering.size() == 1 ? "y" : "ies") +
               "; no packet can exercise it";
   d.payload.emplace_back("covered-by", join_ids(covering));
@@ -94,7 +77,7 @@ void add_shadowed_diagnostic(const RuleSet& rules, const FlowEntry& e,
 // (r.out = T(r.in, r.s)).
 void check_empty_match(const RuleSet& rules, const FlowEntry& e,
                        const hsa::HeaderSpace& out, LintReport& report) {
-  const auto target = handoff_target(rules, e);
+  const auto target = rules.handoff_target(e);
   if (!target.has_value()) return;  // terminal action
   if (e.action.type == flow::ActionType::kGotoTable &&
       !valid_goto_target(rules, e)) {

@@ -10,8 +10,8 @@
 // independent cross-check of the rule-graph build.
 //
 // Check catalogue (see diagnostic.h for ids):
-//   shadowed-entry     W  entry fully covered by strictly-higher-priority
-//                         overlapping matches (r.in = ∅, §V-A); warning
+//   shadowed-entry     W  entry fully covered by the overlapping matches
+//                         earlier in table order (r.in = ∅, §V-A); warning
 //                         because realistic rulesets produce these
 //                         legitimately (prefix aggregation + route
 //                         diversity) and traffic is still handled

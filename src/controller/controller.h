@@ -49,9 +49,8 @@ class Controller {
   // Injects a packet at a switch (PacketOut through the pipeline).
   void send_packet(flow::SwitchId sw, dataplane::Packet p);
 
-  // Batched PacketOut of a whole probe round: each item fires at its
-  // send_at timestamp. See dataplane::Network::packet_out_batch for the
-  // equivalence guarantees versus per-packet send_packet calls.
+  // PacketOut of a whole probe round: each item is sent at its send_at
+  // timestamp, exactly as a send_packet call at that time would be.
   void send_packets(std::vector<dataplane::BatchPacketOut> batch);
 
   // Called for every probe PacketIn: (probe id, switch it returned from,

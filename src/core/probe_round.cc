@@ -103,9 +103,8 @@ RoundResult ProbeRound::send(const std::vector<Probe>& probes) {
       });
 
   // --- Inject at the paper's rate. ---
-  // The whole round streams through one batched PacketOut: each probe
-  // keeps its own paced send time, but the dataplane handles a round in a
-  // handful of events instead of one schedule per probe.
+  // The whole round is handed over in one call; each probe keeps its own
+  // paced send time and is one PacketOut at that time.
   const double spacing = kProbeSizeBytes / kProbeRateBytesPerS;
   std::vector<dataplane::BatchPacketOut> sends;
   sends.reserve(probes.size());

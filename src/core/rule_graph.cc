@@ -11,24 +11,6 @@
 namespace sdnprobe::core {
 namespace {
 
-// Where an entry hands packets off to, if anywhere: (switch, table).
-std::optional<std::pair<flow::SwitchId, flow::TableId>> handoff_target(
-    const flow::RuleSet& rules, const flow::FlowEntry& e) {
-  switch (e.action.type) {
-    case flow::ActionType::kOutput: {
-      const auto peer = rules.next_switch(e.id);
-      if (!peer.has_value()) return std::nullopt;  // host port
-      return std::make_pair(*peer, flow::TableId{0});
-    }
-    case flow::ActionType::kGotoTable:
-      return std::make_pair(e.switch_id, e.action.next_table);
-    case flow::ActionType::kDrop:
-    case flow::ActionType::kToController:
-      return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 // True when some cube of `s` meets `cube`. An entry's input space lies inside
 // its match, so with cube = match(w) this is a necessary condition for
 // s ∩ in(w) ≠ ∅ that costs one test per cube of s, however fragmented
@@ -127,7 +109,7 @@ void RuleGraph::build_edges() {
   std::vector<VertexId> marked;
   for (VertexId v = 0; v < V; ++v) {
     const auto& e = rules.entry(entry_of(v));
-    const auto target = handoff_target(rules, e);
+    const auto target = rules.handoff_target(e);
     if (!target.has_value()) continue;  // drop / to-controller / host port
     const auto idx = index.find(table_key(target->first, target->second));
     if (idx == index.end()) continue;
@@ -179,7 +161,7 @@ void RuleGraph::connect_vertex(VertexId v) {
     ++edge_count_;
   };
   // Out-edges: candidates are the entries of the table v hands off to.
-  if (const auto tgt = handoff_target(*rules_, e)) {
+  if (const auto tgt = rules_->handoff_target(e)) {
     for (const auto& q : rules_->table(tgt->first, tgt->second).entries()) {
       const VertexId w = vertex_for(q.id);
       if (w < 0 || w == v || !is_active(w)) continue;
@@ -194,7 +176,7 @@ void RuleGraph::connect_vertex(VertexId v) {
   auto consider_pred = [&](const flow::FlowEntry& q) {
     const VertexId w = vertex_for(q.id);
     if (w < 0 || w == v || !is_active(w)) return;
-    const auto tgt = handoff_target(*rules_, q);
+    const auto tgt = rules_->handoff_target(q);
     if (!tgt.has_value() || tgt->first != e.switch_id ||
         tgt->second != e.table_id) {
       return;

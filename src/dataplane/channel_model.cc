@@ -24,21 +24,12 @@ ChannelModel::ChannelModel(ChannelModelConfig config)
   tm_.link_dups = &reg.counter("channel.link_dups");
   tm_.control_drops = &reg.counter("channel.control_drops");
   tm_.control_dups = &reg.counter("channel.control_dups");
-  refresh_noiseless();
-}
-
-void ChannelModel::refresh_noiseless() {
-  noiseless_ = config_.link_loss == 0.0 && config_.link_dup == 0.0 &&
-               config_.link_jitter_s == 0.0 && config_.control_loss == 0.0 &&
-               config_.control_dup == 0.0 && config_.control_jitter_s == 0.0 &&
-               link_loss_.empty();
 }
 
 void ChannelModel::set_link_loss(flow::SwitchId a, flow::SwitchId b,
                                  double loss) {
   SDNPROBE_CHECK(rate_ok(loss));
   link_loss_[{std::min(a, b), std::max(a, b)}] = loss;
-  refresh_noiseless();
 }
 
 ChannelModel::Delivery ChannelModel::roll(double loss, double dup,

@@ -24,9 +24,9 @@
 //
 // Determinism: all draws come from one Rng seeded by ChannelModelConfig's
 // seed, consumed in event-loop order (the simulator is single-threaded), so
-// a run is replayable from its seed. When every rate and jitter is zero the
-// model is `noiseless()` and callers skip it entirely — zero RNG draws,
-// zero extra scheduling — which keeps noiseless runs bit-identical to a
+// a run is replayable from its seed. A zero rate or jitter draws nothing,
+// so a channel whose rates are all zero consumes no RNG state and delivers
+// every transmission once, on time: noiseless runs are bit-identical to a
 // build without the subsystem.
 #pragma once
 
@@ -74,10 +74,6 @@ class ChannelModel {
 
   explicit ChannelModel(ChannelModelConfig config = {});
 
-  // True when every rate and jitter is zero: callers bypass the model
-  // entirely so a noiseless network consumes no RNG state.
-  bool noiseless() const { return noiseless_; }
-
   // Fate of one switch-to-switch hop (directional; an override set for
   // either direction of the pair applies).
   Delivery on_link(flow::SwitchId from, flow::SwitchId to);
@@ -86,20 +82,20 @@ class ChannelModel {
   Delivery on_control();
 
   // Per-link loss override (e.g. one flaky cable): replaces `link_loss` for
-  // the unordered pair {a, b}. A non-zero override also lifts noiseless().
+  // the unordered pair {a, b}.
   void set_link_loss(flow::SwitchId a, flow::SwitchId b, double loss);
 
   const ChannelCounters& counters() const { return counters_; }
   const ChannelModelConfig& config() const { return config_; }
 
  private:
+  // Draws only for the non-zero rates: with all three zero it returns one
+  // on-time copy and leaves the RNG untouched.
   Delivery roll(double loss, double dup, double jitter_s);
-  void refresh_noiseless();
 
   ChannelModelConfig config_;
   util::Rng rng_;
   ChannelCounters counters_;
-  bool noiseless_ = true;
   // Unordered-pair key (min, max) -> loss probability.
   std::map<std::pair<flow::SwitchId, flow::SwitchId>, double> link_loss_;
   struct Instruments {

@@ -26,12 +26,6 @@ Network::Network(const flow::RuleSet& rules, sim::EventLoop& loop,
   tm_.dropped = &reg.counter("dataplane.packets_dropped");
   tm_.faults_applied = &reg.counter("dataplane.faults_applied");
   tm_.host_deliveries = &reg.counter("dataplane.host_deliveries");
-  tm_.batch_packets = &reg.histogram(
-      "dataplane.batch.packets", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512,
-                                  1024, 4096, 16384});
-  tm_.batch_packet_ins = &reg.histogram(
-      "dataplane.batch.packet_ins", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512,
-                                     1024, 4096, 16384});
   for (flow::SwitchId s = 0; s < rules.switch_count(); ++s) {
     const int n_tables = rules.table_count(s);
     auto& sw_tables = tables_[static_cast<std::size_t>(s)];
@@ -72,13 +66,8 @@ void Network::update_entry(flow::SwitchId sw, flow::TableId table,
                                                             action);
 }
 
-void Network::control_transit(double base_delay,
-                              std::function<void()> deliver) {
-  if (channel_.noiseless()) {
-    loop_->schedule_in(base_delay, std::move(deliver));
-    return;
-  }
-  const ChannelModel::Delivery d = channel_.on_control();
+void Network::transit(const ChannelModel::Delivery& d, double base_delay,
+                      std::function<void()> deliver) {
   for (int i = 0; i < d.copies; ++i) {
     if (i + 1 == d.copies) {
       loop_->schedule_in(base_delay + d.extra_delay_s[i], std::move(deliver));
@@ -94,95 +83,19 @@ void Network::packet_out(flow::SwitchId sw, Packet p) {
   SDNPROBE_DCHECK_EQ(p.header.width(), rules_->header_width());
   ++counters_.packets_injected;
   tm_.packet_outs->add();
-  control_transit(kControlLatencyS,
-                  [this, sw, p = std::move(p)] { arrive(sw, p); });
+  transit(channel_.on_control(), kControlLatencyS,
+          [this, sw, p = std::move(p)]() mutable { arrive(sw, std::move(p)); });
 }
 
 void Network::packet_out_batch(std::vector<BatchPacketOut> items) {
-  if (items.empty()) return;
-  tm_.batch_packets->record(static_cast<double>(items.size()));
-  if (!channel_.noiseless()) {
-    // Per-packet fallback: every control-channel draw must happen at the
-    // packet's own send time so the noise RNG stream is identical to a
-    // sequence of packet_out calls at those times.
-    for (auto& it : items) {
-      loop_->schedule_at(it.send_at, [this, sw = it.sw,
-                                      p = std::move(it.packet)] {
-        packet_out(sw, p);
-      });
-    }
-    return;
-  }
-  // Noiseless: no draws anywhere on the injection path, so each run of
-  // equal-send_at items can share one arrival dispatch. Per-packet
-  // scheduling would fire the same callbacks at the same times in the same
-  // (seq) order; collapsing the run changes only the number of heap events.
-  std::size_t i = 0;
-  while (i < items.size()) {
-    std::size_t j = i;
-    std::vector<std::pair<flow::SwitchId, Packet>> run;
-    while (j < items.size() && items[j].send_at == items[i].send_at) {
-      SDNPROBE_CHECK_GE(items[j].sw, 0);
-      SDNPROBE_CHECK_LT(items[j].sw, static_cast<int>(tables_.size()));
-      SDNPROBE_DCHECK_EQ(items[j].packet.header.width(),
-                         rules_->header_width());
-      ++counters_.packets_injected;
-      tm_.packet_outs->add();
-      run.emplace_back(items[j].sw, std::move(items[j].packet));
-      ++j;
-    }
-    loop_->schedule_at(items[i].send_at + kControlLatencyS,
-                       [this, run = std::move(run)]() mutable {
-                         arrive_batch(std::move(run));
+  // Each PacketOut leaves the controller at its own send time, so every
+  // control-channel draw happens when it would under a packet_out call then.
+  for (auto& it : items) {
+    loop_->schedule_at(it.send_at,
+                       [this, sw = it.sw, p = std::move(it.packet)]() mutable {
+                         packet_out(sw, std::move(p));
                        });
-    i = j;
   }
-}
-
-void Network::arrive_batch(std::vector<std::pair<flow::SwitchId, Packet>> batch) {
-  // Same per-packet admission as arrive(), then one shared pipeline event
-  // for the survivors in place of one process event per packet.
-  std::vector<std::pair<flow::SwitchId, Packet>> alive;
-  alive.reserve(batch.size());
-  for (auto& [sw, p] : batch) {
-    if (static_cast<int>(p.trace.size()) >= kMaxHops) {
-      ++counters_.hop_limit_drops;
-      LOG_DEBUG << "packet exceeded hop limit at switch " << sw;
-      continue;
-    }
-    p.trace.push_back(sw);
-    alive.emplace_back(sw, std::move(p));
-  }
-  if (alive.empty()) return;
-  loop_->schedule_in(kSwitchProcDelayS,
-                     [this, alive = std::move(alive)]() mutable {
-                       process_batch(std::move(alive));
-                     });
-}
-
-void Network::process_batch(
-    std::vector<std::pair<flow::SwitchId, Packet>> batch) {
-  pin_batching_ = true;
-  for (auto& [sw, p] : batch) process(sw, std::move(p), 0);
-  pin_batching_ = false;
-  flush_packet_ins();
-}
-
-void Network::flush_packet_ins() {
-  if (pin_buffer_.empty()) return;
-  tm_.batch_packet_ins->record(static_cast<double>(pin_buffer_.size()));
-  auto batch = std::move(pin_buffer_);
-  pin_buffer_.clear();
-  // One control-channel event delivers the whole run; the handler sees each
-  // packet at the same simulated time, in the same order, as it would from
-  // one control_transit event per PacketIn. (Buffering happens only on the
-  // noiseless path, where control_transit is a plain schedule_in.)
-  loop_->schedule_in(kControlLatencyS,
-                     [this, batch = std::move(batch)] {
-                       for (const auto& [sw, p] : batch) {
-                         packet_in_handler_(sw, p, loop_->now());
-                       }
-                     });
 }
 
 void Network::arrive(flow::SwitchId sw, Packet p) {
@@ -194,8 +107,9 @@ void Network::arrive(flow::SwitchId sw, Packet p) {
     return;
   }
   p.trace.push_back(sw);
-  loop_->schedule_in(kSwitchProcDelayS,
-                     [this, sw, p = std::move(p)] { process(sw, p, 0); });
+  loop_->schedule_in(kSwitchProcDelayS, [this, sw, p = std::move(p)]() mutable {
+    process(sw, std::move(p), 0);
+  });
 }
 
 void Network::process(flow::SwitchId sw, Packet p, flow::TableId table) {
@@ -246,7 +160,9 @@ void Network::process(flow::SwitchId sw, Packet p, flow::TableId table) {
         p.header = p.header.transform(e->set_field);
         loop_->schedule_in(
             f->detour_extra_latency_s + kSwitchProcDelayS,
-            [this, partner, p = std::move(p)] { arrive(partner, p); });
+            [this, partner, p = std::move(p)]() mutable {
+              arrive(partner, std::move(p));
+            });
         return;
       }
     }
@@ -269,14 +185,10 @@ void Network::process(flow::SwitchId sw, Packet p, flow::TableId table) {
       ++counters_.packet_ins;
       tm_.packet_ins->add();
       if (packet_in_handler_) {
-        if (pin_batching_) {
-          pin_buffer_.emplace_back(sw, std::move(p));
-        } else {
-          control_transit(kControlLatencyS,
-                          [this, sw, p = std::move(p)] {
-                            packet_in_handler_(sw, p, loop_->now());
-                          });
-        }
+        transit(channel_.on_control(), kControlLatencyS,
+                [this, sw, p = std::move(p)] {
+                  packet_in_handler_(sw, p, loop_->now());
+                });
       }
       return;
   }
@@ -289,17 +201,10 @@ void Network::emit(flow::SwitchId sw, flow::PortId port, Packet p) {
     tm_.forwarded->add();
     const double latency =
         rules_->topology().edge_latency(sw, *peer).value_or(1e-3);
-    if (channel_.noiseless()) {
-      loop_->schedule_in(latency, [this, peer = *peer, p = std::move(p)] {
-        arrive(peer, p);
-      });
-      return;
-    }
-    const ChannelModel::Delivery d = channel_.on_link(sw, *peer);
-    for (int i = 0; i < d.copies; ++i) {
-      loop_->schedule_in(latency + d.extra_delay_s[i],
-                         [this, peer = *peer, p] { arrive(peer, p); });
-    }
+    transit(channel_.on_link(sw, *peer), latency,
+            [this, peer = *peer, p = std::move(p)]() mutable {
+              arrive(peer, std::move(p));
+            });
     return;
   }
   // Host / edge port: the packet leaves the network.

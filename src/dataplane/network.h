@@ -88,16 +88,9 @@ class Network {
   // OFPP_TABLE), after the control-channel latency.
   void packet_out(flow::SwitchId sw, Packet p);
 
-  // Batched PacketOut: injects every item at its send_at timestamp (plus
-  // control latency). Items must be in non-decreasing send_at order, all at
-  // or after the current simulated time. On a noiseless channel each run of
-  // equal-send_at items streams through ONE arrival event and ONE pipeline
-  // event (and PacketIns raised while the batch is processed are delivered
-  // through one batched control-channel event); a noisy channel falls back
-  // to per-packet scheduling so every ChannelModel draw happens at exactly
-  // the time it would under sequential packet_out calls. Either way the
-  // observable behavior — delivery times and order, counters, PacketIn
-  // handler invocations — is identical to looping packet_out.
+  // Batched PacketOut: schedules packet_out(item.sw, item.packet) at each
+  // item's send_at, so delivery times and order, counters, channel draws
+  // and PacketIn handler calls are those of calling packet_out then.
   void packet_out_batch(std::vector<BatchPacketOut> items);
 
   void set_packet_in_handler(PacketInHandler h) {
@@ -136,17 +129,12 @@ class Network {
   void emit(flow::SwitchId sw, flow::PortId port, Packet p);
   void arrive(flow::SwitchId sw, Packet p);
 
-  // Batched (noiseless-only) pipeline: one arrival event for a same-time
-  // run of injected packets, then one processing event for the survivors.
-  void arrive_batch(std::vector<std::pair<flow::SwitchId, Packet>> batch);
-  void process_batch(std::vector<std::pair<flow::SwitchId, Packet>> batch);
-  // Delivers the PacketIns buffered during a process_batch dispatch through
-  // one control-channel event (handler runs per packet, in pipeline order).
-  void flush_packet_ins();
-
-  // Applies channel noise to one control-channel transit: schedules
-  // `deliver` for each surviving copy after `base_delay` (+ jitter).
-  void control_transit(double base_delay, std::function<void()> deliver);
+  // Carries out the channel's verdict on one transmission (a link hop or a
+  // control-channel transit): schedules `deliver` for each surviving copy
+  // after `base_delay` plus that copy's jitter. The last copy takes
+  // `deliver` by move.
+  void transit(const ChannelModel::Delivery& d, double base_delay,
+               std::function<void()> deliver);
 
   const flow::RuleSet* rules_;
   sim::EventLoop* loop_;
@@ -158,10 +146,6 @@ class Network {
   PacketInHandler packet_in_handler_;
   HostDeliveryHandler host_delivery_handler_;
   NetworkCounters counters_;
-  // True only while process_batch runs a noiseless batch: kToController
-  // packets are buffered instead of scheduled one control event each.
-  bool pin_batching_ = false;
-  std::vector<std::pair<flow::SwitchId, Packet>> pin_buffer_;
   // Telemetry instruments, resolved once at construction; each add()
   // branches on the global registry's enabled flag (near-zero when off).
   // NetworkCounters stays the per-instance ground truth for tests; the
@@ -173,8 +157,6 @@ class Network {
     telemetry::Counter* dropped;
     telemetry::Counter* faults_applied;
     telemetry::Counter* host_deliveries;
-    telemetry::Histogram* batch_packets;
-    telemetry::Histogram* batch_packet_ins;
   };
   Instruments tm_;
 };

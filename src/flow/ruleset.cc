@@ -100,6 +100,23 @@ std::optional<SwitchId> RuleSet::next_switch(EntryId id) const {
   return ports_.peer_of(e.switch_id, e.action.out_port);
 }
 
+std::optional<std::pair<SwitchId, TableId>> RuleSet::handoff_target(
+    const FlowEntry& e) const {
+  switch (e.action.type) {
+    case ActionType::kOutput: {
+      const auto peer = ports_.peer_of(e.switch_id, e.action.out_port);
+      if (!peer.has_value()) return std::nullopt;  // host port or invalid
+      return std::make_pair(*peer, TableId{0});
+    }
+    case ActionType::kGotoTable:
+      return std::make_pair(e.switch_id, e.action.next_table);
+    case ActionType::kDrop:
+    case ActionType::kToController:
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
 int RuleSet::max_overlap_chain() const {
   // For each entry, the number of strictly-higher-priority overlapping rules
   // above it plus itself; the max over entries is the deepest overlap chain

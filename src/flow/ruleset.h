@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "flow/entry.h"
@@ -78,7 +79,7 @@ class RuleSet {
   int table_count(SwitchId sw) const;
   const FlowTable& table(SwitchId sw, TableId t) const;
 
-  // r.in for an entry (match minus higher-priority overlaps, §V-A).
+  // r.in for an entry (match minus earlier overlaps in its table, §V-A).
   hsa::HeaderSpace input_space(EntryId id) const;
 
   // Calls fn(id, input_space(id)) for every entry that is not removed, in
@@ -91,6 +92,13 @@ class RuleSet {
   // The switch an entry forwards to, when its action is kOutput toward a
   // neighboring switch (nullopt for drop/host-port/controller/goto).
   std::optional<SwitchId> next_switch(EntryId id) const;
+
+  // Where an entry hands packets off to, if anywhere: (switch, table 0) for
+  // an output toward a neighboring switch, (own switch, next table) for
+  // goto-table, nullopt for drop, controller and host ports. The rule
+  // graph's edges and the linter's downstream checks both follow it.
+  std::optional<std::pair<SwitchId, TableId>> handoff_target(
+      const FlowEntry& e) const;
 
   // Longest chain of pairwise-overlapping rules in one table (the paper's
   // "maximum number of overlapping rules", §VIII-A).

@@ -52,8 +52,9 @@ class FlowTable {
   bool empty() const { return entries_.empty(); }
 
   // The paper's r.in for an entry in this table: its match minus the union
-  // of all strictly-higher-priority overlapping matches (§V-A). Empty for
-  // an id the table does not hold.
+  // of the overlapping matches earlier in table order, equal-priority ones
+  // included, since they win lookup too (§V-A). Empty for an id the table
+  // does not hold.
   hsa::HeaderSpace input_space(EntryId id) const;
 
   // Entries q with q >o e (same table, higher priority, overlapping match).

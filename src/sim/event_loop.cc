@@ -1,5 +1,6 @@
 #include "sim/event_loop.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -7,7 +8,8 @@ namespace sdnprobe::sim {
 
 void EventLoop::schedule_at(SimTime at, Callback fn) {
   if (at < now_) at = now_;
-  queue_.push(Event{at, next_seq_++, std::move(fn)});
+  queue_.push_back(Event{at, next_seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 std::size_t EventLoop::run() {
@@ -16,10 +18,11 @@ std::size_t EventLoop::run() {
 
 std::size_t EventLoop::run_until(SimTime deadline) {
   std::size_t ran = 0;
-  while (!queue_.empty() && queue_.top().at <= deadline) {
-    // Copy out before pop: the callback may schedule new events.
-    Event e = queue_.top();
-    queue_.pop();
+  while (!queue_.empty() && queue_.front().at <= deadline) {
+    // Move out before running: the callback may schedule new events.
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Event e = std::move(queue_.back());
+    queue_.pop_back();
     now_ = e.at;
     e.fn();
     ++ran;
@@ -30,8 +33,6 @@ std::size_t EventLoop::run_until(SimTime deadline) {
   return ran;
 }
 
-void EventLoop::clear() {
-  while (!queue_.empty()) queue_.pop();
-}
+void EventLoop::clear() { queue_.clear(); }
 
 }  // namespace sdnprobe::sim

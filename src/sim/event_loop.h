@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace sdnprobe::sim {
@@ -53,7 +52,10 @@ class EventLoop {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // A binary min-heap on (at, seq) kept with std::push_heap/pop_heap, so
+  // run_until can move the earliest event out instead of copying it (and
+  // every capture of its callback) the way std::priority_queue::top() must.
+  std::vector<Event> queue_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
 };

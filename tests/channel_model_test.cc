@@ -27,9 +27,8 @@ hsa::TernaryString ts(const char* s) {
 
 TEST(ChannelModel, DefaultConfigIsNoiseless) {
   dataplane::ChannelModel cm;
-  EXPECT_TRUE(cm.noiseless());
-  // Callers bypass a noiseless model, but even direct use must pass
-  // everything through untouched.
+  // Every transmission goes through the model; with zero rates it must
+  // pass everything through untouched.
   const auto d = cm.on_link(0, 1);
   EXPECT_EQ(d.copies, 1);
   EXPECT_EQ(d.extra_delay_s[0], 0.0);
@@ -39,7 +38,6 @@ TEST(ChannelModel, CertainLossDropsEveryTransmission) {
   dataplane::ChannelModelConfig cfg;
   cfg.link_loss = 1.0;
   dataplane::ChannelModel cm(cfg);
-  EXPECT_FALSE(cm.noiseless());
   for (int i = 0; i < 32; ++i) EXPECT_EQ(cm.on_link(0, 1).copies, 0);
   EXPECT_EQ(cm.counters().link_transmissions, 32u);
   EXPECT_EQ(cm.counters().link_drops, 32u);
@@ -91,12 +89,56 @@ TEST(ChannelModel, SameSeedReplaysTheSameNoise) {
 
 TEST(ChannelModel, PerLinkOverrideIsUnorderedAndLiftsNoiseless) {
   dataplane::ChannelModel cm;
-  ASSERT_TRUE(cm.noiseless());
   cm.set_link_loss(3, 1, 1.0);  // one flaky cable
-  EXPECT_FALSE(cm.noiseless());
   EXPECT_EQ(cm.on_link(1, 3).copies, 0);  // either direction
   EXPECT_EQ(cm.on_link(3, 1).copies, 0);
   EXPECT_EQ(cm.on_link(0, 1).copies, 1);  // other links untouched
+}
+
+// Zero-rate transmissions leave the RNG stream untouched: interleaving them
+// into one of two same-seed models does not shift the other side's draws.
+// This is what lets Network send every packet through the model.
+TEST(ChannelModel, ZeroRatesDrawNothing) {
+  const auto same = [](const dataplane::ChannelModel::Delivery& a,
+                       const dataplane::ChannelModel::Delivery& b) {
+    return a.copies == b.copies && a.extra_delay_s[0] == b.extra_delay_s[0] &&
+           a.extra_delay_s[1] == b.extra_delay_s[1];
+  };
+  const auto untouched = [](const dataplane::ChannelModel::Delivery& d) {
+    return d.copies == 1 && d.extra_delay_s[0] == 0.0;
+  };
+
+  // Noisy links, quiet control channel: the control transits draw nothing.
+  dataplane::ChannelModelConfig noisy_links;
+  noisy_links.link_loss = 0.3;
+  noisy_links.link_dup = 0.2;
+  noisy_links.link_jitter_s = 2e-3;
+  noisy_links.seed = 7;
+  dataplane::ChannelModel a(noisy_links);
+  dataplane::ChannelModel b(noisy_links);
+  for (int i = 0; i < 256; ++i) {
+    for (int k = 0; k < i % 3; ++k) ASSERT_TRUE(untouched(a.on_control()));
+    ASSERT_TRUE(same(a.on_link(0, 1), b.on_link(0, 1))) << "draw " << i;
+  }
+
+  // Noisy control channel, quiet links (also through a zero override).
+  dataplane::ChannelModelConfig noisy_control;
+  noisy_control.control_loss = 0.3;
+  noisy_control.control_dup = 0.2;
+  noisy_control.control_jitter_s = 2e-3;
+  noisy_control.seed = 7;
+  dataplane::ChannelModel c(noisy_control);
+  dataplane::ChannelModel d(noisy_control);
+  c.set_link_loss(2, 3, 0.0);
+  for (int i = 0; i < 256; ++i) {
+    for (int k = 0; k < i % 3; ++k) {
+      ASSERT_TRUE(untouched(c.on_link(0, 1)));
+      ASSERT_TRUE(untouched(c.on_link(3, 2)));
+    }
+    ASSERT_TRUE(same(c.on_control(), d.on_control())) << "draw " << i;
+  }
+  EXPECT_EQ(a.counters().control_drops + a.counters().control_dups, 0u);
+  EXPECT_EQ(c.counters().link_drops + c.counters().link_dups, 0u);
 }
 
 // --- Network-level noise -------------------------------------------------

@@ -5,6 +5,8 @@
 // broken ruleset.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/linter.h"
 #include "flow/campus.h"
 #include "topo/graph.h"
@@ -72,6 +74,33 @@ TEST(Linter, FullyShadowedEntryIsFlaggedAsWarning) {
   ASSERT_FALSE(d->payload.empty());
   EXPECT_EQ(d->payload[0].first, "covered-by");
   EXPECT_EQ(d->payload[0].second, std::to_string(cover));
+}
+
+// An equal-priority entry installed earlier wins lookup just as a
+// higher-priority one does (tie-aware semantics), so it is named as a
+// covering entry too; the payload lists covering entries in table order.
+TEST(Linter, ShadowedEntryNamesEqualPriorityCoverers) {
+  Fixture f;
+  const auto tie =
+      f.add(0, 0, 10, ts("00xxxxxx"), flow::Action::output(f.port01()));
+  f.add(0, 0, 10, ts("01xxxxxx"), flow::Action::output(f.host(0)));
+  const auto above =
+      f.add(0, 0, 20, ts("0001xxxx"), flow::Action::output(f.host(0)));
+  const auto shadowed =
+      f.add(0, 0, 10, ts("000xxxxx"), flow::Action::output(f.port01()));
+  f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
+
+  const LintReport report = Linter().run(f.rules);
+  ASSERT_EQ(report.count(CheckId::kShadowedEntry), 1u) << report.to_string();
+  const Diagnostic* d = report.by_check(CheckId::kShadowedEntry)[0];
+  EXPECT_EQ(d->location.entry_id, shadowed);
+  EXPECT_NE(d->message.find("by 2 earlier overlapping entries"),
+            std::string::npos)
+      << d->message;
+  ASSERT_FALSE(d->payload.empty());
+  EXPECT_EQ(d->payload[0].first, "covered-by");
+  EXPECT_EQ(d->payload[0].second,
+            std::to_string(above) + "," + std::to_string(tie));
 }
 
 TEST(Linter, PartiallyShadowedEntryIsNotFlagged) {

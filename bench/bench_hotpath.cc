@@ -9,7 +9,8 @@
 //                      checked identical cube-for-cube.
 //   rules-ingested/sec FlowTable::input_space (the rule-graph construction
 //                      hot loop) over a synthesized ruleset vs the same
-//                      reference fold.
+//                      reference fold, cube lists checked identical entry
+//                      by entry.
 //   lookups/sec,       FlowTable::lookup on random concrete headers, and the
 //   flowmods/sec       six FlowMods of a §VI test point (install and
 //                      teardown), vs a linear-scan table (embedded below) —
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -258,7 +260,9 @@ int main(int argc, char** argv) {
     const bench::Workload w = bench::make_workload(spec);
     const auto& entries = w.rules.entries();
 
-    std::size_t ref_cubes = 0;
+    // Each side keeps its per-entry cube lists; they are compared cube for
+    // cube after both timers stop.
+    std::vector<std::vector<hsa::TernaryString>> ref_lists;
     util::WallTimer ref_timer;
     for (const auto& e : entries) {
       if (w.rules.is_removed(e.id)) continue;
@@ -270,24 +274,26 @@ int main(int argc, char** argv) {
         cur = ref_subtract(cur, q.match);
         if (cur.empty()) break;
       }
-      ref_cubes += cur.size();
+      ref_lists.push_back(std::move(cur));
     }
     const double ref_s = ref_timer.elapsed_seconds();
 
-    std::size_t table_cubes = 0;
+    std::vector<hsa::HeaderSpace> spaces;
     util::WallTimer table_timer;
     for (const auto& e : entries) {
       if (w.rules.is_removed(e.id)) continue;
-      table_cubes +=
-          w.rules.table(e.switch_id, e.table_id).input_space(e.id)
-              .cube_count();
+      spaces.push_back(
+          w.rules.table(e.switch_id, e.table_id).input_space(e.id));
     }
     const double table_s = table_timer.elapsed_seconds();
 
-    if (ref_cubes != table_cubes) {
-      std::printf("DIVERGENCE: reference %zu cubes, input_space %zu\n",
-                  ref_cubes, table_cubes);
-      return 1;
+    for (std::size_t i = 0; i < spaces.size(); ++i) {
+      if (spaces[i].cubes() != ref_lists[i]) {
+        std::printf("DIVERGENCE: input space %zu differs from the reference "
+                    "fold (%zu vs %zu cubes)\n",
+                    i, spaces[i].cube_count(), ref_lists[i].size());
+        return 1;
+      }
     }
     const double n = static_cast<double>(entries.size());
     const double ref_rate = n / ref_s;

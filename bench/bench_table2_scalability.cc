@@ -17,6 +17,7 @@
 // and PCT growing superlinearly with rules.
 #include <cstdio>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -24,10 +25,25 @@
 #include "core/analysis_snapshot.h"
 #include "core/legal_paths.h"
 #include "core/mlpc.h"
+#include "telemetry/metrics.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace sdnprobe;
+
+namespace {
+
+// Wall seconds of the last recorded span called `name`; 0 when none was.
+double last_span_s(const telemetry::MetricsRegistry& registry,
+                   std::string_view name) {
+  const auto spans = registry.spans();
+  for (auto it = spans.rbegin(); it != spans.rend(); ++it) {
+    if (it->name == name) return it->wall_ms / 1000.0;
+  }
+  return 0.0;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const bool full = bench::has_flag(argc, argv, "--full");
@@ -39,9 +55,9 @@ int main(int argc, char** argv) {
   const auto& presets = topo::table_two_presets();
   const std::size_t count = full ? presets.size() : 3;
 
-  std::printf("%6s %9s %9s %6s | %5s %6s %10s %8s %9s %8s %8s\n", "topo",
-              "rules", "switches", "links", "MLPS", "ALPS", "NLPS", "TPC",
-              "PCT(s)", "RG(s)", "MLPC(s)");
+  std::printf("%6s %9s %9s %6s | %5s %6s %10s %8s %9s %8s %8s %8s\n",
+              "topo", "rules", "switches", "links", "MLPS", "ALPS", "NLPS",
+              "TPC", "PCT(s)", "RGin(s)", "RGedge(s)", "MLPC(s)");
   for (std::size_t i = 0; i < count; ++i) {
     const auto& p = presets[i];
     bench::WorkloadSpec spec;
@@ -65,9 +81,19 @@ int main(int argc, char** argv) {
 
     // PCT = rule-graph construction + MLPC + header construction (§VIII-C).
     // RG and MLPC are the rule-graph construction and cover shares of it.
+    // RG splits into its vertex phase (every entry's input space) and its
+    // edge phase, read off the library's trace spans; the global registry
+    // records spans only while enabled, so the build runs with it on.
+    auto& registry = telemetry::MetricsRegistry::global();
+    const bool metrics_on = registry.enabled();
+    registry.set_enabled(true);
     util::WallTimer pct;
     core::RuleGraph graph(rs);
     const double rule_graph_s = pct.elapsed_seconds();
+    registry.set_enabled(metrics_on);
+    const double input_spaces_s =
+        last_span_s(registry, "rule_graph.input_spaces");
+    const double edges_s = last_span_s(registry, "rule_graph.edges");
     core::AnalysisSnapshot snap(graph);
     core::MlpcConfig mc;
     mc.deterministic_restarts = 2;  // keep the big presets tractable
@@ -79,11 +105,12 @@ int main(int argc, char** argv) {
     const auto stats =
         core::compute_legal_path_stats(graph, full ? 20'000'000 : 4'000'000);
     std::printf(
-        "%6s %9zu %9d %6d | %5zu %6.2f %9zu%s %8zu %9.1f %8.2f %8.2f\n",
+        "%6s %9zu %9d %6d | %5zu %6.2f %9zu%s %8zu %9.1f %8.2f %9.2f "
+        "%8.2f\n",
         p.name, rs.entry_count(), g.node_count(), g.edge_count(),
         stats.max_length, stats.average_length, stats.total_paths,
-        stats.truncated ? "+" : " ", cover.path_count(), pct_s, rule_graph_s,
-        mlpc_s);
+        stats.truncated ? "+" : " ", cover.path_count(), pct_s,
+        input_spaces_s, edges_s, mlpc_s);
     auto& row = report.add_row();
     row["topo"] = p.name;
     row["rules"] = std::uint64_t{rs.entry_count()};
@@ -96,6 +123,8 @@ int main(int argc, char** argv) {
     row["tpc"] = std::uint64_t{cover.path_count()};
     row["pct_s"] = pct_s;
     row["rule_graph_s"] = rule_graph_s;
+    row["rule_graph_input_spaces_s"] = input_spaces_s;
+    row["rule_graph_edges_s"] = edges_s;
     row["mlpc_s"] = mlpc_s;
 
     if (i + 1 == count) {

@@ -246,12 +246,15 @@ hsa::HeaderSpace FlowTable::input_space(EntryId id) const {
   std::sort(shadows.begin(), shadows.end(),
             [](const Slot* a, const Slot* b) { return a->rank < b->rank; });
 
-  hsa::HeaderSpace in(match);
+  // One fold from the match cube: its working lists stay pairwise
+  // disjoint, so it needs no subsumption cleanup (HeaderSpace::subtract).
+  thread_local std::vector<hsa::TernaryString> shadow_cubes;
+  shadow_cubes.clear();
   for (const Slot* s : shadows) {
-    in = in.subtract(hsa::TernaryString::from_words(
+    shadow_cubes.push_back(hsa::TernaryString::from_words(
         width_, s->bits[0], s->bits[1], s->mask[0], s->mask[1]));
-    if (in.is_empty()) break;
   }
+  hsa::HeaderSpace in = hsa::HeaderSpace(match).subtract(shadow_cubes);
   input_space_cubes().record(static_cast<double>(in.cube_count()));
   return in;
 }

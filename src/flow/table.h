@@ -53,8 +53,10 @@ class FlowTable {
 
   // The paper's r.in for an entry in this table: its match minus the union
   // of the overlapping matches earlier in table order, equal-priority ones
-  // included, since they win lookup too (§V-A). Empty for an id the table
-  // does not hold.
+  // included, since they win lookup too (§V-A). One subtract() fold from
+  // the match over those matches in table order, so the cube list is the
+  // one a chain of single-cube subtractions gives. Empty for an id the
+  // table does not hold.
   hsa::HeaderSpace input_space(EntryId id) const;
 
   // Entries q with q >o e (same table, higher priority, overlapping match).

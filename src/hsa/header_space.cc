@@ -6,6 +6,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "util/check.h"
+
 namespace sdnprobe::hsa {
 namespace {
 
@@ -120,6 +122,18 @@ void simplify(std::vector<TernaryString>& cubes) {
     ++kept;
   }
   cubes.resize(kept);
+}
+
+// No cube of `cubes` covers another. O(n^2): the debug check of the
+// one-cube subtract() fold, whose result skips cleanup.
+template <bool kOne>
+bool subsumption_clean(const std::vector<TernaryString>& cubes) {
+  for (std::size_t i = 0; i < cubes.size(); ++i) {
+    for (std::size_t j = 0; j < cubes.size(); ++j) {
+      if (i != j && covers<kOne>(cubes[j], cubes[i])) return false;
+    }
+  }
+  return true;
 }
 
 // Per-thread working lists. Every operation copies its result out before
@@ -272,16 +286,7 @@ std::vector<TernaryString> cube_difference(const TernaryString& a,
 }
 
 HeaderSpace HeaderSpace::subtract(const TernaryString& cube) const {
-  return by_width(width_, [&](auto one) {
-    constexpr bool kOne = decltype(one)::value;
-    std::vector<TernaryString>& work = scratch().a;
-    work.clear();
-    for (const auto& a : cubes_) {
-      add_difference<kOne>(work, a, cube, /*dedup=*/true);
-    }
-    simplify<kOne>(work);
-    return HeaderSpace(width_, work);
-  });
+  return subtract(std::span<const TernaryString>(&cube, 1));
 }
 
 HeaderSpace HeaderSpace::subtract(const HeaderSpace& o) const {
@@ -290,26 +295,39 @@ HeaderSpace HeaderSpace::subtract(const HeaderSpace& o) const {
 
 HeaderSpace HeaderSpace::subtract(std::span<const TernaryString> cubes) const {
   if (cubes_.empty() || cubes.empty()) return *this;
-  // Fold of single-cube differences with add_cube dedup. Cleanup runs
-  // whenever the working list crosses kSimplifyThreshold, and once at the
-  // end, bounding cube-count blow-up on long chains; a cleaned list is a
-  // subsequence of an add_cube-built one, so the next step keeps it clean.
+  // Fold of single-cube differences. From one cube, every working list is
+  // pairwise disjoint: the pieces of a − b are disjoint and lie inside a.
+  // Disjoint cubes never cover each other, so add_cube dedup and cleanup
+  // could drop nothing and are skipped. From several cubes, pieces go
+  // through add_cube, and cleanup runs at the end and, before every later
+  // step, whenever the working list crosses kSimplifyThreshold, bounding
+  // cube-count blow-up on long chains; a cleaned list is a subsequence of
+  // an add_cube-built one, so the next step keeps it clean.
+  const bool disjoint_fold = cubes_.size() == 1;
   return by_width(width_, [&](auto one) {
     constexpr bool kOne = decltype(one)::value;
     Scratch& s = scratch();
     std::vector<TernaryString>* cur = &s.a;
     std::vector<TernaryString>* nxt = &s.b;
     cur->assign(cubes_.begin(), cubes_.end());
-    for (const auto& b : cubes) {
+    for (std::size_t i = 0; i < cubes.size(); ++i) {
       nxt->clear();
       for (const auto& a : *cur) {
-        add_difference<kOne>(*nxt, a, b, /*dedup=*/true);
+        add_difference<kOne>(*nxt, a, cubes[i], /*dedup=*/!disjoint_fold);
       }
       std::swap(cur, nxt);
       if (cur->empty()) break;
-      if (cur->size() > kSimplifyThreshold) simplify<kOne>(*cur);
+      if (!disjoint_fold && i + 1 < cubes.size() &&
+          cur->size() > kSimplifyThreshold) {
+        simplify<kOne>(*cur);
+      }
     }
-    simplify<kOne>(*cur);
+    if (disjoint_fold) {
+      SDNPROBE_DCHECK(subsumption_clean<kOne>(*cur))
+          << "a one-cube fold left a cube covering another";
+    } else {
+      simplify<kOne>(*cur);
+    }
     return HeaderSpace(width_, *cur);
   });
 }

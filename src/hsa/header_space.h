@@ -11,7 +11,9 @@
 // new cube only if no cube already there covers it, then drop the cubes a
 // later one covers; on such a list one backward scan finds them all.
 // Difference can grow the cube count, so a multi-cube subtract() also runs
-// that cleanup whenever the working list crosses kSimplifyThreshold.
+// that cleanup whenever the working list crosses kSimplifyThreshold. A
+// subtract() fold from a one-cube space needs neither step: its working
+// lists stay pairwise disjoint, and disjoint cubes never cover each other.
 #pragma once
 
 #include <optional>
@@ -28,8 +30,9 @@ namespace sdnprobe::hsa {
 class HeaderSpace {
  public:
   // Cube count past which subtract() interleaves subsumption cleanup while
-  // folding a multi-cube subtrahend (guards against cube blow-up on long
-  // subtraction chains).
+  // folding a multi-cube subtrahend into a multi-cube space (guards against
+  // cube blow-up on long subtraction chains). A fold from one cube has
+  // nothing to clean and never runs it.
   static constexpr std::size_t kSimplifyThreshold = 24;
 
   // The empty set (width recorded for sanity checks; 0 = unspecified).
@@ -64,7 +67,9 @@ class HeaderSpace {
 
   // Set difference this − o, the HSA cube-splitting algorithm. The span
   // form subtracts the union of `cubes`, folded in order, for callers whose
-  // subtrahend is spread over several spaces.
+  // subtrahend is spread over several spaces; from a one-cube space it is
+  // one disjoint fold with no cleanup, cube for cube the chain of
+  // subtract(cube) calls.
   HeaderSpace subtract(const HeaderSpace& o) const;
   HeaderSpace subtract(const TernaryString& cube) const;
   HeaderSpace subtract(std::span<const TernaryString> cubes) const;

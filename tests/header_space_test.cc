@@ -589,6 +589,92 @@ TEST(HeaderSpace, InputSpaceMatchesScalarFoldExactly) {
   }
 }
 
+// A cube pinning up to `pins` random bits of the window [off, off + len):
+// folds of such cubes stay within the window's 2^len cells, so their cube
+// lists stay small enough for the quadratic references.
+TernaryString window_cube(util::Rng& rng, int width, int off, int len,
+                          int pins) {
+  TernaryString t = TernaryString::wildcard(width);
+  for (int i = 0; i < pins; ++i) {
+    t.set(off + static_cast<int>(
+                    rng.next_below(static_cast<std::uint64_t>(len))),
+          rng.next_bool(0.5) ? Trit::kOne : Trit::kZero);
+  }
+  return t;
+}
+
+// A fold from one cube skips add_cube dedup and cleanup, since its working
+// lists stay pairwise disjoint. Over 40-200 subtrahend cubes, long enough to
+// cross kSimplifyThreshold many times, it must still match the fold that
+// dedups and cleans, cube for cube.
+TEST(HeaderSpace, OneCubeFoldMatchesScalarFoldExactly) {
+  util::Rng rng(24);
+  int cleanups = 0;
+  int nonempty = 0;
+  for (const int w : kListWidths) {
+    const int len = std::min(w, 10);
+    for (int it = 0; it < 6; ++it) {
+      const int off = static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(w - len + 1)));
+      const TernaryString from =
+          it == 0 ? TernaryString::wildcard(w) : mixed_cube(rng, w);
+      Cubes sub;
+      const int n = 40 + static_cast<int>(rng.next_below(161));
+      for (int i = 0; i < n; ++i) {
+        // Mostly narrow cubes, so that the fold rarely empties early.
+        const int pins = rng.next_below(8) == 0 ? 3 : 10;
+        sub.push_back(window_cube(rng, w, off, len, pins));
+      }
+      const Cubes got = HeaderSpace(from).subtract(sub).cubes();
+      EXPECT_EQ(got, ref_subtract_space({from}, sub, cleanups))
+          << "width " << w << " iteration " << it;
+      nonempty += got.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(cleanups, 1000) << "too few folds crossed kSimplifyThreshold";
+  EXPECT_GT(nonempty, 15) << "too many folds emptied";
+}
+
+// input_space folds a deep table prefix from the match in one call. A
+// 200-entry prefix table where longer prefixes rank higher but four
+// priorities cover eleven lengths, so many overlaps are equal-priority ties,
+// must give every entry the per-step reference chain.
+TEST(HeaderSpace, DeepPrefixTableInputSpaceMatchesScalarChain) {
+  util::Rng rng(25);
+  std::size_t longest = 0;
+  for (const int w : kListWidths) {
+    flow::FlowTable table;
+    for (int i = 0; i < 200; ++i) {
+      flow::FlowEntry e;
+      e.id = i;
+      TernaryString m = TernaryString::wildcard(w);
+      const int plen = static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(std::min(w, 10)) + 1));
+      for (int k = 0; k < plen; ++k) {
+        m.set(k, rng.next_bool(0.5) ? Trit::kOne : Trit::kZero);
+      }
+      e.priority = plen / 3;
+      e.match = m;
+      e.set_field = TernaryString::wildcard(w);
+      table.insert(e);
+    }
+    for (const auto& target : table.entries()) {
+      Cubes in{target.match};
+      for (const auto& q : table.entries()) {
+        if (&q == &target) break;
+        if (!q.match.intersects(target.match)) continue;
+        in = ref_subtract(in, q.match);
+        longest = std::max(longest, in.size());
+        if (in.empty()) break;
+      }
+      EXPECT_EQ(table.input_space(target.id).cubes(), in)
+          << "width " << w << " entry " << target.id;
+    }
+  }
+  EXPECT_GT(longest, HeaderSpace::kSimplifyThreshold)
+      << "no chain crossed kSimplifyThreshold";
+}
+
 TEST(HeaderSpace, MinMemberMatchesBruteForceOracle) {
   // Random unions and differences at widths 4-12. Each space is queried
   // repeatedly, excluding every answer so far plus a few random headers,

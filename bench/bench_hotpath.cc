@@ -15,13 +15,21 @@
 //   flowmods/sec       six FlowMods of a §VI test point (install and
 //                      teardown), vs a linear-scan table (embedded below) —
 //                      same operations, results checked identical.
+//   ms/round           one probe round's test points (one per cover probe's
+//                      terminal) installed and torn down through the
+//                      controller, batched vs one at a time, both checked
+//                      against linear-scan tables first.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/analysis_snapshot.h"
+#include "core/mlpc.h"
+#include "core/probe_engine.h"
 #include "hsa/header_space.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -480,6 +488,162 @@ int main(int argc, char** argv) {
     report.set_summary("table_lookups_speedup", lookup_rate / ref_lookup_rate);
     report.set_summary("test_point_flowmods_per_sec", mod_rate);
     report.set_summary("test_point_flowmods_speedup", mod_rate / ref_mod_rate);
+
+    // One probe round through the controller: a test point at every cover
+    // probe's terminal, installed and torn down in one batched call each
+    // (as core::ProbeRound does) and one test point at a time. Both are
+    // first checked against the §VI FlowMods replayed one at a time on
+    // linear-scan tables, after install and after teardown.
+    const auto snap = core::AnalysisSnapshot::build(w.rules);
+    const core::Cover cover = core::MlpcSolver().solve(snap);
+    core::ProbeEngine engine(snap);
+    util::Rng probe_rng(5);
+    std::vector<controller::TestPointRequest> round;
+    for (const core::Probe& p : engine.make_probes(cover, probe_rng)) {
+      round.push_back({p.terminal_entry, p.expected_return});
+    }
+
+    // lin[switch][table], test tables included; ids as the controller
+    // allocates them.
+    std::vector<std::vector<LinearTable>> lin(static_cast<std::size_t>(n_sw));
+    for (flow::SwitchId s = 0; s < n_sw; ++s) {
+      for (flow::TableId t = 0; t <= w.rules.table_count(s); ++t) {
+        lin[static_cast<std::size_t>(s)].push_back(LinearTable{
+            t < w.rules.table_count(s) ? w.rules.table(s, t).entries()
+                                       : std::vector<flow::FlowEntry>{}});
+      }
+    }
+    std::map<flow::EntryId, std::pair<flow::EntryId, int>> copies;
+    std::vector<controller::TestPointId> lin_tps;
+    flow::EntryId next_id = std::max(
+        static_cast<flow::EntryId>(w.rules.entry_count()), kTestIdBase);
+    for (const controller::TestPointRequest& req : round) {
+      const flow::FlowEntry& r = w.rules.entry(req.terminal);
+      auto& tables = lin[static_cast<std::size_t>(r.switch_id)];
+      const flow::TableId tt = w.rules.table_count(r.switch_id);
+      auto& [copy_id, refs] = copies[r.id];
+      if (refs++ == 0) {
+        flow::FlowEntry copy = r;
+        copy.id = copy_id = next_id++;
+        copy.table_id = tt;
+        copy.is_test_entry = true;
+        tables[static_cast<std::size_t>(tt)].insert(copy);
+        tables[static_cast<std::size_t>(r.table_id)].update_actions(
+            r.id, hsa::TernaryString::wildcard(width),
+            flow::Action::goto_table(tt));
+      }
+      flow::FlowEntry te;
+      te.id = next_id++;
+      te.switch_id = r.switch_id;
+      te.table_id = tt;
+      te.priority = kTestEntryPriority;
+      te.match = req.probe_header;
+      te.set_field = hsa::TernaryString::wildcard(width);
+      te.action = flow::Action::to_controller();
+      te.is_test_entry = true;
+      tables[static_cast<std::size_t>(tt)].insert(te);
+      lin_tps.push_back({r.id, te.id});
+    }
+    auto same_as_lin = [&](const dataplane::Network& net) {
+      for (flow::SwitchId s = 0; s < n_sw; ++s) {
+        const auto& tables = lin[static_cast<std::size_t>(s)];
+        if (static_cast<std::size_t>(net.table_count(s)) != tables.size()) {
+          return false;
+        }
+        for (std::size_t t = 0; t < tables.size(); ++t) {
+          const auto& got =
+              net.runtime_table(s, static_cast<flow::TableId>(t)).entries();
+          const auto& want = tables[t].entries;
+          if (!std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                          [](const flow::FlowEntry& a,
+                             const flow::FlowEntry& b) {
+                            return a.id == b.id && a.priority == b.priority &&
+                                   a.match == b.match &&
+                                   a.set_field == b.set_field &&
+                                   a.action == b.action;
+                          })) {
+            return false;
+          }
+        }
+      }
+      return true;
+    };
+
+    sim::EventLoop loop;
+    dataplane::Network batched_net(w.rules, loop);
+    dataplane::Network single_net(w.rules, loop);
+    controller::Controller batched(w.rules, batched_net);
+    controller::Controller single(w.rules, single_net);
+    auto install_single = [&] {
+      std::vector<controller::TestPointId> tps;
+      for (const controller::TestPointRequest& req : round) {
+        tps.push_back(single.install_test_point(req.terminal,
+                                                req.probe_header));
+      }
+      return tps;
+    };
+    auto remove_single = [&](const std::vector<controller::TestPointId>& tps) {
+      for (const controller::TestPointId& tp : tps) {
+        single.remove_test_point(tp);
+      }
+    };
+    {
+      const auto batched_tps = batched.install_test_points(round);
+      const auto single_tps = install_single();
+      const bool installed_ok =
+          same_as_lin(batched_net) && same_as_lin(single_net);
+      for (const controller::TestPointId& tp : lin_tps) {
+        const flow::FlowEntry& r = w.rules.entry(tp.terminal);
+        auto& tables = lin[static_cast<std::size_t>(r.switch_id)];
+        const flow::TableId tt = w.rules.table_count(r.switch_id);
+        tables[static_cast<std::size_t>(tt)].erase(tp.test_entry);
+        auto& [copy_id, refs] = copies[r.id];
+        if (--refs > 0) continue;
+        tables[static_cast<std::size_t>(r.table_id)].update_actions(
+            r.id, r.set_field, r.action);
+        tables[static_cast<std::size_t>(tt)].erase(copy_id);
+      }
+      batched.remove_test_points(batched_tps);
+      remove_single(single_tps);
+      if (!installed_ok || !same_as_lin(batched_net) ||
+          !same_as_lin(single_net)) {
+        std::printf("DIVERGENCE: a probe round's test points differ from "
+                    "the linear scan\n");
+        return 1;
+      }
+    }
+    const int timed_rounds = full ? 10 : 5;
+    util::WallTimer batched_timer;
+    for (int i = 0; i < timed_rounds; ++i) {
+      batched.remove_test_points(batched.install_test_points(round));
+    }
+    const double batched_ms =
+        batched_timer.elapsed_millis() / timed_rounds;
+    util::WallTimer single_timer;
+    for (int i = 0; i < timed_rounds; ++i) remove_single(install_single());
+    const double single_ms = single_timer.elapsed_millis() / timed_rounds;
+    if (batched.flowmod_count() != single.flowmod_count()) {
+      std::printf("DIVERGENCE: batched and one-by-one rounds issued "
+                  "different FlowMod counts\n");
+      return 1;
+    }
+    const std::uint64_t round_mods =
+        batched.flowmod_count() / static_cast<std::uint64_t>(timed_rounds + 1);
+    std::printf("probe round   : 1-by-1 %8.2f ms/round | batched %8.2f "
+                "ms/round | %5.1fx   (%zu test points, %llu FlowMods)\n",
+                single_ms, batched_ms, single_ms / batched_ms, round.size(),
+                static_cast<unsigned long long>(round_mods));
+    auto& round_row = report.add_row();
+    round_row["section"] = "flow_table";
+    round_row["regime"] = "probe_round";
+    round_row["rules"] = std::uint64_t{w.rules.entry_count()};
+    round_row["test_points"] = std::uint64_t{round.size()};
+    round_row["flowmods"] = round_mods;
+    round_row["one_by_one_round_ms"] = single_ms;
+    round_row["batched_round_ms"] = batched_ms;
+    round_row["speedup"] = single_ms / batched_ms;
+    report.set_summary("probe_round_batched_ms", batched_ms);
+    report.set_summary("probe_round_batched_speedup", single_ms / batched_ms);
   }
 
   std::printf("\nall three sections verified output-identical to their "

@@ -8,11 +8,18 @@ BENCH_<name>.json artifacts into DIR, e.g. with SDNPROBE_BENCH_DIR=DIR):
 
 For every "<bench> <row> <key> <value>" line of scripts/bench_counts.txt,
 reads DIR/BENCH_<bench>.json and compares the value of <key> in the selected
-row ("summary", or the row whose "<field>=<value>" matches) with the golden
-one, exactly. Timings vary from run to run; these counts (Table II TPC, the
-MLPC ablation's probe counts) do not. --update rewrites the golden values
-from the artifacts instead, for a change that alters them on purpose. Exits
-non-zero on any mismatch or missing value. Stdlib only.
+part of the artifact with the golden one, exactly. <row> selects:
+
+    summary          the artifact's summary object
+    <field>=<value>  the first row whose <field> holds <value>
+    #<index>         the row at 0-based <index>, for rows whose naming
+                     field has spaces (Table I's scenario names)
+
+Timings vary from run to run; these counts and rates (Table II TPC, the
+MLPC ablation's probe counts, the Table I / Fig. 9a / Fig. 9b FPR and FNR)
+do not. --update rewrites the golden values from the artifacts instead, for
+a change that alters them on purpose. Exits non-zero on any mismatch or
+missing value. Stdlib only.
 """
 import argparse
 import json
@@ -41,8 +48,12 @@ def lookup(doc, row, key):
     """The value of `key` in the selected part of an artifact, or None."""
     if row == "summary":
         return doc.get("summary", {}).get(key)
+    rows = doc.get("rows", [])
+    if row.startswith("#"):
+        index = int(row[1:])
+        return rows[index].get(key) if 0 <= index < len(rows) else None
     field, _, want = row.partition("=")
-    for r in doc.get("rows", []):
+    for r in rows:
         if str(r.get(field)) == want:
             return r.get(key)
     return None

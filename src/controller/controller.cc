@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <tuple>
 
 namespace sdnprobe::controller {
 namespace {
@@ -38,70 +39,129 @@ flow::TableId Controller::test_table_for(flow::SwitchId sw) {
   return t;
 }
 
-TestPointId Controller::install_test_point(
-    flow::EntryId terminal, const hsa::TernaryString& probe_header) {
-  assert(probe_header.is_concrete());
-  const flow::FlowEntry& r = rules_->entry(terminal);
-  auto& state = terminals_[terminal];
-  if (state.refcount == 0) {
-    state.test_table = test_table_for(r.switch_id);
-    state.original_action = r.action;
-    state.original_set_field = r.set_field;
-    // Step 1 (§VI): copy r into the test table, carrying its set field and
-    // original action so fall-through traffic behaves identically. (The
-    // paper duplicates the whole table; copying only the redirected entry is
-    // semantically equivalent since only r's packets enter the test table.)
-    flow::FlowEntry copy = r;
-    copy.id = allocate_entry_id();
-    copy.table_id = state.test_table;
-    copy.is_test_entry = true;
-    state.copy_id = copy.id;
-    net_->install_entry(copy);
+std::vector<TestPointId> Controller::install_test_points(
+    std::span<const TestPointRequest> requests) {
+  // The test-table entries the requests add, in request order. Sorted
+  // stably by table, they say how to build the grouped batch in place.
+  struct Staged {
+    flow::SwitchId sw;
+    flow::TableId table;
+    flow::EntryId id;
+    std::uint32_t request;
+    bool copy;  // r's copy, else the test entry
+  };
+  std::vector<Staged> staged;
+  std::vector<TestPointId> ids;
+  ids.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const TestPointRequest& req = requests[i];
+    assert(req.probe_header.is_concrete());
+    const flow::FlowEntry& r = rules_->entry(req.terminal);
+    auto& state = terminals_[req.terminal];
+    const auto request = static_cast<std::uint32_t>(i);
+    if (state.refcount == 0) {
+      state.test_table = test_table_for(r.switch_id);
+      state.original_action = r.action;
+      state.original_set_field = r.set_field;
+      // Step 1 (§VI): copy r into the test table, carrying its set field
+      // and original action so fall-through traffic behaves identically.
+      // (The paper duplicates the whole table; copying only the redirected
+      // entry is semantically equivalent since only r's packets enter the
+      // test table.)
+      state.copy_id = allocate_entry_id();
+      staged.push_back(
+          {r.switch_id, state.test_table, state.copy_id, request, true});
+      ++flowmods_;
+      // Step 3 (§VI): r forwards to the test table; its set field moves to
+      // the copy so it is applied exactly once.
+      net_->update_entry(r.switch_id, r.table_id, r.id,
+                         hsa::TernaryString::wildcard(r.set_field.width()),
+                         flow::Action::goto_table(state.test_table));
+      ++flowmods_;
+    }
+    ++state.refcount;
+    // Step 2 (§VI): exact-match test entry, highest priority, to controller.
+    const flow::EntryId test_id = allocate_entry_id();
+    staged.push_back({r.switch_id, state.test_table, test_id, request, false});
     ++flowmods_;
-    // Step 3 (§VI): r forwards to the test table; its set field moves to the
-    // copy so it is applied exactly once.
-    net_->update_entry(r.switch_id, r.table_id, r.id,
-                       hsa::TernaryString::wildcard(r.set_field.width()),
-                       flow::Action::goto_table(state.test_table));
-    ++flowmods_;
+    test_entries_[test_id] = {r.switch_id, state.test_table};
+    ids.push_back(TestPointId{req.terminal, test_id});
   }
-  ++state.refcount;
 
-  // Step 2 (§VI): exact-match test entry, highest priority, to controller.
-  flow::FlowEntry test;
-  test.id = allocate_entry_id();
-  test.switch_id = r.switch_id;
-  test.table_id = state.test_table;
-  test.priority = kTestEntryPriority;
-  test.match = probe_header;
-  test.set_field = hsa::TernaryString::wildcard(probe_header.width());
-  test.action = flow::Action::to_controller();
-  test.is_test_entry = true;
-  net_->install_entry(test);
-  ++flowmods_;
-  test_entries_[test.id] = {r.switch_id, state.test_table};
-  return TestPointId{terminal, test.id};
+  std::stable_sort(staged.begin(), staged.end(),
+                   [](const Staged& a, const Staged& b) {
+                     return std::tie(a.sw, a.table) < std::tie(b.sw, b.table);
+                   });
+  std::vector<flow::FlowEntry> batch;
+  batch.reserve(staged.size());
+  for (const Staged& st : staged) {
+    const TestPointRequest& req = requests[st.request];
+    if (st.copy) {
+      flow::FlowEntry& copy = batch.emplace_back(rules_->entry(req.terminal));
+      copy.id = st.id;
+      copy.table_id = st.table;
+      copy.is_test_entry = true;
+    } else {
+      flow::FlowEntry& test = batch.emplace_back();
+      test.id = st.id;
+      test.switch_id = st.sw;
+      test.table_id = st.table;
+      test.priority = kTestEntryPriority;
+      test.match = req.probe_header;
+      test.set_field = hsa::TernaryString::wildcard(req.probe_header.width());
+      test.action = flow::Action::to_controller();
+      test.is_test_entry = true;
+    }
+  }
+  net_->install_entries(batch);
+  return ids;
 }
 
-void Controller::remove_test_point(const TestPointId& tp) {
-  const auto te = test_entries_.find(tp.test_entry);
-  if (te != test_entries_.end()) {
-    net_->remove_entry(te->second.first, te->second.second, tp.test_entry);
+void Controller::remove_test_points(std::span<const TestPointId> tps) {
+  // The test-table entries to erase, grouped per (switch, table) below.
+  struct Doomed {
+    flow::SwitchId sw;
+    flow::TableId table;
+    flow::EntryId id;
+  };
+  std::vector<Doomed> doomed;
+  for (const TestPointId& tp : tps) {
+    const auto te = test_entries_.find(tp.test_entry);
+    if (te != test_entries_.end()) {
+      doomed.push_back({te->second.first, te->second.second, tp.test_entry});
+      ++flowmods_;
+      test_entries_.erase(te);
+    }
+    const auto it = terminals_.find(tp.terminal);
+    if (it == terminals_.end()) continue;
+    TerminalState& state = it->second;
+    if (--state.refcount > 0) continue;
+    // Last test point on r: restore r and drop the copy.
+    const flow::FlowEntry& r = rules_->entry(tp.terminal);
+    net_->update_entry(r.switch_id, r.table_id, r.id, state.original_set_field,
+                       state.original_action);
     ++flowmods_;
-    test_entries_.erase(te);
+    doomed.push_back({r.switch_id, state.test_table, state.copy_id});
+    ++flowmods_;
+    terminals_.erase(it);
   }
-  const auto it = terminals_.find(tp.terminal);
-  if (it == terminals_.end()) return;
-  TerminalState& state = it->second;
-  if (--state.refcount > 0) return;
-  // Last test point on r: restore r and drop the copy.
-  const flow::FlowEntry& r = rules_->entry(tp.terminal);
-  net_->update_entry(r.switch_id, r.table_id, r.id, state.original_set_field,
-                     state.original_action);
-  ++flowmods_;
-  net_->remove_entry(r.switch_id, state.test_table, state.copy_id);
-  ++flowmods_;
-  terminals_.erase(it);
+
+  std::sort(doomed.begin(), doomed.end(), [](const Doomed& a, const Doomed& b) {
+    return std::tie(a.sw, a.table) < std::tie(b.sw, b.table);
+  });
+  std::vector<flow::EntryId> ids;
+  ids.reserve(doomed.size());
+  for (const Doomed& d : doomed) ids.push_back(d.id);
+  for (std::size_t a = 0; a < doomed.size();) {
+    std::size_t b = a + 1;
+    while (b < doomed.size() && doomed[b].sw == doomed[a].sw &&
+           doomed[b].table == doomed[a].table) {
+      ++b;
+    }
+    net_->remove_entries(doomed[a].sw, doomed[a].table,
+                         std::span(ids).subspan(a, b - a));
+    a = b;
+  }
 }
 
 void Controller::send_packet(flow::SwitchId sw, dataplane::Packet p) {

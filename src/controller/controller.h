@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
+#include <vector>
 
 #include "dataplane/network.h"
 #include "flow/ruleset.h"
@@ -28,19 +30,43 @@ struct TestPointId {
   flow::EntryId test_entry = -1;  // the exact-match to-controller entry
 };
 
+// One test point to install: punt probes whose header equals
+// `probe_header` at terminal entry `terminal`.
+struct TestPointRequest {
+  flow::EntryId terminal = -1;
+  hsa::TernaryString probe_header;
+};
+
 class Controller {
  public:
   Controller(const flow::RuleSet& rules, dataplane::Network& net);
 
-  // Installs the §VI test point: probes whose header equals `probe_header`
+  // Installs one §VI test point per request and returns their handles in
+  // request order: probes whose header equals the request's `probe_header`
   // at r's switch are punted to the controller instead of forwarded.
   // Multiple test points may coexist per terminal entry (refcounted).
+  //
+  // A probe round's FlowMods go out as one batch. Ids are allocated per
+  // request in order (the copy's, when r gets its first test point, then
+  // the test entry's), and r's redirect is an in-place update per request.
+  // The test-table inserts are grouped per (switch, table) and each group
+  // is one batched insert, so the runtime tables end up exactly as
+  // installing the requests one by one would leave them.
+  std::vector<TestPointId> install_test_points(
+      std::span<const TestPointRequest> requests);
   TestPointId install_test_point(flow::EntryId terminal,
-                                 const hsa::TernaryString& probe_header);
+                                 const hsa::TernaryString& probe_header) {
+    const TestPointRequest request{terminal, probe_header};
+    return install_test_points(std::span(&request, 1)).front();
+  }
 
-  // Removes one test point; restores the terminal entry when its last test
-  // point goes away.
-  void remove_test_point(const TestPointId& tp);
+  // Removes test points; a terminal entry is restored when its last test
+  // point goes away. Batched like install_test_points: per-request
+  // refcounts and restores, one batched erase per touched test table.
+  void remove_test_points(std::span<const TestPointId> tps);
+  void remove_test_point(const TestPointId& tp) {
+    remove_test_points(std::span(&tp, 1));
+  }
 
   // Number of FlowMod operations issued since construction (for overhead
   // accounting in benches).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "telemetry/trace.h"
 #include "util/check.h"
 
 namespace sdnprobe::core {
@@ -59,14 +60,18 @@ RoundResult ProbeRound::send(const std::vector<Probe>& probes) {
   std::unordered_map<std::uint64_t, Sent> by_id;
 
   // --- Install test points (batched FlowMods: one control RTT). ---
-  installed_.reserve(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    out[i].probe_id = next_id_++;
-    installed_.push_back(ctrl_->install_test_point(
-        probes[i].terminal_entry, probes[i].expected_return));
-    by_id[out[i].probe_id] = Sent{i, 0.0};
+  {
+    telemetry::TraceSpan span("probe_round.install");
+    std::vector<controller::TestPointRequest> requests;
+    requests.reserve(probes.size());
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      out[i].probe_id = next_id_++;
+      requests.push_back({probes[i].terminal_entry, probes[i].expected_return});
+      by_id[out[i].probe_id] = Sent{i, 0.0};
+    }
+    installed_ = ctrl_->install_test_points(requests);
+    loop_->run_until(loop_->now() + 2.0 * dataplane::kControlLatencyS);
   }
-  loop_->run_until(loop_->now() + 2.0 * dataplane::kControlLatencyS);
 
   // --- Collect returns and host deliveries. ---
   ctrl_->set_probe_return_handler(
@@ -167,9 +172,8 @@ RoundResult ProbeRound::send(const std::vector<Probe>& probes) {
 }
 
 void ProbeRound::teardown() {
-  for (const controller::TestPointId& tp : installed_) {
-    ctrl_->remove_test_point(tp);
-  }
+  telemetry::TraceSpan span("probe_round.teardown");
+  ctrl_->remove_test_points(installed_);
   installed_.clear();
   loop_->run_until(loop_->now() + 2.0 * dataplane::kControlLatencyS);
 }

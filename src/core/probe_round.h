@@ -12,7 +12,9 @@
 //  6. tear the test points down.
 // Steps 1-5 are send(); step 6 is teardown(), kept separate so a caller can
 // evaluate the outcomes (and stamp detection times) while the test points
-// are still installed.
+// are still installed. Steps 1 and 6 each hand the controller the whole
+// round in one call, and each is a telemetry span (`probe_round.install`,
+// `probe_round.teardown`, both including the control round trip).
 #pragma once
 
 #include <cstddef>

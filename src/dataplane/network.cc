@@ -36,24 +36,36 @@ Network::Network(const flow::RuleSet& rules, sim::EventLoop& loop,
   }
 }
 
-void Network::install_entry(const flow::FlowEntry& e) {
-  SDNPROBE_CHECK_GE(e.switch_id, 0);
-  SDNPROBE_CHECK_LT(e.switch_id, static_cast<int>(tables_.size()));
-  SDNPROBE_CHECK_GE(e.table_id, 0);
-  SDNPROBE_CHECK_EQ(e.match.width(), rules_->header_width())
-      << "installed entry header width must match the network's ruleset";
-  auto& sw_tables = tables_[static_cast<std::size_t>(e.switch_id)];
-  if (static_cast<std::size_t>(e.table_id) >= sw_tables.size()) {
-    sw_tables.resize(static_cast<std::size_t>(e.table_id) + 1);
+void Network::install_entries(std::span<const flow::FlowEntry> entries) {
+  for (std::size_t a = 0; a < entries.size();) {
+    const flow::FlowEntry& e = entries[a];
+    std::size_t b = a + 1;
+    while (b < entries.size() && entries[b].switch_id == e.switch_id &&
+           entries[b].table_id == e.table_id) {
+      ++b;
+    }
+    SDNPROBE_CHECK_GE(e.switch_id, 0);
+    SDNPROBE_CHECK_LT(e.switch_id, static_cast<int>(tables_.size()));
+    SDNPROBE_CHECK_GE(e.table_id, 0);
+    for (std::size_t i = a; i < b; ++i) {
+      SDNPROBE_CHECK_EQ(entries[i].match.width(), rules_->header_width())
+          << "installed entry header width must match the network's ruleset";
+    }
+    auto& sw_tables = tables_[static_cast<std::size_t>(e.switch_id)];
+    if (static_cast<std::size_t>(e.table_id) >= sw_tables.size()) {
+      sw_tables.resize(static_cast<std::size_t>(e.table_id) + 1);
+    }
+    sw_tables[static_cast<std::size_t>(e.table_id)].insert(
+        entries.subspan(a, b - a));
+    a = b;
   }
-  sw_tables[static_cast<std::size_t>(e.table_id)].insert(e);
 }
 
-void Network::remove_entry(flow::SwitchId sw, flow::TableId table,
-                           flow::EntryId id) {
+void Network::remove_entries(flow::SwitchId sw, flow::TableId table,
+                             std::span<const flow::EntryId> ids) {
   auto& sw_tables = tables_[static_cast<std::size_t>(sw)];
   if (static_cast<std::size_t>(table) >= sw_tables.size()) return;
-  sw_tables[static_cast<std::size_t>(table)].erase(id);
+  sw_tables[static_cast<std::size_t>(table)].erase(ids);
 }
 
 void Network::update_entry(flow::SwitchId sw, flow::TableId table,

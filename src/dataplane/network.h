@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -69,13 +70,29 @@ class Network {
 
   // --- Control-channel operations (used by controller::Controller). ---
 
-  // Installs an additional entry (e.g. a test flow entry). The entry id must
-  // be unique network-wide; ids above the policy range are the caller's to
-  // manage. Takes effect after the control-channel latency.
-  void install_entry(const flow::FlowEntry& e);
+  // These apply at once. The control-channel latency is the caller's to
+  // wait out: core::ProbeRound waits one control round trip after a round's
+  // installs and again after its removals.
 
-  // Removes an entry by id from its switch.
-  void remove_entry(flow::SwitchId sw, flow::TableId table, flow::EntryId id);
+  // Installs additional entries (e.g. test flow entries), each into its
+  // (switch, table); a table beyond the switch's last is created. Entry ids
+  // must be unique network-wide; ids above the policy range are the
+  // caller's to manage. Every run of consecutive entries for one table goes
+  // in as one batched FlowTable::insert, so a batch grouped by table costs
+  // one pass per table and leaves the tables as installing the entries one
+  // by one, in span order, would.
+  void install_entries(std::span<const flow::FlowEntry> entries);
+  void install_entry(const flow::FlowEntry& e) {
+    install_entries(std::span(&e, 1));
+  }
+
+  // Removes entries by id from one table in one batched FlowTable::erase;
+  // ids the table does not hold are skipped.
+  void remove_entries(flow::SwitchId sw, flow::TableId table,
+                      std::span<const flow::EntryId> ids);
+  void remove_entry(flow::SwitchId sw, flow::TableId table, flow::EntryId id) {
+    remove_entries(sw, table, std::span(&id, 1));
+  }
 
   // Replaces action and set field together. Used when redirecting a terminal
   // entry to its test table: the set field moves to the table's copy so the

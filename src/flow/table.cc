@@ -1,6 +1,7 @@
 #include "flow/table.h"
 
 #include <algorithm>
+#include <functional>
 #include <tuple>
 
 #include "telemetry/metrics.h"
@@ -93,63 +94,211 @@ std::size_t FlowTable::position_of_rank(Rank rank) const {
   return static_cast<std::size_t>(it - ranks_.begin());
 }
 
-void FlowTable::insert(const FlowEntry& e) {
-  SDNPROBE_DCHECK_GT(e.match.width(), 0) << "entry has no match field";
-  if (width_ == 0) width_ = e.match.width();
-  SDNPROBE_DCHECK_EQ(e.match.width(), width_)
-      << "all entries of a table must share one header width";
-  // The entry goes after its priority group and continues the group's
-  // sequence. A group that empties restarts at 0; one would need 2^32
-  // inserts without ever emptying to exhaust it.
-  const Rank group = priority_rank(e.priority);
-  const auto at =
-      std::upper_bound(ranks_.begin(), ranks_.end(), group | kSeqMask);
-  Rank rank = group;
-  if (at != ranks_.begin() && *(at - 1) >= group) {
-    SDNPROBE_CHECK_NE(*(at - 1), group | kSeqMask)
-        << "priority " << e.priority << " ran out of sequence numbers";
-    rank = *(at - 1) + 1;
-  }
-  const IdIter id_at = find_id(e.id);
-  SDNPROBE_CHECK(id_at == ids_.end() || id_at->first != e.id)
-      << "entry id " << e.id << " is already in the table";
-  ids_.insert(id_at, {e.id, rank});
-  entries_.insert(entries_.begin() + (at - ranks_.begin()), e);
-  ranks_.insert(at, rank);
+struct FlowTable::Move {
+  EntryId id;
+  std::uint32_t index;  // position in the insert batch
+  std::vector<Slot>* tier;
+  Slot slot;          // slot.rank is the entry's rank
+  std::uint32_t key;  // the bucket's key, when `tier` is a bucket
+  // Positions in a vector as it was before the batch, where the entry goes
+  // (insert) or is (erase): `pos` in entries_/ranks_, then in its tier;
+  // `id_pos` in ids_.
+  std::size_t pos;
+  std::size_t id_pos;
+};
 
-  const Slot slot = slot_of(rank, e.match);
-  std::vector<Slot>& tier =
-      e.match.is_concrete() ? exact_ : *rank_tier(e.match, /*create=*/true);
-  tier.insert(std::upper_bound(tier.begin(), tier.end(), slot,
-                               &tier == &exact_ ? exact_less<Slot>
-                                                : rank_less<Slot>),
-              slot);
+bool FlowTable::tier_less(const Move& a, const Move& b) const {
+  if (a.tier != b.tier) return std::less<>{}(a.tier, b.tier);
+  return a.tier == &exact_ ? exact_less(a.slot, b.slot)
+                           : rank_less(a.slot, b.slot);
 }
 
-bool FlowTable::erase(EntryId id) {
-  const IdIter id_at = find_id(id);
-  if (id_at == ids_.end() || id_at->first != id) return false;
-  const Rank rank = id_at->second;
-  const std::size_t pos = position_of_rank(rank);
-  const hsa::TernaryString& match = entries_[pos].match;
+namespace {
 
-  const Slot slot = slot_of(rank, match);
-  if (match.is_concrete()) {
-    exact_.erase(
-        std::lower_bound(exact_.begin(), exact_.end(), slot, exact_less<Slot>));
-  } else {
-    std::vector<Slot>* tier = rank_tier(match, /*create=*/false);
-    SDNPROBE_DCHECK(tier != nullptr);
-    tier->erase(
-        std::lower_bound(tier->begin(), tier->end(), slot, rank_less<Slot>));
-    if (tier->empty() && tier != &wildcard_) {
-      buckets_.erase(prefix_key(match, key_bits()).value);
+template <class T>
+auto at(std::vector<T>& v, std::size_t i) {
+  return v.begin() + static_cast<std::ptrdiff_t>(i);
+}
+
+// Inserts value(add[j]) into v before the element at old position
+// pos(add[j]), for `add` sorted by position (equal positions in insertion
+// order). From the back, one block move per gap: only the elements after
+// the first insertion point move, each once.
+template <class T, class Moves, class Pos, class Value>
+void insert_at(std::vector<T>& v, const Moves& add, Pos pos, Value value) {
+  std::size_t end = v.size();
+  v.resize(v.size() + add.size());
+  for (std::size_t j = add.size(); j-- > 0;) {
+    const std::size_t p = pos(add[j]);
+    std::move_backward(at(v, p), at(v, end), at(v, end + j + 1));
+    v[p + j] = value(add[j]);
+    end = p;
+  }
+}
+
+// Removes the elements of v at old positions pos(gone[j]), for `gone`
+// sorted by position without repeats: one block move per gap, from the
+// first removed position on.
+template <class T, class Moves, class Pos>
+void erase_at(std::vector<T>& v, const Moves& gone, Pos pos) {
+  auto out = at(v, pos(gone.front()));
+  for (std::size_t j = 0; j < gone.size(); ++j) {
+    const std::size_t last = j + 1 < gone.size() ? pos(gone[j + 1]) : v.size();
+    out = std::move(at(v, pos(gone[j]) + 1), at(v, last), out);
+  }
+  v.erase(out, v.end());
+}
+
+}  // namespace
+
+void FlowTable::insert(std::span<const FlowEntry> batch) {
+  if (batch.empty()) return;
+  if (width_ == 0) width_ = batch.front().match.width();
+  // Batch scratch, kept per thread so a one-entry insert allocates nothing.
+  thread_local std::vector<Move> moves;
+  moves.clear();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const FlowEntry& e = batch[i];
+    SDNPROBE_DCHECK_GT(e.match.width(), 0) << "entry has no match field";
+    SDNPROBE_DCHECK_EQ(e.match.width(), width_)
+        << "all entries of a table must share one header width";
+    const IdIter id_at = find_id(e.id);
+    SDNPROBE_CHECK(id_at == ids_.end() || id_at->first != e.id)
+        << "entry id " << e.id << " is already in the table";
+    Move& m = moves.emplace_back();
+    m.id = e.id;
+    m.index = static_cast<std::uint32_t>(i);
+    m.slot.rank = priority_rank(e.priority);
+    m.id_pos = static_cast<std::size_t>(id_at - ids_.begin());
+  }
+
+  // Ranks, in table order: each entry goes after its priority group and
+  // continues the group's sequence, the batch's earlier entries included. A
+  // group that empties restarts at 0; one would need 2^32 inserts without
+  // ever emptying to exhaust it.
+  std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
+    return std::tie(a.slot.rank, a.index) < std::tie(b.slot.rank, b.index);
+  });
+  for (std::size_t a = 0; a < moves.size();) {
+    const Rank group = moves[a].slot.rank;
+    const auto after =
+        std::upper_bound(ranks_.begin(), ranks_.end(), group | kSeqMask);
+    std::optional<Rank> last;
+    if (after != ranks_.begin() && *(after - 1) >= group) last = *(after - 1);
+    for (; a < moves.size() && moves[a].slot.rank == group; ++a) {
+      Move& m = moves[a];
+      const FlowEntry& e = batch[m.index];
+      SDNPROBE_CHECK(!last || *last != (group | kSeqMask))
+          << "priority " << e.priority << " ran out of sequence numbers";
+      m.slot = slot_of(last ? *last + 1 : group, e.match);
+      last = m.slot.rank;
+      m.pos = static_cast<std::size_t>(after - ranks_.begin());
+      m.tier = e.match.is_concrete() ? &exact_
+                                     : rank_tier(e.match, /*create=*/true);
     }
   }
-  ids_.erase(id_at);
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(pos));
-  ranks_.erase(ranks_.begin() + static_cast<std::ptrdiff_t>(pos));
-  return true;
+  auto pos = [](const Move& m) { return m.pos; };
+  insert_at(ranks_, moves, pos, [](const Move& m) { return m.slot.rank; });
+  insert_at(entries_, moves, pos,
+            [&batch](const Move& m) -> const FlowEntry& {
+              return batch[m.index];
+            });
+
+  std::sort(moves.begin(), moves.end(),
+            [](const Move& a, const Move& b) { return a.id < b.id; });
+  for (std::size_t j = 1; j < moves.size(); ++j) {
+    SDNPROBE_CHECK_NE(moves[j - 1].id, moves[j].id)
+        << "entry id " << moves[j].id << " appears twice in the batch";
+  }
+  insert_at(
+      ids_, moves, [](const Move& m) { return m.id_pos; },
+      [](const Move& m) { return std::pair{m.id, m.slot.rank}; });
+
+  // Each touched tier: one merge per run of moves into it.
+  std::sort(moves.begin(), moves.end(),
+            [this](const Move& a, const Move& b) { return tier_less(a, b); });
+  for (std::size_t a = 0; a < moves.size();) {
+    std::size_t b = a + 1;
+    while (b < moves.size() && moves[b].tier == moves[a].tier) ++b;
+    std::vector<Slot>& tier = *moves[a].tier;
+    const std::span run(moves.data() + a, b - a);
+    for (Move& m : run) {
+      m.pos = static_cast<std::size_t>(
+          (&tier == &exact_
+               ? std::upper_bound(tier.begin(), tier.end(), m.slot,
+                                  exact_less<Slot>)
+               : std::upper_bound(tier.begin(), tier.end(), m.slot,
+                                  rank_less<Slot>)) -
+          tier.begin());
+    }
+    insert_at(tier, run, pos, [](const Move& m) { return m.slot; });
+    a = b;
+  }
+}
+
+std::size_t FlowTable::erase(std::span<const EntryId> ids) {
+  thread_local std::vector<Move> moves;
+  moves.clear();
+  for (const EntryId id : ids) {
+    const IdIter id_at = find_id(id);
+    if (id_at == ids_.end() || id_at->first != id) continue;
+    Move& m = moves.emplace_back();
+    m.id = id;
+    m.id_pos = static_cast<std::size_t>(id_at - ids_.begin());
+    m.pos = position_of_rank(id_at->second);
+    const hsa::TernaryString& match = entries_[m.pos].match;
+    m.slot = slot_of(id_at->second, match);
+    if (match.is_concrete()) {
+      m.tier = &exact_;
+    } else {
+      m.tier = rank_tier(match, /*create=*/false);
+      SDNPROBE_DCHECK(m.tier != nullptr);
+      m.key = prefix_key(match, key_bits()).value;
+    }
+  }
+  if (moves.empty()) return 0;
+
+  // Ids: the same id twice in `ids` removes one entry.
+  std::sort(moves.begin(), moves.end(),
+            [](const Move& a, const Move& b) { return a.id < b.id; });
+  moves.erase(std::unique(moves.begin(), moves.end(),
+                          [](const Move& a, const Move& b) {
+                            return a.id == b.id;
+                          }),
+              moves.end());
+  erase_at(ids_, moves, [](const Move& m) { return m.id_pos; });
+
+  std::sort(moves.begin(), moves.end(),
+            [](const Move& a, const Move& b) { return a.pos < b.pos; });
+  auto pos = [](const Move& m) { return m.pos; };
+  erase_at(ranks_, moves, pos);
+  erase_at(entries_, moves, pos);
+
+  // Each touched tier: one walk per run of moves out of it. An emptied
+  // bucket goes by its key.
+  std::sort(moves.begin(), moves.end(),
+            [this](const Move& a, const Move& b) { return tier_less(a, b); });
+  for (std::size_t a = 0; a < moves.size();) {
+    std::size_t b = a + 1;
+    while (b < moves.size() && moves[b].tier == moves[a].tier) ++b;
+    std::vector<Slot>& tier = *moves[a].tier;
+    const std::span run(moves.data() + a, b - a);
+    const bool exact = &tier == &exact_;
+    for (Move& m : run) {
+      m.pos = static_cast<std::size_t>(
+          (exact ? std::lower_bound(tier.begin(), tier.end(), m.slot,
+                                    exact_less<Slot>)
+                 : std::lower_bound(tier.begin(), tier.end(), m.slot,
+                                    rank_less<Slot>)) -
+          tier.begin());
+    }
+    erase_at(tier, run, pos);
+    if (tier.empty() && !exact && &tier != &wildcard_) {
+      buckets_.erase(run.front().key);
+    }
+    a = b;
+  }
+  return moves.size();
 }
 
 bool FlowTable::update_actions(EntryId id, const hsa::TernaryString& set_field,

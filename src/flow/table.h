@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -25,14 +26,24 @@ namespace sdnprobe::flow {
 // sits in one tier: concrete matches in an exact-value list, matches exact
 // on the first min(PrefixIndex::kIndexBits, width) header bits in the
 // bucket of that prefix_key(), the rest in one wildcard list.
+//
+// FlowMods come in batches: a batch of k entries costs one merge or
+// compaction pass over the entries, the ids and each touched tier, from
+// the first changed position on, plus a sort of the batch and a binary
+// search per entry. The single-entry calls are one-element batches.
 class FlowTable {
  public:
-  // Inserts an entry (copied) after every entry of priority >= its own.
-  // Ids must be unique within the table.
-  void insert(const FlowEntry& e);
+  // Inserts entries (copied), leaving the table exactly as inserting them
+  // one at a time in span order would: each goes after every entry of
+  // priority >= its own, including the batch's earlier ones. Ids must be
+  // unique within the table and the batch.
+  void insert(std::span<const FlowEntry> batch);
+  void insert(const FlowEntry& e) { insert(std::span(&e, 1)); }
 
-  // Removes the entry with the given id; returns true if found.
-  bool erase(EntryId id);
+  // Removes the entries with the given ids, skipping ids the table does not
+  // hold; returns how many it removed.
+  std::size_t erase(std::span<const EntryId> ids);
+  bool erase(EntryId id) { return erase(std::span(&id, 1)) == 1; }
 
   // Replaces the action (and set field) of an entry *in place*, preserving
   // its table position. An OpenFlow modify-flow must not reorder the table:
@@ -77,6 +88,12 @@ class FlowTable {
   };
 
   using IdIter = std::vector<std::pair<EntryId, Rank>>::const_iterator;
+
+  // One entry of a FlowMod batch: its id and rank, and where its slot sits
+  // in the index (table.cc).
+  struct Move;
+  // Orders moves by tier, then in the tier's own order.
+  bool tier_less(const Move& a, const Move& b) const;
 
   static Slot slot_of(Rank rank, const hsa::TernaryString& match);
   int key_bits() const { return std::min(PrefixIndex::kIndexBits, width_); }

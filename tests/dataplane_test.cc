@@ -266,6 +266,89 @@ TEST(Controller, TestPointRefcountTwoProbesSameTerminal) {
   ctrl.remove_test_point(tp2);
 }
 
+// Every runtime table of `a` equals `b`'s, entry by entry.
+void expect_same_tables(const dataplane::Network& a,
+                        const dataplane::Network& b, int switches) {
+  for (flow::SwitchId s = 0; s < switches; ++s) {
+    ASSERT_EQ(a.table_count(s), b.table_count(s)) << "switch " << s;
+    for (flow::TableId t = 0; t < a.table_count(s); ++t) {
+      const auto& x = a.runtime_table(s, t).entries();
+      const auto& y = b.runtime_table(s, t).entries();
+      ASSERT_EQ(x.size(), y.size()) << "switch " << s << " table " << t;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(x[i].id, y[i].id) << "switch " << s << " table " << t;
+        EXPECT_EQ(x[i].priority, y[i].priority);
+        EXPECT_EQ(x[i].match, y[i].match);
+        EXPECT_EQ(x[i].set_field, y[i].set_field);
+        EXPECT_TRUE(x[i].action == y[i].action);
+      }
+    }
+  }
+}
+
+TEST(Controller, BatchedTestPointsMatchOneByOne) {
+  // Four overlapping policy entries per switch on the 3-switch line, one
+  // with a set field; ids 4s .. 4s+3 on switch s.
+  topo::Graph g(3);
+  g.add_edge(0, 1, 1e-3);
+  g.add_edge(1, 2, 1e-3);
+  flow::RuleSet rs(g, 8);
+  const char* matches[] = {"001xxxxx", "0010xxxx", "01xxxxxx", "xxxxxxxx"};
+  const int priorities[] = {10, 10, 5, 1};
+  for (flow::SwitchId s = 0; s < 3; ++s) {
+    for (int k = 0; k < 4; ++k) {
+      flow::FlowEntry e;
+      e.switch_id = s;
+      e.priority = priorities[k];
+      e.match = ts(matches[k]);
+      if (k == 1) e.set_field = ts("xxxxxxx1");
+      e.action = s < 2 ? flow::Action::output(*rs.ports().port_to(s, s + 1))
+                       : flow::Action::output(rs.ports().host_port(2));
+      rs.add_entry(e);
+    }
+  }
+  // Three test points share terminal 1, two share 11; terminals 0, 1 and 2
+  // share switch 0's test table.
+  const std::vector<controller::TestPointRequest> round = {
+      {1, ts("00100000")}, {4, ts("00111111")},  {1, ts("00100001")},
+      {0, ts("00110000")}, {11, ts("10000000")}, {2, ts("01010101")},
+      {1, ts("00101111")}, {11, ts("11111111")}, {6, ts("01000000")},
+  };
+
+  sim::EventLoop loop;
+  dataplane::Network batched_net(rs, loop);
+  dataplane::Network twin_net(rs, loop);
+  controller::Controller batched(rs, batched_net);
+  controller::Controller twin(rs, twin_net);
+
+  const std::vector<controller::TestPointId> tps =
+      batched.install_test_points(round);
+  std::vector<controller::TestPointId> twin_tps;
+  for (const auto& req : round) {
+    twin_tps.push_back(twin.install_test_point(req.terminal, req.probe_header));
+  }
+  ASSERT_EQ(tps.size(), twin_tps.size());
+  for (std::size_t i = 0; i < tps.size(); ++i) {
+    EXPECT_EQ(tps[i].terminal, twin_tps[i].terminal);
+    EXPECT_EQ(tps[i].test_entry, twin_tps[i].test_entry);
+  }
+  EXPECT_EQ(batched.flowmod_count(), twin.flowmod_count());
+  // Switch 0's test table holds a copy of terminals 0, 1 and 2 and their
+  // five test entries.
+  EXPECT_EQ(batched_net.table_count(0), 2);
+  EXPECT_EQ(batched_net.runtime_table(0, 1).size(), 3u + 5u);
+  expect_same_tables(batched_net, twin_net, 3);
+
+  batched.remove_test_points(tps);
+  for (const auto& tp : twin_tps) twin.remove_test_point(tp);
+  EXPECT_EQ(batched.flowmod_count(), twin.flowmod_count());
+  // Per request a test-entry insert and erase; per terminal (six) a copy
+  // insert, redirect, restore and copy erase.
+  EXPECT_EQ(batched.flowmod_count(), 2u * round.size() + 4u * 6u);
+  EXPECT_TRUE(batched_net.runtime_table(0, 1).empty());
+  expect_same_tables(batched_net, twin_net, 3);
+}
+
 // --- packet_out_batch equivalence ---------------------------------------
 //
 // Batched injection must be observationally identical to looping

@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "analysis/linter.h"
 #include "flow/campus.h"
+#include "flow/prefix_index.h"
 #include "flow/synthesizer.h"
 #include "topo/generator.h"
 #include "util/rng.h"
@@ -371,6 +373,172 @@ TEST(FlowTable, IndexedTableMatchesLinearScanUnderFlowModStream) {
     // A catch-all match is often live, so misses are the rarer outcome.
     EXPECT_GT(hits, 600) << "width " << width;
     EXPECT_GT(misses, 15) << "width " << width;
+  }
+}
+
+TEST(FlowTable, BatchedFlowModsMatchOneByOne) {
+  // A table fed insert and erase batches against a twin fed the same
+  // operations one at a time, and the linear-scan reference.
+  const std::vector<int> priorities = {std::numeric_limits<int>::min(),
+                                       -1,
+                                       0,
+                                       1,
+                                       2,
+                                       std::numeric_limits<int>::max() / 2,
+                                       std::numeric_limits<int>::max()};
+  util::Rng rng(2025);
+  for (const int width : {4, 8, 12, 13, 64, 65, 128}) {
+    const std::vector<hsa::TernaryString> bases = random_bases(rng, width, 3);
+    const int key_bits = std::min(PrefixIndex::kIndexBits, width);
+    FlowTable batched;
+    FlowTable twin;
+    LinearTable ref;
+    std::vector<EntryId> live;
+    EntryId next_id = 0;
+    int emptied_buckets = 0;
+    int emptied_tables = 0;
+    for (int step = 0; step < 60; ++step) {
+      const double op = rng.next_double();
+      if ((op < 0.55 && live.size() < 40) || live.size() < 4) {
+        // A batch of 1-12 fresh entries: ids mostly ascend; priorities
+        // mostly repeat one level, so the batch ties with itself and with
+        // the table.
+        std::vector<FlowEntry> batch(1 + rng.next_below(12));
+        const int level = static_cast<int>(rng.next_below(3));
+        for (FlowEntry& e : batch) {
+          e.id = rng.next_bool(0.8) ? next_id : next_id + 5000;
+          next_id += rng.next_bool(0.8) ? 1 : 3;
+          if (rng.next_bool(0.25)) {
+            // A §VI test entry: concrete, at the top priority, often a
+            // header a live entry also matches.
+            e.priority = std::numeric_limits<int>::max() / 2;
+            e.match = (live.empty() || rng.next_bool(0.3)
+                           ? bases[rng.pick_index(bases.size())]
+                           : ref.find(live[rng.pick_index(live.size())])->match)
+                          .sample(rng);
+            e.action = Action::to_controller();
+          } else {
+            e.priority = rng.next_bool(0.7)
+                             ? level
+                             : priorities[rng.pick_index(priorities.size())];
+            e.match = random_match(rng, bases);
+            e.action = Action::output(static_cast<PortId>(rng.next_below(4)));
+          }
+          e.set_field = hsa::TernaryString::wildcard(width);
+        }
+        // Ids stay unique across the table and the batch.
+        std::vector<FlowEntry> fresh;
+        for (const FlowEntry& e : batch) {
+          const bool taken =
+              std::find(live.begin(), live.end(), e.id) != live.end() ||
+              std::any_of(fresh.begin(), fresh.end(),
+                          [&e](const FlowEntry& f) { return f.id == e.id; });
+          if (!taken) fresh.push_back(e);
+        }
+        batched.insert(fresh);
+        for (const FlowEntry& e : fresh) {
+          twin.insert(e);
+          ref.insert(e);
+          live.push_back(e.id);
+        }
+      } else {
+        std::vector<EntryId> ids;
+        const double kind = rng.next_double();
+        if (kind < 0.1) {
+          // Everything, in shuffled order: the table empties.
+          ids = live;
+          ++emptied_tables;
+        } else if (kind < 0.35) {
+          // Every entry of one bucket: the bucket empties.
+          const std::uint32_t all_exact = (std::uint32_t{1} << key_bits) - 1;
+          auto bucket_of = [&](EntryId id) -> std::optional<std::uint32_t> {
+            const hsa::TernaryString& m = ref.find(id)->match;
+            const PrefixKey key = prefix_key(m, key_bits);
+            if (m.is_concrete() || key.exact != all_exact) return std::nullopt;
+            return key.value;
+          };
+          std::vector<std::uint32_t> keys;
+          for (const EntryId id : live) {
+            if (const auto key = bucket_of(id)) keys.push_back(*key);
+          }
+          if (!keys.empty()) {
+            const std::uint32_t key = keys[rng.pick_index(keys.size())];
+            for (const EntryId id : live) {
+              if (bucket_of(id) == key) ids.push_back(id);
+            }
+            ++emptied_buckets;
+          }
+        } else {
+          // A few live ids, gone ones, repeats and ids never used.
+          for (std::uint64_t n = 1 + rng.next_below(8); n > 0; --n) {
+            ids.push_back(rng.next_bool(0.7)
+                              ? live[rng.pick_index(live.size())]
+                              : static_cast<EntryId>(rng.next_below(
+                                    static_cast<std::uint64_t>(next_id) +
+                                    6000)));
+          }
+        }
+        for (std::size_t i = ids.size(); i > 1; --i) {
+          std::swap(ids[i - 1], ids[rng.next_below(i)]);
+        }
+        std::size_t removed = 0;
+        for (const EntryId id : ids) {
+          const bool twin_hit = twin.erase(id);
+          ASSERT_EQ(twin_hit, ref.erase(id)) << "step " << step;
+          removed += twin_hit ? 1 : 0;
+          live.erase(std::remove(live.begin(), live.end(), id), live.end());
+        }
+        ASSERT_EQ(batched.erase(ids), removed) << "step " << step;
+      }
+
+      ASSERT_EQ(batched.size(), twin.size()) << "step " << step;
+      ASSERT_EQ(batched.size(), ref.entries.size()) << "step " << step;
+      for (std::size_t pos = 0; pos < batched.size(); ++pos) {
+        const FlowEntry& a = batched.entries()[pos];
+        ASSERT_EQ(a.id, twin.entries()[pos].id)
+            << "width " << width << " step " << step;
+        ASSERT_EQ(a.id, ref.entries[pos].id);
+        ASSERT_EQ(a.priority, ref.entries[pos].priority);
+        ASSERT_EQ(a.match, ref.entries[pos].match);
+        ASSERT_TRUE(a.action == ref.entries[pos].action);
+      }
+      for (int q = 0; q < 16; ++q) {
+        hsa::TernaryString h =
+            (q % 2 == 0 && !live.empty()
+                 ? ref.find(live[rng.pick_index(live.size())])->match
+             : q % 4 == 1 ? random_match(rng, bases)
+                          : hsa::TernaryString::wildcard(width))
+                .sample(rng);
+        if (q >= 14) {
+          h.set(static_cast<int>(rng.next_below(
+                    static_cast<std::uint64_t>(width))),
+                hsa::Trit::kWild);
+        }
+        const FlowEntry* got = batched.lookup(h);
+        const FlowEntry* one = twin.lookup(h);
+        const FlowEntry* want = ref.lookup(h);
+        ASSERT_EQ(got == nullptr, want == nullptr)
+            << "width " << width << " step " << step << " " << h.to_string();
+        ASSERT_EQ(one == nullptr, want == nullptr);
+        if (want != nullptr) {
+          ASSERT_EQ(got->id, want->id)
+              << "width " << width << " step " << step << " " << h.to_string();
+          ASSERT_EQ(one->id, want->id);
+        }
+      }
+      for (const FlowEntry& e : ref.entries) {
+        const auto want = ref.input_space(e.id).cubes();
+        ASSERT_EQ(batched.input_space(e.id).cubes(), want)
+            << "width " << width << " step " << step << " entry " << e.id;
+        ASSERT_EQ(twin.input_space(e.id).cubes(), want);
+      }
+    }
+    EXPECT_GT(emptied_tables, 0) << "width " << width;
+    // Up to 12 bits, a match exact on every indexed bit is concrete: it
+    // goes to the exact tier, and no bucket exists.
+    if (width > PrefixIndex::kIndexBits) {
+      EXPECT_GT(emptied_buckets, 0) << "width " << width;
+    }
   }
 }
 

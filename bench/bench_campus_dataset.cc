@@ -91,11 +91,11 @@ int main(int argc, char** argv) {
     std::printf("all-fallback probe generation: %zu probes, %llu lex-min "
                 "headers in %.2f ms\n",
                 probes.size(),
-                static_cast<unsigned long long>(engine.stats().headers_by_sat),
+                static_cast<unsigned long long>(engine.stats().headers_by_lexmin),
                 ms);
     report.set_summary("fallback_probes_ms", ms);
     report.set_summary("fallback_headers",
-                       std::uint64_t{engine.stats().headers_by_sat});
+                       std::uint64_t{engine.stats().headers_by_lexmin});
   }
 
   // End-to-end check: every probe traverses its path on a clean data plane.
@@ -105,14 +105,14 @@ int main(int argc, char** argv) {
   core::ProbeEngine engine(snap);
   util::Rng rng(2);
   const auto probes = engine.make_probes(cover, rng);
-  std::printf("probe synthesis: %zu probes, %llu by sampling, %llu by SAT\n",
+  std::printf("probe synthesis: %zu probes, %llu by sampling, %llu by lex-min\n",
               probes.size(),
               static_cast<unsigned long long>(engine.stats().headers_by_sampling),
-              static_cast<unsigned long long>(engine.stats().headers_by_sat));
+              static_cast<unsigned long long>(engine.stats().headers_by_lexmin));
   report.set_summary("probes", std::uint64_t{probes.size()});
   report.set_summary("headers_by_sampling",
                      std::uint64_t{engine.stats().headers_by_sampling});
-  report.set_summary("headers_by_sat",
-                     std::uint64_t{engine.stats().headers_by_sat});
+  report.set_summary("headers_by_lexmin",
+                     std::uint64_t{engine.stats().headers_by_lexmin});
   return 0;
 }

@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
       double t1 = 0.0;
       std::size_t ref = 0;
       for (const int threads : {1, 2, 4}) {
-        sweep.common.threads = threads;
         const auto pool = threads > 1 ? std::make_unique<util::ThreadPool>(
                                             static_cast<std::size_t>(threads))
                                       : nullptr;

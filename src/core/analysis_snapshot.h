@@ -8,7 +8,7 @@
 // table-0 vertices. It is built once per detection round and then only
 // read: every accessor is const and returns references to data fixed at
 // build time, so a snapshot may be shared by any number of worker threads
-// (see util::ThreadPool) without synchronization. Thread-safety is a
+// (see util/thread_pool.h) without synchronization. Thread-safety is a
 // type-level property here — code that holds a `const AnalysisSnapshot&`
 // cannot mutate the model — rather than a convention about who calls what
 // when.

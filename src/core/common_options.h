@@ -1,7 +1,7 @@
-// Knobs shared by every randomized / parallelizable core component.
+// Knobs shared by every randomized core component.
 //
 // LocalizerConfig, MlpcConfig, and ProbeEngineConfig each used to carry
-// their own `seed` / `threads` / `randomized` fields with identical
+// their own `seed` / `randomized` fields with identical
 // semantics; they now embed one CommonOptions so a caller wiring a whole
 // pipeline configures the trio once per component with the same vocabulary
 // (and so new components don't grow a fourth copy).
@@ -19,8 +19,9 @@ struct CommonOptions {
   // Master seed for the component's derived RNG streams. Ignored by
   // components that only consume caller-provided Rng state.
   std::uint64_t seed = 1;
-  // Worker threads (0 = hardware_concurrency, 1 = serial). Every component
-  // guarantees bit-identical output for any value.
+  // Read by nothing in the library: parallelism is the pool a caller lends
+  // to MlpcSolver / ProbeEngine. Kept only until a benchmark change drops
+  // pipebench's writes to it.
   int threads = 1;
 };
 

@@ -59,13 +59,6 @@ struct LocalizerInstruments {
   }
 };
 
-// The localizer's probe engine shares its thread count and nothing else.
-ProbeEngineConfig engine_config(int threads) {
-  ProbeEngineConfig config;
-  config.common.threads = threads;
-  return config;
-}
-
 }  // namespace
 
 const char* deviation_kind_name(DeviationKind k) {
@@ -94,12 +87,7 @@ FaultLocalizer::FaultLocalizer(const AnalysisSnapshot& snapshot,
       graph_(&snapshot.graph()),
       loop_(&loop),
       config_(config),
-      pool_(util::ThreadPool::resolve_thread_count(config.common.threads) > 1
-                ? std::make_unique<util::ThreadPool>(
-                      util::ThreadPool::resolve_thread_count(
-                          config.common.threads))
-                : nullptr),
-      engine_(snapshot, engine_config(config.common.threads), pool_.get()),
+      engine_(snapshot),
       rng_(config.common.seed),
       round_(snapshot.rules(), ctrl, loop, config.round_grace_s,
              config.confirm_retries, config.adaptive_timeout) {}
@@ -118,8 +106,7 @@ std::vector<Probe> FaultLocalizer::generate_full_cover() const {
     if (!fixed_ready_) {
       MlpcConfig mc;
       mc.common.randomized = false;
-      mc.common.threads = config_.common.threads;
-      const Cover cover = MlpcSolver(mc, pool_.get()).solve(*snapshot_);
+      const Cover cover = MlpcSolver(mc).solve(*snapshot_);
       fixed_probes_ = engine_.make_probes(cover, rng_, nullptr);
       fixed_ready_ = true;
       charge_wall_time(timer.elapsed_seconds());
@@ -141,8 +128,7 @@ std::vector<Probe> FaultLocalizer::generate_full_cover() const {
   MlpcConfig mc;
   mc.common.randomized = true;
   mc.common.seed = rng_.next();
-  mc.common.threads = config_.common.threads;
-  const Cover cover = MlpcSolver(mc, pool_.get()).solve(*snapshot_);
+  const Cover cover = MlpcSolver(mc).solve(*snapshot_);
   engine_.reset_uniqueness();
   if (config_.profile && !config_.profile->empty()) {
     period_profile_ = config_.profile->period_snapshot(rng_);

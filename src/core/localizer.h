@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -33,7 +32,6 @@
 #include "core/rule_graph.h"
 #include "core/traffic_profile.h"
 #include "sim/event_loop.h"
-#include "util/thread_pool.h"
 
 namespace sdnprobe::core {
 
@@ -44,10 +42,8 @@ struct LocalizerConfig {
   int max_rounds = 64;
   // Shared knobs (core/common_options.h): `randomized` selects Randomized
   // SDNProbe (re-draw cover and headers at every full restart), `seed` feeds
-  // the localizer's RNG, `threads` is shared by cover (re)generation and
-  // probe construction (0 = hardware_concurrency, 1 = serial; results are
-  // identical for any value — the localizer owns one pool and reuses it
-  // across rounds).
+  // the localizer's RNG. The localizer runs serially: cover (re)generation
+  // and probe construction borrow no thread pool.
   CommonOptions common;
   // Optional traffic profile for header randomization (used in randomized
   // mode; ignored otherwise to keep deterministic headers stable).
@@ -137,7 +133,7 @@ struct DetectionReport {
   // ---- Per-probe evidence (repair support, DESIGN.md §15) ----
   // One entry per distinct failing unexplained span, carrying the latest
   // round's observation; sorted by (first entry, terminal entry) of the
-  // span, so the list is deterministic across thread counts.
+  // span, so the list is deterministic from run to run.
   std::vector<ProbeEvidence> evidence;
   // Entries whose probes passed cleanly, mapped to the last round that
   // cleared them (forwarding through these was confirmed end-to-end).
@@ -199,8 +195,6 @@ class FaultLocalizer {
   const RuleGraph* graph_;
   sim::EventLoop* loop_;
   LocalizerConfig config_;
-  // Declared before engine_: the engine borrows the pool. Null when serial.
-  std::unique_ptr<util::ThreadPool> pool_;
   // Cover/probe generation state is mutable so the const
   // initial_probe_count() can build and cache the first cover.
   mutable ProbeEngine engine_;

@@ -454,15 +454,9 @@ Cover MlpcSolver::solve(const AnalysisSnapshot& snapshot) const {
     results[r] = solve_once(
         snapshot, util::Rng::derive(config_.common.seed, static_cast<std::uint64_t>(r)));
   };
-  const std::size_t workers = std::min(
-      util::ThreadPool::resolve_thread_count(config_.common.threads), restarts);
-  if (pool_ == nullptr || workers <= 1) {
-    for (std::size_t r = 0; r < restarts; ++r) run_restart(r);
-  } else {
-    util::parallel_for(pool_, restarts, run_restart);
-  }
+  util::parallel_for(pool_, restarts, run_restart);
   // Stable best-cover selection: smallest cover wins, restart index breaks
-  // ties — an index-order scan with strict `<`, independent of thread count.
+  // ties — an index-order scan with strict `<`, independent of the pool.
   std::size_t best = 0;
   for (std::size_t r = 1; r < restarts; ++r) {
     if (results[r].path_count() < results[best].path_count()) best = r;

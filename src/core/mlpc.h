@@ -52,9 +52,10 @@ struct Cover {
 struct MlpcConfig {
   // Shared knobs (core/common_options.h): `randomized` selects the
   // Dyer–Frieze random greedy matcher, `seed` feeds the per-restart derived
-  // streams, `threads` parallelizes the deterministic restarts (identical
-  // cover for every value — restart r always draws Rng::derive(seed, r) and
-  // the winner is the stable (cover size, restart index) tie-break).
+  // streams. The deterministic restarts run on the pool passed to the
+  // solver (identical cover for any pool size, or none — restart r always
+  // draws Rng::derive(seed, r) and the winner is the stable (cover size,
+  // restart index) tie-break).
   CommonOptions common;
   // Per-stitch DFS budget: how many vertex expansions a tail may explore
   // while looking for a head to merge with. Large enough to behave as
@@ -76,9 +77,7 @@ struct MlpcConfig {
 
 class MlpcSolver {
  public:
-  // Restarts run on the caller's pool, so callers that solve every round
-  // (e.g. FaultLocalizer) reuse one set of workers. A null pool means
-  // serial, whatever `threads` says.
+  // Restarts run on the caller's pool; a null pool means serial.
   explicit MlpcSolver(MlpcConfig config = {}, util::ThreadPool* pool = nullptr)
       : config_(config), pool_(pool) {}
 

@@ -16,14 +16,15 @@ namespace {
 struct EngineInstruments {
   telemetry::Counter& candidates;
   telemetry::Counter& committed;
-  telemetry::Counter& sat_fallbacks;
-  telemetry::Counter& sat_failures;
+  telemetry::Counter& lexmin_fallbacks;
+  telemetry::Counter& lexmin_failures;
 
   static EngineInstruments& get() {
     static auto& reg = telemetry::MetricsRegistry::global();
     static EngineInstruments i{
         reg.counter("probe_engine.header_candidates"),
         reg.counter("probe_engine.headers_committed"),
+        // Pre-lex-min names kept: pipebench reads sat_fallbacks by name.
         reg.counter("probe_engine.sat_fallbacks"),
         reg.counter("probe_engine.sat_failures"),
     };
@@ -84,7 +85,7 @@ std::optional<hsa::TernaryString> ProbeEngine::pick_unique_header(
       return h;
     }
   }
-  return sat_unique_header(input_space);
+  return lexmin_unique_header(input_space);
 }
 
 std::optional<hsa::TernaryString> ProbeEngine::commit_unique_header(
@@ -99,23 +100,23 @@ std::optional<hsa::TernaryString> ProbeEngine::commit_unique_header(
       return h;
     }
   }
-  return sat_unique_header(input_space);
+  return lexmin_unique_header(input_space);
 }
 
-std::optional<hsa::TernaryString> ProbeEngine::sat_unique_header(
+std::optional<hsa::TernaryString> ProbeEngine::lexmin_unique_header(
     const hsa::HeaderSpace& input_space) {
   // The lex-min header of the space that differs from every previously
   // issued header (the paper's MiniSat use, §VI).
-  EngineInstruments::get().sat_fallbacks.add();
+  EngineInstruments::get().lexmin_fallbacks.add();
   auto h = input_space.min_member(used_);
   if (h.has_value()) {
-    ++stats_.headers_by_sat;
+    ++stats_.headers_by_lexmin;
     EngineInstruments::get().committed.add();
     used_.insert(*h);
     return h;
   }
-  ++stats_.sat_failures;
-  EngineInstruments::get().sat_failures.add();
+  ++stats_.lexmin_failures;
+  EngineInstruments::get().lexmin_failures.add();
   return std::nullopt;
 }
 
@@ -157,7 +158,7 @@ std::vector<Probe> ProbeEngine::make_probes(const Cover& cover,
   const std::size_t n = cover.paths.size();
   // One base draw: path i samples from stream derive(base, i), so the
   // produced headers depend only on (cover, rng state at entry) and the
-  // caller's stream advances by exactly one draw — never on thread count.
+  // caller's stream advances by exactly one draw — never on the pool.
   const std::uint64_t base = rng.next();
 
   // Phase A (parallel, read-only): per-path input spaces and header
@@ -169,15 +170,7 @@ std::vector<Probe> ProbeEngine::make_probes(const Cover& cover,
         util::Rng::derive(base, static_cast<std::uint64_t>(i)),
         config_.sample_attempts, profile);
   };
-  const std::size_t workers =
-      n == 0 ? 1
-             : std::min(util::ThreadPool::resolve_thread_count(config_.common.threads),
-                        n);
-  if (pool_ == nullptr || workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) generate(i);
-  } else {
-    util::parallel_for(pool_, n, generate);
-  }
+  util::parallel_for(pool_, n, generate);
 
   // Phase B (serial, cover order): uniqueness commit against `used_`, lex-min
   // fallback for paths whose every candidate collided, probe assembly.

@@ -10,7 +10,7 @@
 // out across worker threads, with path i sampling from its own derived RNG
 // stream. Phase B — the uniqueness commit against the `used_` header pool
 // (and the rare lex-min fallback) — is serialized in cover order. Output is
-// therefore bit-identical for any thread count, including 1.
+// therefore bit-identical for any pool size, or no pool.
 #pragma once
 
 #include <cstdint>
@@ -54,19 +54,18 @@ struct Probe {
 
 struct ProbeStats {
   std::uint64_t headers_by_sampling = 0;
-  std::uint64_t headers_by_sat = 0;
-  std::uint64_t sat_failures = 0;  // paths with no unique header available
+  std::uint64_t headers_by_lexmin = 0;
+  std::uint64_t lexmin_failures = 0;  // paths with no unique header available
 
   friend bool operator==(const ProbeStats&, const ProbeStats&) = default;
 };
 
 struct ProbeEngineConfig {
-  // Shared knobs (core/common_options.h). The engine uses `threads` for
-  // make_probes' candidate-generation phase (0 = hardware_concurrency,
-  // 1 = serial; headers and stats identical for any value, see the file
-  // comment); the workers are the pool passed to the constructor, and a
-  // null pool means serial. `seed` / `randomized` are unused here — the
-  // engine draws all randomness from the caller-provided Rng.
+  // Shared knobs (core/common_options.h), all unused here: the engine draws
+  // all randomness from the caller-provided Rng, and make_probes'
+  // candidate-generation phase runs on the pool passed to the constructor
+  // (a null pool means serial; headers and stats are identical for any
+  // pool, see the file comment).
   CommonOptions common;
   // Header candidates sampled per path before the lex-min fallback.
   int sample_attempts = 16;
@@ -80,9 +79,9 @@ class ProbeEngine {
       : snapshot_(&snapshot), config_(config), pool_(pool) {}
 
   // Builds probes for every path of `cover`. Paths whose header synthesis
-  // fails (exhausted header space) are skipped; see stats().sat_failures.
+  // fails (exhausted header space) are skipped; see stats().lexmin_failures.
   // Consumes exactly one draw from `rng` (the per-path stream base), so the
-  // caller's stream advances identically for any thread count.
+  // caller's stream advances identically for any pool.
   std::vector<Probe> make_probes(const Cover& cover, util::Rng& rng,
                                  const TrafficProfile* profile = nullptr);
 
@@ -117,8 +116,8 @@ class ProbeEngine {
 
   // Slow path shared by both header pickers: the lex-min header in
   // `input_space` differing from every issued header. Counted as
-  // headers_by_sat / sat_failures, the paper's solver role.
-  std::optional<hsa::TernaryString> sat_unique_header(
+  // headers_by_lexmin / lexmin_failures, the paper's solver role.
+  std::optional<hsa::TernaryString> lexmin_unique_header(
       const hsa::HeaderSpace& input_space);
 
   // Fills in entries / inject switch / expected return for a legal path

@@ -15,7 +15,7 @@ namespace {
 // epoch e's full-cover build draws stream 2e, its incremental repair draws
 // 2e+1, and monitoring round r draws kRoundStreamBase + r. Keeping the
 // spaces disjoint is what makes a monitor run a pure function of (seed,
-// churn sequence), independent of thread count and host speed.
+// churn sequence), independent of host speed.
 constexpr std::uint64_t kRoundStreamBase = 1ull << 32;
 
 std::uint64_t cover_stream(std::uint64_t epoch) { return 2 * epoch; }
@@ -72,11 +72,6 @@ Monitor::Monitor(flow::RuleSet& rules, controller::Controller& ctrl,
       loop_(&loop),
       config_(config),
       graph_(rules),
-      pool_(util::ThreadPool::resolve_thread_count(config.common.threads) > 1
-                ? std::make_unique<util::ThreadPool>(
-                      util::ThreadPool::resolve_thread_count(
-                          config.common.threads))
-                : nullptr),
       tm_(std::make_unique<Instruments>()) {
   // Incremental repair maintains one fixed cover across epochs; the
   // randomized variant re-draws covers per restart and is incompatible.
@@ -199,10 +194,8 @@ void Monitor::regenerate_probes() {
   const core::AnalysisSnapshot& snap = *snapshot_;
   core::MlpcConfig mc;
   mc.common = config_.common;
-  const core::Cover cover = core::MlpcSolver(mc, pool_.get()).solve(snap);
-  core::ProbeEngineConfig ec;
-  ec.common.threads = config_.common.threads;
-  core::ProbeEngine engine(snap, ec, pool_.get());
+  const core::Cover cover = core::MlpcSolver(mc).solve(snap);
+  core::ProbeEngine engine(snap);
   util::Rng rng(util::Rng::derive(config_.common.seed, cover_stream(epoch_)));
   probes_ = engine.make_probes(cover, rng);
   for (core::Probe& p : probes_) p.probe_id = next_probe_id_++;
@@ -241,9 +234,7 @@ void Monitor::repair_probes(const std::vector<core::VertexId>& touched) {
   // Cover the remainder with fresh paths and headers. Serial and
   // index-ordered: the affected region is small by construction, and a
   // fixed order keeps the repaired set a pure function of the churn.
-  core::ProbeEngineConfig ec;
-  ec.common.threads = 1;
-  core::ProbeEngine engine(snap, ec, nullptr);
+  core::ProbeEngine engine(snap);
   for (const core::Probe& p : probes_) engine.note_used(p.header);
   util::Rng rng(util::Rng::derive(config_.common.seed, repair_stream(epoch_)));
   std::uint64_t built = 0;
@@ -307,9 +298,6 @@ void Monitor::run_round() {
   const double start_s = loop_->now();
   core::LocalizerConfig lc = config_.localizer;
   lc.common.randomized = false;
-  // The localizer is handed its cover (set_cover_probes) and never runs
-  // MLPC or make_probes, so a worker pool would only be started and joined.
-  lc.common.threads = 1;
   lc.common.seed =
       util::Rng::derive(config_.common.seed, kRoundStreamBase + report_.rounds);
   // Hold this epoch's snapshot for the whole episode: a drain_churn()

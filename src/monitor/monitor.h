@@ -35,11 +35,11 @@
 // verdict (last_verify_report()). Verification runs outside the repair
 // timing; ChurnStats keeps measuring repair alone.
 //
-// Determinism. All repair is serial and index-ordered; full regeneration
-// and localization delegate to components that are bit-identical for any
-// thread count. Round r of epoch e always draws the same derived RNG
-// streams, so a monitor run's report fingerprint is reproducible across
-// 1/2/8 threads (tests/parallel_determinism_test.cc).
+// Determinism. The monitor runs serially: repair is index-ordered, and
+// full regeneration and localization borrow no thread pool. Round r of
+// epoch e always draws the same derived RNG streams, so a monitor run's
+// report fingerprint is reproducible from run to run
+// (tests/parallel_determinism_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -58,7 +58,6 @@
 #include "core/rule_graph.h"
 #include "flow/ruleset.h"
 #include "sim/event_loop.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace sdnprobe::monitor {
@@ -109,13 +108,13 @@ struct ChurnLog {
 struct MonitorConfig {
   // Simulated seconds between scheduled monitoring rounds.
   double round_period_s = 1.0;
-  // Shared seed / thread knobs. `randomized` must stay false: incremental
+  // Shared knobs. `randomized` must stay false: incremental
   // probe repair maintains a fixed cover, which is the deterministic
   // variant by definition.
   core::CommonOptions common;
   // Per-round localizer knobs. `common` inside it is overwritten each
-  // round (seed derived per round, deterministic, one thread: the round
-  // reuses the monitor's cover, so the localizer generates none), so
+  // round (seed derived per round, deterministic: the round reuses the
+  // monitor's cover, so the localizer generates none), so
   // configure only the behavioral fields here.
   core::LocalizerConfig localizer;
   // false = rebuild the whole cover from scratch after every churn batch
@@ -316,7 +315,6 @@ class Monitor {
   sim::EventLoop* loop_;
   MonitorConfig config_;
   core::RuleGraph graph_;  // the one mutable graph; mutated between rounds
-  std::unique_ptr<util::ThreadPool> pool_;  // null when serial
 
   mutable std::mutex snapshot_mu_;  // guards snapshot_ pointer swaps only
   std::shared_ptr<const core::AnalysisSnapshot> snapshot_;

@@ -208,9 +208,7 @@ std::vector<core::Probe> RepairEngine::confirm_probes(
   std::sort(seeds.begin(), seeds.end());
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
 
-  core::ProbeEngineConfig ec;
-  ec.common.threads = 1;
-  core::ProbeEngine engine(snap, ec, nullptr);
+  core::ProbeEngine engine(snap);
   util::Rng rng(util::Rng::derive(config_.common.seed, seed_stream));
   std::vector<core::Probe> probes;
   std::set<std::pair<flow::EntryId, flow::EntryId>> spans;
@@ -269,7 +267,6 @@ bool RepairEngine::confirm(const monitor::ChurnLog& log) {
   if (probes.empty()) return false;  // nothing provable => not confirmed
   core::LocalizerConfig lc = config_.confirm;
   lc.common.randomized = false;
-  lc.common.threads = 1;  // targeted episode; determinism over parallelism
   lc.common.seed = util::Rng::derive(config_.common.seed, stream);
   lc.max_rounds = kConfirmMaxRounds;
   lc.quiet_full_rounds_to_stop = 1;

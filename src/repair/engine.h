@@ -38,9 +38,8 @@
 //
 // Determinism: diagnosis, synthesis, verification, and confirm probing are
 // pure functions of (snapshot, report, seed); confirm episodes run
-// single-threaded off a derived seed stream, so a heal is bit-identical
-// across monitor thread counts. Telemetry records outcomes and never
-// influences control flow.
+// serially off a derived seed stream, so a heal is bit-identical from run
+// to run. Telemetry records outcomes and never influences control flow.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +95,7 @@ struct RepairConfig {
   // machinery (loop/blackhole checks fire only if declared).
   analysis::InvariantSet invariants;
   // Template for confirm episodes; common/max_rounds/quiet fields are
-  // overwritten per episode (seed derived, single-threaded).
+  // overwritten per episode (seed derived).
   core::LocalizerConfig confirm;
   core::CommonOptions common;  // seed for confirm-probe streams
   // Test hook: runs after dry-run verification, before the epoch fence

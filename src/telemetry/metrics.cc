@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "util/thread_pool.h"
-
 namespace sdnprobe::telemetry {
 namespace {
 
@@ -13,26 +11,6 @@ namespace {
 std::vector<double> default_bounds() {
   return {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0};
 }
-
-// Forwards ThreadPool scheduling events into the global registry. Installed
-// once when global() is first constructed; the branch on the enabled flag
-// lives inside Counter/Gauge, so a disabled registry keeps the pool's fast
-// path at one relaxed load per event.
-class PoolMetrics final : public util::ThreadPoolObserver {
- public:
-  explicit PoolMetrics(MetricsRegistry& reg)
-      : tasks_run_(reg.counter("threadpool.tasks_run")),
-        queue_depth_(reg.gauge("threadpool.queue_depth")) {}
-
-  void on_task_run() override { tasks_run_.add(); }
-  void on_queue_depth(std::size_t depth) override {
-    queue_depth_.set(static_cast<double>(depth));
-  }
-
- private:
-  Counter& tasks_run_;
-  Gauge& queue_depth_;
-};
 
 }  // namespace
 
@@ -87,7 +65,6 @@ MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry* instance = [] {
     const char* env = std::getenv("SDNPROBE_METRICS");
     auto* reg = new MetricsRegistry(env != nullptr);
-    util::set_thread_pool_observer(new PoolMetrics(*reg));
     if (env != nullptr && env[0] != '\0') {
       // Write the artifact at exit. Registered after the registry exists
       // (and the registry is intentionally leaked), so the handler never

@@ -26,7 +26,7 @@ void set_log_threshold(LogLevel level);
 std::optional<LogLevel> parse_log_level(std::string_view name);
 
 // Small sequential id of the calling thread (1 = first thread to log or
-// trace). ThreadPool workers interleave on stderr; the per-line id is what
+// trace). Pool workers interleave on stderr; the per-line id is what
 // makes those interleavings attributable. Telemetry span records reuse the
 // same ordinal so spans and log lines from one thread correlate.
 std::uint64_t thread_ordinal();

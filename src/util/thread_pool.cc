@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "util/check.h"
@@ -9,13 +8,12 @@
 namespace sdnprobe::util {
 namespace {
 
-std::atomic<ThreadPoolObserver*> g_pool_observer{nullptr};
+// parallel_for's blocks per worker: enough slack that one slow block does
+// not idle the other workers, few enough that per-task queue and
+// std::function overhead stays negligible against per-index work.
+constexpr std::size_t kBlocksPerWorker = 4;
 
 }  // namespace
-
-void set_thread_pool_observer(ThreadPoolObserver* observer) {
-  g_pool_observer.store(observer, std::memory_order_release);
-}
 
 ThreadPool::ThreadPool(std::size_t worker_count) {
   if (worker_count == 0) {
@@ -38,25 +36,12 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::enqueue(std::function<void()> task) {
   SDNPROBE_CHECK(task != nullptr) << "enqueue of an empty task";
-  std::size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
     SDNPROBE_CHECK(!stop_) << "enqueue on a ThreadPool being destroyed";
     queue_.push_back(std::move(task));
-    depth = queue_.size();
   }
   cv_.notify_one();
-  if (ThreadPoolObserver* obs =
-          g_pool_observer.load(std::memory_order_acquire)) {
-    obs->on_queue_depth(depth);
-  }
-}
-
-std::size_t ThreadPool::resolve_thread_count(int requested) {
-  if (requested == 0) {
-    return std::max(1u, std::thread::hardware_concurrency());
-  }
-  return static_cast<std::size_t>(std::max(requested, 1));
 }
 
 void ThreadPool::worker_loop() {
@@ -70,10 +55,6 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
     }
     task();
-    if (ThreadPoolObserver* obs =
-            g_pool_observer.load(std::memory_order_acquire)) {
-      obs->on_task_run();
-    }
   }
 }
 
@@ -93,11 +74,7 @@ void TaskGroup::spawn(std::function<void()> fn) {
     }
     finish(index, error);
   };
-  if (pool_) {
-    pool_->enqueue(std::move(run));
-  } else {
-    run();
-  }
+  pool_->enqueue(std::move(run));
 }
 
 void TaskGroup::finish(std::size_t index, std::exception_ptr error) {
@@ -122,13 +99,25 @@ void TaskGroup::wait() {
 void parallel_for(ThreadPool* pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn) {
   if (pool == nullptr || count < 2) {
-    TaskGroup group(nullptr);
-    for (std::size_t i = 0; i < count; ++i) group.spawn([&fn, i] { fn(i); });
-    group.wait();
+    for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  TaskGroup group(pool);
-  for (std::size_t i = 0; i < count; ++i) group.spawn([&fn, i] { fn(i); });
+  // Block b covers [b * base + min(b, extra), ...) with base or base + 1
+  // indices, so block sizes differ by at most one and blocks stay in
+  // index order (the spawn order TaskGroup ranks exceptions by).
+  const std::size_t blocks =
+      std::min(count, kBlocksPerWorker * pool->worker_count());
+  const std::size_t base = count / blocks;
+  const std::size_t extra = count % blocks;
+  TaskGroup group(*pool);
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t end = begin + base + (b < extra ? 1 : 0);
+    group.spawn([&fn, begin, end] {
+      for (std::size_t i = begin; i < end; ++i) fn(i);
+    });
+    begin = end;
+  }
   group.wait();
 }
 

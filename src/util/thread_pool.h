@@ -1,7 +1,9 @@
 // Deterministic parallel execution layer.
 //
 // The analysis hot paths (MLPC restarts, probe-header candidate generation)
-// fan read-only work out over an immutable core::AnalysisSnapshot. The
+// fan read-only work out over an immutable core::AnalysisSnapshot, on a pool
+// the caller builds and lends to core::MlpcSolver / core::ProbeEngine (a
+// null pool means serial; no library component owns a pool). The
 // contract everywhere in this repository is that parallel execution must be
 // *bit-identical* to serial execution for any worker count: workers never
 // share mutable state, every task writes into its own pre-assigned result
@@ -21,29 +23,12 @@
 
 namespace sdnprobe::util {
 
-// Scheduling-event hook for the telemetry layer (util cannot depend on
-// src/telemetry, so the dependency is inverted: telemetry installs an
-// observer here). Callbacks fire on enqueue (with the post-push queue
-// depth) and after each task completes; both may run concurrently from
-// multiple threads and must be cheap and non-blocking.
-class ThreadPoolObserver {
- public:
-  virtual ~ThreadPoolObserver() = default;
-  virtual void on_task_run() = 0;
-  virtual void on_queue_depth(std::size_t depth) = 0;
-};
-
-// Installs the process-wide observer (nullptr uninstalls). The observer
-// must outlive every ThreadPool; with none installed the hook is one
-// relaxed atomic load per event.
-void set_thread_pool_observer(ThreadPoolObserver* observer);
-
 // Fixed-size pool of worker threads draining a FIFO task queue. The pool is
-// intended to be built once per component (e.g. one per FaultLocalizer) and
-// reused across detection rounds; construction cost is a few microseconds
-// per worker. enqueue() is thread-safe. Tasks must not enqueue into the pool
-// they run on and then block on it (no work-stealing; that would deadlock) —
-// use TaskGroup/parallel_for, which only block the *submitting* thread.
+// intended to be built once by the caller and lent to every solve that can
+// use it; construction cost is a few microseconds per worker. enqueue() is
+// thread-safe. Tasks must not enqueue into the pool they run on and then
+// block on it (no work-stealing; that would deadlock) — use
+// TaskGroup/parallel_for, which only block the *submitting* thread.
 class ThreadPool {
  public:
   // worker_count == 0 means std::thread::hardware_concurrency().
@@ -58,10 +43,6 @@ class ThreadPool {
   // Schedules a task; returns immediately. Tasks run in FIFO submission
   // order across the pool (per-task completion order is unspecified).
   void enqueue(std::function<void()> task);
-
-  // Maps a user-facing `threads` config knob to an effective worker count:
-  // 0 = hardware_concurrency, otherwise the value itself (min 1).
-  static std::size_t resolve_thread_count(int requested);
 
  private:
   void worker_loop();
@@ -78,13 +59,9 @@ class ThreadPool {
 // finished, then rethrows the exception of the *lowest-spawn-index* failed
 // task (deterministic: independent of which worker failed first). A group
 // is reusable: after wait() returns (or throws) it is empty again.
-//
-// With a null pool (or a single-worker semantic chosen by the caller) tasks
-// run inline on the calling thread at spawn() time, with identical exception
-// semantics — serial and parallel runs observe the same behavior.
 class TaskGroup {
  public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
+  explicit TaskGroup(ThreadPool& pool) : pool_(&pool) {}
 
   void spawn(std::function<void()> fn);
   void wait();
@@ -102,10 +79,13 @@ class TaskGroup {
 };
 
 // Runs fn(0), fn(1), ..., fn(count - 1) and blocks until all complete.
-// Serial (inline, in index order) when pool is null or count < 2; otherwise
-// each index is a pool task. Rethrows the lowest-index task exception.
-// Because each index writes only its own result slot, output never depends
-// on the pool's worker count.
+// Serial (a plain loop in index order) when pool is null or count < 2.
+// Otherwise [0, count) is split into min(count, 4 x worker_count) contiguous
+// blocks, one pool task each; a block runs its indices in order and stops
+// at its first exception. The lowest failing block holds the lowest failing
+// index, and that index's exception is rethrown. Because each index writes
+// only its own result slot, output never depends on the pool's worker
+// count.
 void parallel_for(ThreadPool* pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 

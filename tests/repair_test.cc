@@ -462,13 +462,10 @@ TEST(RepairEngine, SwitchFaultOnCutVertexRollsBackCleanly) {
 }
 
 // A heal episode is a pure function of (world, seed): running the same
-// scenario under different monitor thread counts produces bit-identical
-// outcomes and final network state.
-TEST(RepairEngine, HealIsDeterministicAcrossMonitorThreadCounts) {
-  const auto run = [](int threads) {
-    monitor::MonitorConfig mc;
-    mc.common.threads = threads;
-    Fixture fx(31, 500, mc);
+// scenario twice produces bit-identical outcomes and final network state.
+TEST(RepairEngine, HealIsDeterministicAcrossRuns) {
+  const auto run = [] {
+    Fixture fx(31, 500);
     const flow::EntryId bad = inject_and_flag(fx, only_drop(), 9);
     EXPECT_EQ(fx.mon->report().flagged_switches.size(), 1u);
     RepairEngine eng(*fx.mon, *fx.ctrl, fx.loop, RepairConfig{});
@@ -479,8 +476,8 @@ TEST(RepairEngine, HealIsDeterministicAcrossMonitorThreadCounts) {
         out.diagnosis.to_string(),
         core::canonical_fingerprint(*fx.mon->snapshot()));
   };
-  const auto one = run(1);
-  const auto two = run(2);
+  const auto one = run();
+  const auto two = run();
   EXPECT_EQ(one, two);
 }
 

@@ -4,7 +4,6 @@
 // the bench run-artifact schema validator.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -375,24 +374,6 @@ TEST(RunArtifact, AttachMetricsEmbedsRegistryExport) {
   EXPECT_NE(s.find("\"metrics\":{\"schema\":\"sdnprobe.metrics.v1\""),
             std::string::npos);
   EXPECT_NE(s.find("\"embedded\":4"), std::string::npos);
-}
-
-// --- ThreadPool observer wiring (the global registry installs it) ---
-
-TEST(PoolObserver, GlobalRegistryCountsPoolTasksWhenEnabled) {
-  auto& reg = MetricsRegistry::global();
-  const bool was_enabled = reg.enabled();
-  reg.set_enabled(true);
-  Counter& tasks = reg.counter("threadpool.tasks_run");
-  const std::uint64_t before = tasks.value();
-  {
-    util::ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    util::parallel_for(&pool, 10, [&](std::size_t) { ++ran; });
-    EXPECT_EQ(ran.load(), 10);
-  }
-  EXPECT_GE(tasks.value(), before + 10);
-  reg.set_enabled(was_enabled);
 }
 
 // --- Monitor health instruments (DESIGN.md §12) ---

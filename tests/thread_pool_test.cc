@@ -1,11 +1,12 @@
 // Tests for the deterministic execution layer: ThreadPool scheduling,
-// TaskGroup completion/exception semantics, parallel_for slot discipline,
-// and reuse of one pool across many rounds (the FaultLocalizer pattern).
+// TaskGroup completion/exception semantics, parallel_for's contiguous block
+// split and slot discipline, and reuse of one pool across many rounds.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -13,18 +14,11 @@
 namespace sdnprobe::util {
 namespace {
 
-TEST(ThreadPool, ResolveThreadCount) {
-  EXPECT_EQ(ThreadPool::resolve_thread_count(1), 1u);
-  EXPECT_EQ(ThreadPool::resolve_thread_count(4), 4u);
-  EXPECT_EQ(ThreadPool::resolve_thread_count(-3), 1u);
-  EXPECT_GE(ThreadPool::resolve_thread_count(0), 1u);  // hardware_concurrency
-}
-
 TEST(ThreadPool, RunsEveryEnqueuedTask) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.worker_count(), 4u);
   std::atomic<int> ran{0};
-  TaskGroup group(&pool);
+  TaskGroup group(pool);
   for (int i = 0; i < 100; ++i) {
     group.spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   }
@@ -33,11 +27,46 @@ TEST(ThreadPool, RunsEveryEnqueuedTask) {
 }
 
 TEST(ThreadPool, ParallelForFillsEverySlotExactlyOnce) {
-  ThreadPool pool(8);
-  std::vector<int> slots(1000, 0);
-  parallel_for(&pool, slots.size(), [&](std::size_t i) { ++slots[i]; });
-  EXPECT_EQ(std::accumulate(slots.begin(), slots.end(), 0), 1000);
-  for (const int s : slots) EXPECT_EQ(s, 1);
+  // Counts around every block-split boundary: fewer indices than workers,
+  // one block per index, exactly 4 blocks per worker, and one index over.
+  for (const std::size_t workers : {1u, 3u, 8u}) {
+    ThreadPool pool(workers);
+    for (const std::size_t count :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, workers - 1, workers,
+          4 * workers, 4 * workers + 1, std::size_t{1000}}) {
+      std::vector<int> slots(count, 0);
+      parallel_for(&pool, count, [&](std::size_t i) { ++slots[i]; });
+      EXPECT_EQ(std::accumulate(slots.begin(), slots.end(), 0),
+                static_cast<int>(count))
+          << "workers=" << workers << " count=" << count;
+      for (const int s : slots) {
+        EXPECT_EQ(s, 1) << "workers=" << workers << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {
+  ThreadPool pool(4);  // 16 blocks of 6-7 indices over 100
+  // Failing indices sit in different blocks, the lowest in a middle one;
+  // later blocks may fail first, but the lowest index must always surface.
+  const std::vector<std::size_t> failing = {13, 29, 30, 47, 71, 95};
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> ran(100);
+    try {
+      parallel_for(&pool, ran.size(), [&](std::size_t i) {
+        ran[i].fetch_add(1, std::memory_order_relaxed);
+        for (const std::size_t f : failing) {
+          if (i == f) throw std::runtime_error("index " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected parallel_for to rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 13");
+    }
+    // Every index below the lowest failure ran, each exactly once.
+    for (std::size_t i = 0; i <= 13; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
+  }
 }
 
 TEST(ThreadPool, ParallelForNullPoolRunsInline) {
@@ -51,7 +80,7 @@ TEST(ThreadPool, WaitRethrowsLowestIndexException) {
   // Several tasks fail; wait() must deterministically surface the failure of
   // the lowest spawn index, not whichever worker lost the race.
   for (int round = 0; round < 20; ++round) {
-    TaskGroup group(&pool);
+    TaskGroup group(pool);
     for (int i = 0; i < 16; ++i) {
       group.spawn([i] {
         if (i % 3 == 1) {  // indices 1, 4, 7, ... fail
@@ -68,19 +97,9 @@ TEST(ThreadPool, WaitRethrowsLowestIndexException) {
   }
 }
 
-TEST(ThreadPool, InlineGroupMatchesPooledExceptionSemantics) {
-  TaskGroup group(nullptr);  // null pool: spawn() runs inline
-  int ran = 0;
-  group.spawn([&ran] { ++ran; });
-  group.spawn([] { throw std::runtime_error("inline"); });
-  group.spawn([&ran] { ++ran; });  // later tasks still run
-  EXPECT_EQ(ran, 2);
-  EXPECT_THROW(group.wait(), std::runtime_error);
-}
-
 TEST(ThreadPool, GroupIsReusableAcrossRounds) {
   ThreadPool pool(2);
-  TaskGroup group(&pool);
+  TaskGroup group(pool);
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> ran{0};
     for (int i = 0; i < 8; ++i) {
@@ -101,7 +120,7 @@ TEST(ThreadPool, GroupIsReusableAcrossRounds) {
 TEST(ThreadPool, SingleWorkerPreservesFifoOrder) {
   ThreadPool pool(1);
   std::vector<int> order;
-  TaskGroup group(&pool);
+  TaskGroup group(pool);
   for (int i = 0; i < 64; ++i) {
     group.spawn([&order, i] { order.push_back(i); });
   }

@@ -15,9 +15,10 @@ part of the artifact with the golden one, exactly. <row> selects:
     #<index>         the row at 0-based <index>, for rows whose naming
                      field has spaces (Table I's scenario names)
 
-Timings vary from run to run; these counts and rates (Table II TPC, the
-MLPC ablation's probe counts, the Table I / Fig. 9a / Fig. 9b FPR and FNR)
-do not. --update rewrites the golden values from the artifacts instead, for
+Host timings vary from run to run; these counts, rates and simulated
+delays (Table II TPC, the MLPC ablation's probe counts, the Table I /
+Fig. 9a / Fig. 9b FPR and FNR, the Fig. 8b / 8c / 9c simulated delays and
+Fig. 9c's FNR rows) do not. --update rewrites the golden values from the artifacts instead, for
 a change that alters them on purpose. Exits non-zero on any mismatch or
 missing value. Stdlib only.
 """

@@ -45,7 +45,8 @@ class Atpg {
   core::DetectionReport run();
 
  private:
-  // Greedy minimum set cover over the candidate pool; fills selected_.
+  // Greedy minimum set cover over the candidate pool; fills selected_ and
+  // paths_with_.
   void generate();
 
   const core::AnalysisSnapshot* snapshot_;
@@ -58,6 +59,11 @@ class Atpg {
   bool generated_ = false;
   std::vector<std::vector<core::VertexId>> candidates_;  // full pool
   std::vector<std::vector<core::VertexId>> selected_;    // greedy MSC result
+  // Per vertex, the first few candidates through it (localization's
+  // alternative paths).
+  std::vector<std::vector<std::uint32_t>> paths_with_;
+  // Generation host seconds not yet reported (DetectionReport field).
+  double generation_wall_s_ = 0.0;
 };
 
 }  // namespace sdnprobe::baselines

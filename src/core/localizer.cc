@@ -1,6 +1,7 @@
 #include "core/localizer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -89,14 +90,8 @@ FaultLocalizer::FaultLocalizer(const AnalysisSnapshot& snapshot,
       config_(config),
       engine_(snapshot),
       rng_(config.common.seed),
-      round_(snapshot.rules(), ctrl, loop, config.round_grace_s,
-             config.confirm_retries, config.adaptive_timeout) {}
-
-void FaultLocalizer::charge_wall_time(double seconds) const {
-  if (config_.charge_generation_time && seconds > 0.0) {
-    loop_->run_until(loop_->now() + seconds);
-  }
-}
+      round_(snapshot.rules(), ctrl, loop, config.confirm_retries,
+             config.adaptive_timeout) {}
 
 std::vector<Probe> FaultLocalizer::generate_full_cover() const {
   telemetry::TraceSpan span("localizer.generate_full_cover",
@@ -109,7 +104,7 @@ std::vector<Probe> FaultLocalizer::generate_full_cover() const {
       const Cover cover = MlpcSolver(mc).solve(*snapshot_);
       fixed_probes_ = engine_.make_probes(cover, rng_, nullptr);
       fixed_ready_ = true;
-      charge_wall_time(timer.elapsed_seconds());
+      generation_wall_s_ += timer.elapsed_seconds();
     }
     // Reuse identical headers; only the correlation ids are refreshed by
     // make_probe-free cloning below (headers must stay fixed so that a
@@ -136,7 +131,7 @@ std::vector<Probe> FaultLocalizer::generate_full_cover() const {
   }
   std::vector<Probe> probes =
       engine_.make_probes(cover, rng_, active_profile());
-  charge_wall_time(timer.elapsed_seconds());
+  generation_wall_s_ += timer.elapsed_seconds();
   return probes;
 }
 
@@ -382,6 +377,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
 
   report.flagged_switches.assign(flagged_.begin(), flagged_.end());
   report.total_time_s = loop_->now() - t0;
+  report.generation_wall_s = std::exchange(generation_wall_s_, 0.0);
   // Finalize evidence: span-sorted (map order) for determinism, with
   // last_confirmed computed against the full run's cleared set.
   for (auto& [span, ev] : evidence_by_span) {

@@ -36,9 +36,6 @@
 namespace sdnprobe::core {
 
 struct LocalizerConfig {
-  // Extra simulated wait after the last probe of a round for in-flight
-  // returns (covers worst-case path RTT).
-  double round_grace_s = kDefaultRoundGraceS;
   int max_rounds = 64;
   // Shared knobs (core/common_options.h): `randomized` selects Randomized
   // SDNProbe (re-draw cover and headers at every full restart), `seed` feeds
@@ -50,9 +47,11 @@ struct LocalizerConfig {
   const TrafficProfile* profile = nullptr;
   // Stop after this many consecutive failure-free full-cover rounds.
   int quiet_full_rounds_to_stop = 1;
-  // Charge measured wall-clock of cover/probe (re)generation to the
-  // simulated clock, as the paper's detection delay includes generation.
-  bool charge_generation_time = true;
+  // Read by nothing in the library: only scheduled simulated events
+  // advance the clock, and host generation time is reported in
+  // DetectionReport::generation_wall_s. Kept only until a benchmark change
+  // drops pipebench's writes to it.
+  bool charge_generation_time = false;
 
   // ---- Loss tolerance (environmental noise, DESIGN.md §11) ----
   //
@@ -67,8 +66,7 @@ struct LocalizerConfig {
   // Adaptive timeouts: derive the per-round grace period (and per-probe
   // retry timeouts) from observed PacketIn RTTs — a fixed multiple of the
   // largest RTT seen so far, with a floor — instead of the fixed
-  // `round_grace_s`. Until an RTT has been observed, `round_grace_s` is
-  // used.
+  // kDefaultRoundGraceS, which is used until an RTT has been observed.
   bool adaptive_timeout = false;
 };
 
@@ -122,6 +120,11 @@ struct DetectionReport {
   double detection_time_s = 0.0;
   // Total simulated time of the run.
   double total_time_s = 0.0;
+  // Host seconds spent generating covers and probes (the localizer's full
+  // covers, ATPG's set cover and per-wave regeneration). Measured wall
+  // time, so it varies from run to run; it never advances the simulated
+  // clock and is not part of either time above.
+  double generation_wall_s = 0.0;
   std::size_t probes_sent = 0;
   // Confirmation re-sends across all rounds, and how many initially missing
   // probes a retry confirmed as mere channel loss (returned clean).
@@ -185,11 +188,10 @@ class FaultLocalizer {
   void set_cover_probes(std::vector<Probe> probes);
 
  private:
-  // (Re)generates the full-cover probe list; charges wall time to sim time.
-  // Mutable path: consumes staged_ first when initial_probe_count() already
-  // generated a cover.
+  // (Re)generates the full-cover probe list and adds its host time to
+  // generation_wall_s_. Mutable path: consumes staged_ first when
+  // initial_probe_count() already generated a cover.
   std::vector<Probe> generate_full_cover() const;
-  void charge_wall_time(double seconds) const;
 
   const AnalysisSnapshot* snapshot_;
   const RuleGraph* graph_;
@@ -206,6 +208,9 @@ class FaultLocalizer {
   // run(), consumed by the first generate_full_cover() call so the RNG
   // stream (and thus the whole run) is unchanged by the query.
   mutable std::optional<std::vector<Probe>> staged_;
+  // Generation host seconds not yet reported; run() moves them into its
+  // report, so a cover staged before run() is counted in that run.
+  mutable double generation_wall_s_ = 0.0;
 
   // Test-point install, injection, retries and teardown; keeps observed
   // RTTs (adaptive timeouts) across rounds and runs.

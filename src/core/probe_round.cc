@@ -21,12 +21,10 @@ constexpr double kTimeoutFloorS = 0.01;
 
 ProbeRound::ProbeRound(const flow::RuleSet& rules,
                        controller::Controller& ctrl, sim::EventLoop& loop,
-                       double grace_s, int confirm_retries,
-                       bool adaptive_timeout)
+                       int confirm_retries, bool adaptive_timeout)
     : rules_(&rules),
       ctrl_(&ctrl),
       loop_(&loop),
-      grace_s_(grace_s),
       confirm_retries_(confirm_retries),
       adaptive_timeout_(adaptive_timeout) {}
 
@@ -34,14 +32,14 @@ double ProbeRound::effective_grace() const {
   if (adaptive_timeout_ && max_rtt_s_ > 0.0) {
     return std::max(kTimeoutFloorS, kTimeoutRttMultiplier * max_rtt_s_);
   }
-  return grace_s_;
+  return kDefaultRoundGraceS;
 }
 
 double ProbeRound::probe_timeout(const Probe& p) const {
-  if (!adaptive_timeout_) return grace_s_;
+  if (!adaptive_timeout_) return kDefaultRoundGraceS;
   const auto it = span_rtt_s_.find({p.entries.front(), p.entries.back()});
   const double rtt = it != span_rtt_s_.end() ? it->second : max_rtt_s_;
-  if (rtt <= 0.0) return grace_s_;
+  if (rtt <= 0.0) return kDefaultRoundGraceS;
   return std::max(kTimeoutFloorS, kTimeoutRttMultiplier * rtt);
 }
 

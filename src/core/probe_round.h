@@ -56,12 +56,12 @@ struct RoundResult {
 class ProbeRound {
  public:
   // `rules` resolves each probe's terminal switch. The defaults are the
-  // baselines' round: the paper's fixed grace period and no retries.
-  // `confirm_retries` and `adaptive_timeout` are LocalizerConfig's
-  // loss-tolerance knobs (localizer.h).
+  // baselines' round: the paper's fixed grace period (kDefaultRoundGraceS)
+  // and no retries. `confirm_retries` and `adaptive_timeout` are
+  // LocalizerConfig's loss-tolerance knobs (localizer.h).
   ProbeRound(const flow::RuleSet& rules, controller::Controller& ctrl,
-             sim::EventLoop& loop, double grace_s = kDefaultRoundGraceS,
-             int confirm_retries = 0, bool adaptive_timeout = false);
+             sim::EventLoop& loop, int confirm_retries = 0,
+             bool adaptive_timeout = false);
 
   // Restarts correlation ids at the start of a detection run. Ids keep
   // counting across send() calls and retries otherwise, so a stale return
@@ -78,17 +78,16 @@ class ProbeRound {
  private:
   static constexpr std::uint64_t kFirstProbeId = 1u << 20;
 
-  // Grace period for in-flight returns: the fixed grace_s, or derived from
-  // observed RTTs when adaptive timeouts are on and an RTT exists.
+  // Grace period for in-flight returns: kDefaultRoundGraceS, or derived
+  // from observed RTTs when adaptive timeouts are on and an RTT exists.
   double effective_grace() const;
   // Retry timeout for one probe: its span's observed RTT if known, else the
-  // largest RTT, else grace_s.
+  // largest RTT, else kDefaultRoundGraceS.
   double probe_timeout(const Probe& p) const;
 
   const flow::RuleSet* rules_;
   controller::Controller* ctrl_;
   sim::EventLoop* loop_;
-  double grace_s_;
   int confirm_retries_;
   bool adaptive_timeout_;
   std::uint64_t next_id_ = kFirstProbeId;

@@ -226,7 +226,7 @@ std::vector<core::Probe> RepairEngine::confirm_probes(
         cand.reserve(path.size() + 1);
         cand.push_back(u);
         cand.insert(cand.end(), path.begin(), path.end());
-        if (!snap.is_legal_path(cand)) continue;
+        // Legal iff some injectable header traverses it (Definition 1).
         if (snap.path_input_space(cand).is_empty()) continue;
         path = std::move(cand);
         prepended = true;

@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "util/check.h"
@@ -58,44 +59,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void TaskGroup::spawn(std::function<void()> fn) {
-  std::size_t index;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    index = next_index_++;
-    ++inflight_;
-  }
-  auto run = [this, index, fn = std::move(fn)]() {
-    std::exception_ptr error;
-    try {
-      fn();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    finish(index, error);
-  };
-  pool_->enqueue(std::move(run));
-}
-
-void TaskGroup::finish(std::size_t index, std::exception_ptr error) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SDNPROBE_DCHECK_GT(inflight_, 0u) << "finish without a matching spawn";
-  if (error && (!first_error_ || index < first_error_index_)) {
-    first_error_ = error;
-    first_error_index_ = index;
-  }
-  if (--inflight_ == 0) done_cv_.notify_all();
-}
-
-void TaskGroup::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return inflight_ == 0; });
-  // Reset for reuse; rethrow the deterministic (lowest-index) failure.
-  next_index_ = 0;
-  std::exception_ptr error = std::exchange(first_error_, nullptr);
-  if (error) std::rethrow_exception(error);
-}
-
 void parallel_for(ThreadPool* pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn) {
   if (pool == nullptr || count < 2) {
@@ -103,22 +66,36 @@ void parallel_for(ThreadPool* pool, std::size_t count,
     return;
   }
   // Block b covers [b * base + min(b, extra), ...) with base or base + 1
-  // indices, so block sizes differ by at most one and blocks stay in
-  // index order (the spawn order TaskGroup ranks exceptions by).
+  // indices, so block sizes differ by at most one and blocks stay in index
+  // order. Each block owns one exception slot; after every block finished,
+  // the lowest filled slot holds the lowest failing index's exception.
   const std::size_t blocks =
       std::min(count, kBlocksPerWorker * pool->worker_count());
   const std::size_t base = count / blocks;
   const std::size_t extra = count % blocks;
-  TaskGroup group(*pool);
+  std::vector<std::exception_ptr> errors(blocks);
+  std::mutex mu;
+  std::condition_variable done_cv;
+  std::size_t inflight = blocks;
   std::size_t begin = 0;
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t end = begin + base + (b < extra ? 1 : 0);
-    group.spawn([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+    pool->enqueue([&, b, begin, end] {
+      try {
+        for (std::size_t i = begin; i < end; ++i) fn(i);
+      } catch (...) {
+        errors[b] = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (--inflight == 0) done_cv.notify_all();
     });
     begin = end;
   }
-  group.wait();
+  std::unique_lock<std::mutex> lock(mu);
+  done_cv.wait(lock, [&inflight] { return inflight == 0; });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace sdnprobe::util

@@ -8,14 +8,13 @@
 // *bit-identical* to serial execution for any worker count: workers never
 // share mutable state, every task writes into its own pre-assigned result
 // slot, and the caller merges results in slot-index order. ThreadPool and
-// TaskGroup only schedule; determinism comes from that merge discipline plus
-// per-task RNG streams (util::Rng::derive).
+// parallel_for only schedule; determinism comes from that merge discipline
+// plus per-task RNG streams (util::Rng::derive).
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -27,8 +26,8 @@ namespace sdnprobe::util {
 // intended to be built once by the caller and lent to every solve that can
 // use it; construction cost is a few microseconds per worker. enqueue() is
 // thread-safe. Tasks must not enqueue into the pool they run on and then
-// block on it (no work-stealing; that would deadlock) — use
-// TaskGroup/parallel_for, which only block the *submitting* thread.
+// block on it (no work-stealing; that would deadlock) — use parallel_for,
+// which only blocks the *submitting* thread.
 class ThreadPool {
  public:
   // worker_count == 0 means std::thread::hardware_concurrency().
@@ -54,38 +53,15 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-// A wait-group over tasks submitted to a ThreadPool. spawn() assigns each
-// task the next spawn index; wait() blocks until every spawned task
-// finished, then rethrows the exception of the *lowest-spawn-index* failed
-// task (deterministic: independent of which worker failed first). A group
-// is reusable: after wait() returns (or throws) it is empty again.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool) : pool_(&pool) {}
-
-  void spawn(std::function<void()> fn);
-  void wait();
-
- private:
-  void finish(std::size_t index, std::exception_ptr error);
-
-  ThreadPool* pool_;
-  std::mutex mu_;
-  std::condition_variable done_cv_;
-  std::size_t inflight_ = 0;
-  std::size_t next_index_ = 0;
-  std::size_t first_error_index_ = 0;
-  std::exception_ptr first_error_;
-};
-
 // Runs fn(0), fn(1), ..., fn(count - 1) and blocks until all complete.
 // Serial (a plain loop in index order) when pool is null or count < 2.
 // Otherwise [0, count) is split into min(count, 4 x worker_count) contiguous
-// blocks, one pool task each; a block runs its indices in order and stops
-// at its first exception. The lowest failing block holds the lowest failing
-// index, and that index's exception is rethrown. Because each index writes
-// only its own result slot, output never depends on the pool's worker
-// count.
+// blocks, one pool task each, enqueued in index order; a block runs its
+// indices in order and stops at its first exception. The lowest failing
+// block holds the lowest failing index, and that index's exception is
+// rethrown. Because each index writes only its own result slot, output
+// never depends on the pool's worker count. The pool is reusable as soon as
+// the call returns or throws.
 void parallel_for(ThreadPool* pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 

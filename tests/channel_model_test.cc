@@ -287,7 +287,6 @@ TEST(LossTolerance, RetriesDisabledChargeLossAsSuspicion) {
   Fixture fx(synthesized_rules(), nc);
   core::LocalizerConfig lc;
   lc.max_rounds = 8;
-  lc.charge_generation_time = false;
   const auto rep =
       core::FaultLocalizer(*fx.snap, *fx.ctrl, fx.loop, lc).run();
   std::size_t failures = 0;
@@ -309,7 +308,6 @@ TEST(LossTolerance, RetriesAbsorbChannelLossWithoutFlags) {
   lc.max_rounds = 32;
   lc.confirm_retries = 4;
   lc.adaptive_timeout = true;
-  lc.charge_generation_time = false;
   const auto rep =
       core::FaultLocalizer(*fx.snap, *fx.ctrl, fx.loop, lc).run();
   EXPECT_TRUE(rep.flagged_switches.empty())
@@ -331,7 +329,6 @@ TEST(LossTolerance, RetriesStillDetectRealFaultsUnderLoss) {
   lc.max_rounds = 48;
   lc.confirm_retries = 3;
   lc.adaptive_timeout = true;
-  lc.charge_generation_time = false;
   const auto rep =
       core::FaultLocalizer(*fx.snap, *fx.ctrl, fx.loop, lc).run();
   ASSERT_EQ(rep.flagged_switches.size(), 1u);
@@ -339,23 +336,22 @@ TEST(LossTolerance, RetriesStillDetectRealFaultsUnderLoss) {
 }
 
 TEST(LossTolerance, AdaptiveTimeoutToleratesDetourLatency) {
-  // A colluding detour adds detour_extra_latency_s. With a tight fixed
-  // grace the late (but correct) return is missed every round and the
-  // colluder gets flagged; with retries + adaptive timeouts the late return
-  // is observed, restoring the deterministic variant's detour blind spot
-  // (Table I) — the probe *did* come back intact.
+  // A colluding detour adds detour_extra_latency_s. With the fixed grace
+  // (kDefaultRoundGraceS, 0.1 s: it covers the normal ~4.2 ms RTT but not
+  // a return delayed by 0.15 s more) the late (but correct) return is
+  // missed every round and the colluder gets flagged; with retries +
+  // adaptive timeouts the late return is observed, restoring the
+  // deterministic variant's detour blind spot (Table I) — the probe *did*
+  // come back intact.
   const flow::RuleSet rs = line_rules(/*second_flow=*/true);
   const auto detour = dataplane::FaultSpec::Detour(/*partner=*/2,
-                                                   /*extra_latency_s=*/5e-3);
+                                                   /*extra_latency_s=*/0.15);
   for (const bool tolerant : {false, true}) {
     Fixture fx(rs);
     fx.net->faults().add_fault(0, detour);
     core::LocalizerConfig lc;
-    // Covers the normal ~4.2 ms RTT but not the ~7 ms detoured one.
-    lc.round_grace_s = 6e-3;
     lc.max_rounds = 64;
-    lc.charge_generation_time = false;
-    if (tolerant) {
+      if (tolerant) {
       lc.confirm_retries = 2;
       lc.adaptive_timeout = true;
     }
@@ -366,7 +362,7 @@ TEST(LossTolerance, AdaptiveTimeoutToleratesDetourLatency) {
           << "adaptive timeouts must absorb the detour's extra latency";
     } else {
       ASSERT_EQ(rep.flagged_switches.size(), 1u)
-          << "tight fixed grace must misread the late return as a failure";
+          << "the fixed grace must misread the late return as a failure";
       EXPECT_EQ(rep.flagged_switches[0], 0);
     }
   }

@@ -1,8 +1,14 @@
 // Behavioral tests for Algorithm 2 (FaultLocalizer) and the scenario
 // helpers: exactness on persistent faults, intermittent and targeting fault
-// handling, detour blind spots, suspicion tracking, and accuracy scoring.
+// handling, detour blind spots, suspicion tracking, and accuracy scoring;
+// and that the localizer's and ATPG's simulated times do not depend on how
+// fast the host generates covers and probes.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "baselines/atpg.h"
 #include "baselines/per_rule.h"
 #include "controller/controller.h"
 #include "core/analysis_snapshot.h"
@@ -280,6 +286,70 @@ TEST(Evidence, MisdirectIntoAPuntingRuleReturnsFromTheWrongSwitch) {
   EXPECT_EQ(ev.observed_switch, 4);
   EXPECT_TRUE(ev.observed_header.is_concrete());
   EXPECT_TRUE(LineWithSpur::ts("0010xxx1").covers(ev.observed_header));
+}
+
+// --- One clock: only simulated events advance simulated time -------------
+
+// Every simulated time a report holds, lossless (hexfloat). Leaves out
+// generation_wall_s, which is host time and varies from run to run.
+std::string simulated_times(const DetectionReport& r) {
+  std::ostringstream os;
+  os << std::hexfloat << r.detection_time_s << "|" << r.total_time_s;
+  for (const RoundRecord& rec : r.round_log) {
+    os << "|" << rec.round << ":" << rec.start_s << ":" << rec.end_s;
+  }
+  return os.str();
+}
+
+// Two drop faults (intermittent ones when `intermittent`) on one fixed
+// network, then `run` on a fresh copy of it.
+template <typename Run>
+DetectionReport run_on_fresh_network(bool intermittent, Run run) {
+  Fixture fx(9, 900);
+  util::Rng rng(11);
+  FaultMix mix;
+  mix.misdirect = mix.modify = false;
+  if (intermittent) mix.intermittent_fraction = 1.0;
+  plan_basic_faults(*fx.graph, 2, mix, rng, &fx.net->faults());
+  return run(fx);
+}
+
+// Host time spent generating covers and probes must not reach the
+// simulated clock: two runs of one scheme on identical fixtures read the
+// same simulated times, bit for bit, however fast the host was each time.
+TEST(HostIndependence, DeterministicLocalizerTimesRepeatExactly) {
+  auto run = [](Fixture& fx) {
+    return FaultLocalizer(*fx.snap, *fx.ctrl, fx.loop).run();
+  };
+  const DetectionReport a = run_on_fresh_network(false, run);
+  const DetectionReport b = run_on_fresh_network(false, run);
+  ASSERT_FALSE(a.flagged_switches.empty());
+  EXPECT_EQ(simulated_times(a), simulated_times(b));
+}
+
+TEST(HostIndependence, RandomizedLocalizerTimesRepeatExactly) {
+  // Enough quiet full-cover rounds that the randomized cover is re-drawn
+  // several times while the intermittent faults come and go.
+  auto run = [](Fixture& fx) {
+    LocalizerConfig lc;
+    lc.common.randomized = true;
+    lc.quiet_full_rounds_to_stop = 6;
+    return FaultLocalizer(*fx.snap, *fx.ctrl, fx.loop, lc).run();
+  };
+  const DetectionReport a = run_on_fresh_network(true, run);
+  const DetectionReport b = run_on_fresh_network(true, run);
+  ASSERT_GT(a.rounds, 6);
+  EXPECT_EQ(simulated_times(a), simulated_times(b));
+}
+
+TEST(HostIndependence, AtpgTimesRepeatExactly) {
+  auto run = [](Fixture& fx) {
+    return baselines::Atpg(*fx.snap, *fx.ctrl, fx.loop).run();
+  };
+  const DetectionReport a = run_on_fresh_network(false, run);
+  const DetectionReport b = run_on_fresh_network(false, run);
+  ASSERT_GT(a.rounds, 1) << "no localization wave regenerated probes";
+  EXPECT_EQ(simulated_times(a), simulated_times(b));
 }
 
 TEST(DetectionReport, FlaggedTracksReassignedSwitchSet) {

@@ -231,9 +231,6 @@ DetectionReport run_report(const flow::RuleSet& rs,
   LocalizerConfig lc;
   lc.common.randomized = opt.randomized;
   lc.max_rounds = 24;
-  // Wall-clock generation charging is real-time noise by design; exact
-  // report equality requires it off.
-  lc.charge_generation_time = false;
   lc.confirm_retries = opt.confirm_retries;
   lc.adaptive_timeout = opt.adaptive_timeout;
   FaultLocalizer loc(snap, ctrl, loop, lc);
@@ -293,7 +290,6 @@ std::string run_monitor_scripted(const flow::RuleSet& pristine) {
   dataplane::Network net(rules, loop);
   controller::Controller ctrl(rules, net);
   monitor::MonitorConfig mc;
-  mc.localizer.charge_generation_time = false;
   monitor::Monitor mon(rules, ctrl, loop, mc);
 
   mon.run_round();

@@ -5,7 +5,8 @@
 // covers and the probe headers of a fixed 10k-rule network, so a build or
 // cover change that reorders successor lists, paths or cubes fails here.
 // Oracle tests hold the identity set-field fast paths of propagate() and
-// path_input_space() to the unskipped transforms, cube for cube.
+// path_input_space() to the unskipped transforms, cube for cube, and the
+// two legality tests (forward and backward) to each other.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,10 +43,10 @@ hsa::TernaryString random_cube(util::Rng& rng, const hsa::TernaryString& base,
 
 // A ring of `switches` switches, each with `tables` tables of random
 // entries: outputs to neighbors or the host port, gotos to later tables,
-// drops, and set fields on about a third of the entries. Matches and set
-// fields pin each bit past their prefix with probability `scatter`.
-flow::RuleSet random_ruleset(util::Rng& rng, int width,
-                             double scatter = 0.05) {
+// drops, and set fields on a `set_field_share` of the entries. Matches and
+// set fields pin each bit past their prefix with probability `scatter`.
+flow::RuleSet random_ruleset(util::Rng& rng, int width, double scatter = 0.05,
+                             double set_field_share = 0.3) {
   const int switches = 3 + static_cast<int>(rng.next_below(3));
   topo::Graph g(switches);
   for (int s = 0; s < switches; ++s) g.add_edge(s, (s + 1) % switches);
@@ -67,7 +68,7 @@ flow::RuleSet random_ruleset(util::Rng& rng, int width,
     e.priority = static_cast<int>(rng.next_below(6));
     e.match =
         random_cube(rng, bases[rng.pick_index(bases.size())], 14, scatter);
-    if (rng.next_bool(0.3)) {
+    if (rng.next_bool(set_field_share)) {
       e.set_field =
           random_cube(rng, bases[rng.pick_index(bases.size())], 4, scatter);
     }
@@ -409,6 +410,42 @@ TEST(RuleGraphPropagate, PathInputSpaceMatchesUnskippedBackwardFold) {
     }
   }
   EXPECT_GT(legal, 100u);
+}
+
+// A path is legal (forward propagation leaves some header) exactly when
+// some injectable header traverses it (the backward fold is non-empty), so
+// callers may test legality with either. Random step-1 walks on rulesets
+// where most entries rewrite bits reach both outcomes.
+TEST(RuleGraphPropagate, LegalPathIffInputSpaceNonEmpty) {
+  util::Rng rules_rng(67);
+  util::Rng rng(68);
+  std::size_t legal = 0;
+  std::size_t illegal = 0;
+  for (const int width : {8, 16, 33, 64}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const flow::RuleSet rules = random_ruleset(
+          rules_rng, width, std::min(0.05, 3.5 / width),
+          /*set_field_share=*/0.8);
+      const RuleGraph g(rules);
+      for (VertexId start = 0; start < g.vertex_count(); ++start) {
+        if (g.in_space(start).cube_count() > kOracleMaxCubes) continue;
+        std::vector<VertexId> path{start};
+        while (path.size() < 6 && !g.successors(path.back()).empty()) {
+          const auto succ = g.successors(path.back());
+          const VertexId next = succ[rng.pick_index(succ.size())];
+          if (g.in_space(next).cube_count() > kOracleMaxCubes) break;
+          path.push_back(next);
+          const bool is_legal = g.is_legal_path(path);
+          EXPECT_EQ(is_legal, !g.path_input_space(path).is_empty())
+              << "width " << width << " start " << start << " length "
+              << path.size();
+          (is_legal ? legal : illegal) += 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(legal, 100u);
+  EXPECT_GT(illegal, 100u);
 }
 
 // MLPC starts every singleton path from the stored out-space instead of

@@ -1,6 +1,6 @@
 // Tests for the deterministic execution layer: ThreadPool scheduling,
-// TaskGroup completion/exception semantics, parallel_for's contiguous block
-// split and slot discipline, and reuse of one pool across many rounds.
+// parallel_for's completion and exception semantics, its contiguous block
+// split and slot discipline, and reuse of one pool across many calls.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,11 +18,9 @@ TEST(ThreadPool, RunsEveryEnqueuedTask) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.worker_count(), 4u);
   std::atomic<int> ran{0};
-  TaskGroup group(pool);
-  for (int i = 0; i < 100; ++i) {
-    group.spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  group.wait();
+  parallel_for(&pool, 100, [&ran](std::size_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
   EXPECT_EQ(ran.load(), 100);
 }
 
@@ -67,6 +65,18 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {
     // Every index below the lowest failure ran, each exactly once.
     for (std::size_t i = 0; i <= 13; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
   }
+  // One index per block (16 indices, 16 blocks): every third index fails
+  // in its own task, and index 1's exception must still win the race.
+  for (int round = 0; round < 20; ++round) {
+    try {
+      parallel_for(&pool, 16, [](std::size_t i) {
+        if (i % 3 == 1) throw std::runtime_error("task " + std::to_string(i));
+      });
+      FAIL() << "expected parallel_for to rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 1");
+    }
+  }
 }
 
 TEST(ThreadPool, ParallelForNullPoolRunsInline) {
@@ -75,58 +85,36 @@ TEST(ThreadPool, ParallelForNullPoolRunsInline) {
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(ThreadPool, WaitRethrowsLowestIndexException) {
-  ThreadPool pool(4);
-  // Several tasks fail; wait() must deterministically surface the failure of
-  // the lowest spawn index, not whichever worker lost the race.
-  for (int round = 0; round < 20; ++round) {
-    TaskGroup group(pool);
-    for (int i = 0; i < 16; ++i) {
-      group.spawn([i] {
-        if (i % 3 == 1) {  // indices 1, 4, 7, ... fail
-          throw std::runtime_error("task " + std::to_string(i));
-        }
-      });
-    }
-    try {
-      group.wait();
-      FAIL() << "expected wait() to rethrow";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "task 1");
-    }
-  }
-}
-
-TEST(ThreadPool, GroupIsReusableAcrossRounds) {
+TEST(ThreadPool, ParallelForPoolIsReusableAcrossCalls) {
   ThreadPool pool(2);
-  TaskGroup group(pool);
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) {
-      group.spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    group.wait();
+    parallel_for(&pool, 8, [&ran](std::size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
     EXPECT_EQ(ran.load(), 8);
   }
-  // After an error round, the group must be clean again.
-  group.spawn([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(group.wait(), std::runtime_error);
+  // After a throwing call, the pool must run the next call in full.
+  EXPECT_THROW(parallel_for(&pool, 8,
+                            [](std::size_t) {
+                              throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
   std::atomic<int> ran{0};
-  group.spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  group.wait();
-  EXPECT_EQ(ran.load(), 1);
+  parallel_for(&pool, 8, [&ran](std::size_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPool, SingleWorkerPreservesFifoOrder) {
+  // One worker drains the blocks in the order they were enqueued, and each
+  // block runs its indices in order.
   ThreadPool pool(1);
-  std::vector<int> order;
-  TaskGroup group(pool);
-  for (int i = 0; i < 64; ++i) {
-    group.spawn([&order, i] { order.push_back(i); });
-  }
-  group.wait();
-  std::vector<int> expected(64);
-  std::iota(expected.begin(), expected.end(), 0);
+  std::vector<std::size_t> order;
+  parallel_for(&pool, 64, [&order](std::size_t i) { order.push_back(i); });
+  std::vector<std::size_t> expected(64);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
   EXPECT_EQ(order, expected);
 }
 

@@ -65,8 +65,13 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {
     // Every index below the lowest failure ran, each exactly once.
     for (std::size_t i = 0; i <= 13; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
   }
-  // One index per block (16 indices, 16 blocks): every third index fails
-  // in its own task, and index 1's exception must still win the race.
+}
+
+TEST(ThreadPool, WaitRethrowsLowestIndexException) {
+  ThreadPool pool(4);
+  // One index per block (16 indices, 16 blocks): every third index fails in
+  // its own task. parallel_for waits for every block and must surface index
+  // 1's failure deterministically, not whichever worker lost the race.
   for (int round = 0; round < 20; ++round) {
     try {
       parallel_for(&pool, 16, [](std::size_t i) {

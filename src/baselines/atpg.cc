@@ -241,26 +241,23 @@ core::DetectionReport Atpg::run() {
       return out;
     }
   }
-  std::set<flow::SwitchId> flagged;
-  std::vector<bool> intersected(failing_sets.size(), false);
-  for (std::size_t i = 0; i < failing_sets.size(); ++i) {
-    for (std::size_t j = i + 1; j < failing_sets.size(); ++j) {
-      bool any = false;
-      for (const flow::SwitchId s : failing_sets[i]) {
-        if (failing_sets[j].count(s)) {
-          flagged.insert(s);
-          any = true;
-        }
-      }
-      if (any) {
-        intersected[i] = true;
-        intersected[j] = true;
-      }
-    }
+  // One count pass gives the pairwise result: a switch lies on two failing
+  // paths iff at least two failing sets hold it, and a set intersects no
+  // other iff every switch it holds has count 1.
+  std::vector<int> holders(
+      static_cast<std::size_t>(graph_->rules().switch_count()), 0);
+  for (const auto& fs : failing_sets) {
+    for (const flow::SwitchId s : fs) ++holders[static_cast<std::size_t>(s)];
   }
-  for (std::size_t i = 0; i < failing_sets.size(); ++i) {
-    if (!intersected[i]) {
-      flagged.insert(failing_sets[i].begin(), failing_sets[i].end());
+  std::set<flow::SwitchId> flagged;
+  for (flow::SwitchId s = 0; s < graph_->rules().switch_count(); ++s) {
+    if (holders[static_cast<std::size_t>(s)] >= 2) flagged.insert(s);
+  }
+  for (const auto& fs : failing_sets) {
+    if (std::all_of(fs.begin(), fs.end(), [&](flow::SwitchId s) {
+          return holders[static_cast<std::size_t>(s)] == 1;
+        })) {
+      flagged.insert(fs.begin(), fs.end());
     }
   }
 

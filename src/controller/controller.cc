@@ -20,7 +20,9 @@ Controller::Controller(const flow::RuleSet& rules, dataplane::Network& net)
     : rules_(&rules),
       net_(&net),
       next_entry_id_(std::max(static_cast<flow::EntryId>(rules.entry_count()),
-                              kTestEntryIdBase)) {
+                              kTestEntryIdBase)),
+      terminal_slot_(rules.entry_count(), -1),
+      test_tables_(static_cast<std::size_t>(rules.switch_count()), -1) {
   net_->set_packet_in_handler([this](flow::SwitchId sw,
                                      const dataplane::Packet& p,
                                      sim::SimTime t) {
@@ -31,12 +33,20 @@ Controller::Controller(const flow::RuleSet& rules, dataplane::Network& net)
 }
 
 flow::TableId Controller::test_table_for(flow::SwitchId sw) {
-  const auto it = test_tables_.find(sw);
-  if (it != test_tables_.end()) return it->second;
-  const flow::TableId t = static_cast<flow::TableId>(
-      std::max(rules_->table_count(sw), net_->table_count(sw)));
-  test_tables_[sw] = t;
+  flow::TableId& t = test_tables_[static_cast<std::size_t>(sw)];
+  if (t < 0) {
+    t = static_cast<flow::TableId>(
+        std::max(rules_->table_count(sw), net_->table_count(sw)));
+  }
   return t;
+}
+
+std::int32_t& Controller::slot_of(flow::EntryId terminal) {
+  const auto i = static_cast<std::size_t>(terminal);
+  if (i >= terminal_slot_.size()) {
+    terminal_slot_.resize(std::max(i + 1, rules_->entry_count()), -1);
+  }
+  return terminal_slot_[i];
 }
 
 std::vector<TestPointId> Controller::install_test_points(
@@ -57,10 +67,18 @@ std::vector<TestPointId> Controller::install_test_points(
     const TestPointRequest& req = requests[i];
     assert(req.probe_header.is_concrete());
     const flow::FlowEntry& r = rules_->entry(req.terminal);
-    auto& state = terminals_[req.terminal];
+    const flow::TableId table = test_table_for(r.switch_id);
     const auto request = static_cast<std::uint32_t>(i);
-    if (state.refcount == 0) {
-      state.test_table = test_table_for(r.switch_id);
+    std::int32_t& slot = slot_of(req.terminal);
+    if (slot < 0) {
+      if (free_slots_.empty()) {
+        slot = static_cast<std::int32_t>(terminals_.size());
+        terminals_.emplace_back();
+      } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+      }
+      TerminalState& state = terminals_[static_cast<std::size_t>(slot)];
       state.original_action = r.action;
       state.original_set_field = r.set_field;
       // Step 1 (§VI): copy r into the test table, carrying its set field
@@ -69,23 +87,21 @@ std::vector<TestPointId> Controller::install_test_points(
       // entry is semantically equivalent since only r's packets enter the
       // test table.)
       state.copy_id = allocate_entry_id();
-      staged.push_back(
-          {r.switch_id, state.test_table, state.copy_id, request, true});
+      staged.push_back({r.switch_id, table, state.copy_id, request, true});
       ++flowmods_;
       // Step 3 (§VI): r forwards to the test table; its set field moves to
       // the copy so it is applied exactly once.
       net_->update_entry(r.switch_id, r.table_id, r.id,
                          hsa::TernaryString::wildcard(r.set_field.width()),
-                         flow::Action::goto_table(state.test_table));
+                         flow::Action::goto_table(table));
       ++flowmods_;
     }
-    ++state.refcount;
     // Step 2 (§VI): exact-match test entry, highest priority, to controller.
     const flow::EntryId test_id = allocate_entry_id();
-    staged.push_back({r.switch_id, state.test_table, test_id, request, false});
+    staged.push_back({r.switch_id, table, test_id, request, false});
     ++flowmods_;
-    test_entries_[test_id] = {r.switch_id, state.test_table};
-    ids.push_back(TestPointId{req.terminal, test_id});
+    terminals_[static_cast<std::size_t>(slot)].tests.push_back(test_id);
+    ids.push_back(TestPointId{req.terminal, test_id, r.switch_id, table});
   }
 
   std::stable_sort(staged.begin(), staged.end(),
@@ -126,24 +142,27 @@ void Controller::remove_test_points(std::span<const TestPointId> tps) {
   };
   std::vector<Doomed> doomed;
   for (const TestPointId& tp : tps) {
-    const auto te = test_entries_.find(tp.test_entry);
-    if (te != test_entries_.end()) {
-      doomed.push_back({te->second.first, te->second.second, tp.test_entry});
-      ++flowmods_;
-      test_entries_.erase(te);
+    if (static_cast<std::size_t>(tp.terminal) >= terminal_slot_.size()) {
+      continue;
     }
-    const auto it = terminals_.find(tp.terminal);
-    if (it == terminals_.end()) continue;
-    TerminalState& state = it->second;
-    if (--state.refcount > 0) continue;
+    std::int32_t& slot = terminal_slot_[static_cast<std::size_t>(tp.terminal)];
+    if (slot < 0) continue;
+    TerminalState& state = terminals_[static_cast<std::size_t>(slot)];
+    const std::size_t live = state.tests.size();
+    state.tests.erase_value(tp.test_entry);
+    if (state.tests.size() == live) continue;  // removed before
+    doomed.push_back({tp.sw, tp.table, tp.test_entry});
+    ++flowmods_;
+    if (!state.tests.empty()) continue;
     // Last test point on r: restore r and drop the copy.
     const flow::FlowEntry& r = rules_->entry(tp.terminal);
     net_->update_entry(r.switch_id, r.table_id, r.id, state.original_set_field,
                        state.original_action);
     ++flowmods_;
-    doomed.push_back({r.switch_id, state.test_table, state.copy_id});
+    doomed.push_back({tp.sw, tp.table, state.copy_id});
     ++flowmods_;
-    terminals_.erase(it);
+    free_slots_.push_back(slot);
+    slot = -1;
   }
 
   std::sort(doomed.begin(), doomed.end(), [](const Doomed& a, const Doomed& b) {

@@ -10,17 +10,25 @@
 //    through to the copy, which applies r's original set field and action.
 //  * PacketOut injection of probes and PacketIn dispatch of returned probes.
 //  * Allocation of entry ids above the policy range.
+//
+// Test-point bookkeeping is flat, since a probe round installs and removes
+// one test point per probe: a handle carries its test entry's (switch,
+// table), the test table of each switch is a vector slot, and each policy
+// entry has an int32 slot index into a dense pool of per-terminal states,
+// recycled through a free list (a state per entry would cost ~5 MB on the
+// 82,740-entry Table II preset). The index grows when the policy does
+// (monitor churn adds entries after construction).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <vector>
 
 #include "dataplane/network.h"
 #include "flow/ruleset.h"
 #include "hsa/ternary.h"
+#include "util/small_vector.h"
 
 namespace sdnprobe::controller {
 
@@ -28,6 +36,8 @@ namespace sdnprobe::controller {
 struct TestPointId {
   flow::EntryId terminal = -1;    // the tested terminal entry r
   flow::EntryId test_entry = -1;  // the exact-match to-controller entry
+  flow::SwitchId sw = -1;         // where the test entry lives: r's switch
+  flow::TableId table = -1;       // ... and its test table
 };
 
 // One test point to install: punt probes whose header equals
@@ -63,6 +73,8 @@ class Controller {
   // Removes test points; a terminal entry is restored when its last test
   // point goes away. Batched like install_test_points: per-request
   // refcounts and restores, one batched erase per touched test table.
+  // Removing a handle that was already removed (or repeating one in a
+  // batch) is a no-op: it issues no FlowMod and leaves refcounts alone.
   void remove_test_points(std::span<const TestPointId> tps);
   void remove_test_point(const TestPointId& tp) {
     remove_test_points(std::span(&tp, 1));
@@ -94,23 +106,26 @@ class Controller {
   flow::EntryId allocate_entry_id() { return next_entry_id_++; }
   flow::TableId test_table_for(flow::SwitchId sw);
 
+  // A redirected terminal entry r: its copy in the test table, what the
+  // redirect replaced, and the test entries live on it (the refcount).
   struct TerminalState {
-    flow::TableId test_table = -1;
     flow::EntryId copy_id = -1;
     flow::Action original_action;
     hsa::TernaryString original_set_field;
-    int refcount = 0;
+    util::SmallVec<flow::EntryId, 2> tests;
   };
+
+  // r's pool slot, or -1 when r has no test point.
+  std::int32_t& slot_of(flow::EntryId terminal);
 
   const flow::RuleSet* rules_;
   dataplane::Network* net_;
   flow::EntryId next_entry_id_;
   std::uint64_t flowmods_ = 0;
-  std::map<flow::EntryId, TerminalState> terminals_;
-  std::map<flow::SwitchId, flow::TableId> test_tables_;
-  // test entry id -> (switch, table) for removal.
-  std::map<flow::EntryId, std::pair<flow::SwitchId, flow::TableId>>
-      test_entries_;
+  std::vector<std::int32_t> terminal_slot_;  // by policy entry id
+  std::vector<TerminalState> terminals_;     // the pool
+  std::vector<std::int32_t> free_slots_;
+  std::vector<flow::TableId> test_tables_;  // by switch; -1 = none yet
   ProbeReturnHandler probe_return_handler_;
 };
 

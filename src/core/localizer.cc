@@ -93,45 +93,40 @@ FaultLocalizer::FaultLocalizer(const AnalysisSnapshot& snapshot,
       round_(snapshot.rules(), ctrl, loop, config.confirm_retries,
              config.adaptive_timeout) {}
 
-std::vector<Probe> FaultLocalizer::generate_full_cover() const {
+void FaultLocalizer::ensure_cover() const {
+  if (config_.common.randomized ? staged_.has_value() : fixed_ready_) return;
   telemetry::TraceSpan span("localizer.generate_full_cover",
                             [this] { return loop_->now(); });
   util::WallTimer timer;
-  if (!config_.common.randomized) {
-    if (!fixed_ready_) {
-      MlpcConfig mc;
-      mc.common.randomized = false;
-      const Cover cover = MlpcSolver(mc).solve(*snapshot_);
-      fixed_probes_ = engine_.make_probes(cover, rng_, nullptr);
-      fixed_ready_ = true;
-      generation_wall_s_ += timer.elapsed_seconds();
-    }
-    // Reuse identical headers; only the correlation ids are refreshed by
-    // make_probe-free cloning below (headers must stay fixed so that a
-    // targeting fault outside the chosen headers stays a blind spot, as the
-    // paper's deterministic variant does).
-    return fixed_probes_;
-  }
-  // Randomized mode: a cover staged by initial_probe_count() is consumed
-  // first so querying the count does not advance the RNG stream relative to
-  // a run that never queried it.
-  if (staged_.has_value()) {
-    std::vector<Probe> probes = std::move(*staged_);
-    staged_.reset();
-    return probes;
-  }
   MlpcConfig mc;
-  mc.common.randomized = true;
-  mc.common.seed = rng_.next();
-  const Cover cover = MlpcSolver(mc).solve(*snapshot_);
-  engine_.reset_uniqueness();
-  if (config_.profile && !config_.profile->empty()) {
-    period_profile_ = config_.profile->period_snapshot(rng_);
-    have_period_ = true;
+  mc.common.randomized = config_.common.randomized;
+  if (!config_.common.randomized) {
+    const Cover cover = MlpcSolver(mc).solve(*snapshot_);
+    fixed_probes_ = engine_.make_probes(cover, rng_, nullptr);
+    fixed_ready_ = true;
+  } else {
+    mc.common.seed = rng_.next();
+    const Cover cover = MlpcSolver(mc).solve(*snapshot_);
+    engine_.reset_uniqueness();
+    if (config_.profile && !config_.profile->empty()) {
+      period_profile_ = config_.profile->period_snapshot(rng_);
+      have_period_ = true;
+    }
+    staged_ = engine_.make_probes(cover, rng_, active_profile());
   }
-  std::vector<Probe> probes =
-      engine_.make_probes(cover, rng_, active_profile());
   generation_wall_s_ += timer.elapsed_seconds();
+}
+
+std::vector<Probe> FaultLocalizer::take_full_cover() const {
+  ensure_cover();
+  // Deterministic mode reuses identical headers at every restart (so a
+  // targeting fault outside the chosen headers stays a blind spot, as the
+  // paper's deterministic variant does); the round refreshes the
+  // correlation ids.
+  if (!config_.common.randomized) return fixed_probes_;
+  // Randomized mode: each restart consumes its own fresh cover.
+  std::vector<Probe> probes = std::move(*staged_);
+  staged_.reset();
   return probes;
 }
 
@@ -143,12 +138,8 @@ void FaultLocalizer::set_cover_probes(std::vector<Probe> probes) {
 }
 
 std::size_t FaultLocalizer::initial_probe_count() const {
-  if (config_.common.randomized) {
-    if (!staged_.has_value()) staged_ = generate_full_cover();
-    return staged_->size();
-  }
-  if (!fixed_ready_) generate_full_cover();
-  return fixed_probes_.size();
+  ensure_cover();
+  return config_.common.randomized ? staged_->size() : fixed_probes_.size();
 }
 
 DetectionReport FaultLocalizer::run(RoundCallback callback) {
@@ -159,7 +150,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
 
   // The probes tested next round and, per probe, how many more rounds a
   // localization probe is retested after it last failed (0: cover probe).
-  std::vector<Probe> pending = generate_full_cover();
+  std::vector<Probe> pending = take_full_cover();
   std::vector<int> linger(pending.size(), 0);
   bool pending_is_full_cover = true;
   int consecutive_quiet_full = 0;
@@ -364,7 +355,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
 
     if (next.empty()) {
       // Algorithm 2 line 16: restart the full set.
-      pending = generate_full_cover();
+      pending = take_full_cover();
       linger.assign(pending.size(), 0);
       pending_is_full_cover = true;
       sliced.clear();

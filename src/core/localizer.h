@@ -188,10 +188,14 @@ class FaultLocalizer {
   void set_cover_probes(std::vector<Probe> probes);
 
  private:
-  // (Re)generates the full-cover probe list and adds its host time to
-  // generation_wall_s_. Mutable path: consumes staged_ first when
-  // initial_probe_count() already generated a cover.
-  std::vector<Probe> generate_full_cover() const;
+  // Makes sure a full cover is ready (fixed_probes_ in deterministic mode,
+  // staged_ in randomized mode), generating it if needed and adding its
+  // host time to generation_wall_s_.
+  void ensure_cover() const;
+  // The full-cover probe list of a (re)start: a copy of the fixed cover, or
+  // the staged randomized cover, moved out so the next restart makes a
+  // fresh one.
+  std::vector<Probe> take_full_cover() const;
 
   const AnalysisSnapshot* snapshot_;
   const RuleGraph* graph_;
@@ -205,7 +209,7 @@ class FaultLocalizer {
   mutable std::vector<Probe> fixed_probes_;
   mutable bool fixed_ready_ = false;
   // Randomized mode: a cover generated by initial_probe_count() ahead of
-  // run(), consumed by the first generate_full_cover() call so the RNG
+  // run(), consumed by the first take_full_cover() call so the RNG
   // stream (and thus the whole run) is unchanged by the query.
   mutable std::optional<std::vector<Probe>> staged_;
   // Generation host seconds not yet reported; run() moves them into its

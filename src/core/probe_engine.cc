@@ -32,73 +32,69 @@ struct EngineInstruments {
   }
 };
 
-// Phase-A output for one path: its input space plus the header candidates
-// drawn from the path's derived RNG stream.
+// One header candidate from `input`: traffic-biased when a profile is given,
+// else uniform. nullopt only when `input` is empty.
+std::optional<hsa::TernaryString> draw_candidate(
+    const hsa::HeaderSpace& input, util::Rng& rng,
+    const TrafficProfile* profile) {
+  std::optional<hsa::TernaryString> h =
+      profile ? profile->sample(input, rng) : input.sample(rng);
+  if (h.has_value()) EngineInstruments::get().candidates.add();
+  return h;
+}
+
+// A path's first candidate, or nullopt when `input` is empty or sampling is
+// off (`attempts` <= 0).
+std::optional<hsa::TernaryString> first_candidate(
+    const hsa::HeaderSpace& input, util::Rng& rng, int attempts,
+    const TrafficProfile* profile) {
+  if (input.is_empty() || attempts <= 0) return std::nullopt;
+  return draw_candidate(input, rng, profile);
+}
+
+// Phase-A output for one path: its input space, its first header candidate,
+// and the path's RNG stream positioned after that draw, so phase B draws any
+// later candidate from the same stream an eager draw of all of them would.
 struct PathCandidates {
   hsa::HeaderSpace input;
-  std::vector<hsa::TernaryString> samples;
+  util::Rng rng;
+  std::optional<hsa::TernaryString> first;
 };
 
-// Phase-A unit: the input space of `path` and up to `attempts` candidates
-// drawn from util::Rng(stream_seed). Pure function of its arguments; safe to
-// call concurrently from worker threads.
+// Phase-A unit: the input space of `path` and, when `attempts` > 0, its
+// first candidate drawn from util::Rng(stream_seed). Pure function of its
+// arguments; safe to call concurrently from worker threads.
 PathCandidates sample_path_candidates(const AnalysisSnapshot& snap,
                                       const std::vector<VertexId>& path,
                                       std::uint64_t stream_seed, int attempts,
                                       const TrafficProfile* profile) {
   PathCandidates c;
+  c.rng = util::Rng(stream_seed);
   if (path.empty()) return c;
   c.input = snap.path_input_space(path);
-  if (c.input.is_empty()) return c;
-  util::Rng path_rng(stream_seed);
-  c.samples.reserve(static_cast<std::size_t>(std::max(attempts, 0)));
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    std::optional<hsa::TernaryString> h = profile
-                                              ? profile->sample(c.input, path_rng)
-                                              : c.input.sample(path_rng);
-    if (!h.has_value()) break;
-    c.samples.push_back(std::move(*h));
-  }
-  EngineInstruments::get().candidates.add(c.samples.size());
+  c.first = first_candidate(c.input, c.rng, attempts, profile);
   return c;
 }
 
 }  // namespace
 
-std::optional<hsa::TernaryString> ProbeEngine::pick_unique_header(
-    const hsa::HeaderSpace& input_space, util::Rng& rng,
+std::optional<hsa::TernaryString> ProbeEngine::commit_unique_header(
+    const hsa::HeaderSpace& input_space,
+    std::optional<hsa::TernaryString> first, util::Rng& rng,
     const TrafficProfile* profile) {
   if (input_space.is_empty()) return std::nullopt;
-  // Fast path: sample (traffic-biased when a profile is given) and reject on
-  // collision. Collisions are rare because header spaces are huge relative
-  // to probe counts.
-  for (int attempt = 0; attempt < config_.sample_attempts; ++attempt) {
-    std::optional<hsa::TernaryString> h =
-        profile ? profile->sample(input_space, rng)
-                : input_space.sample(rng);
-    if (!h.has_value()) break;
-    EngineInstruments::get().candidates.add();
+  // Rejection sampling: collisions are rare because header spaces are huge
+  // relative to probe counts, so the first candidate nearly always wins.
+  std::optional<hsa::TernaryString> h = std::move(first);
+  for (int attempt = 1; h.has_value(); ++attempt) {
     if (!used_.count(*h)) {
       ++stats_.headers_by_sampling;
       EngineInstruments::get().committed.add();
       used_.insert(*h);
       return h;
     }
-  }
-  return lexmin_unique_header(input_space);
-}
-
-std::optional<hsa::TernaryString> ProbeEngine::commit_unique_header(
-    const hsa::HeaderSpace& input_space,
-    const std::vector<hsa::TernaryString>& candidates) {
-  if (input_space.is_empty()) return std::nullopt;
-  for (const hsa::TernaryString& h : candidates) {
-    if (!used_.count(h)) {
-      ++stats_.headers_by_sampling;
-      EngineInstruments::get().committed.add();
-      used_.insert(h);
-      return h;
-    }
+    if (attempt >= config_.sample_attempts) break;
+    h = draw_candidate(input_space, rng, profile);
   }
   return lexmin_unique_header(input_space);
 }
@@ -146,7 +142,9 @@ std::optional<Probe> ProbeEngine::make_probe(const std::vector<VertexId>& path,
                                              const TrafficProfile* profile) {
   if (path.empty()) return std::nullopt;
   const hsa::HeaderSpace input = snapshot_->path_input_space(path);
-  auto header = pick_unique_header(input, rng, profile);
+  auto header = commit_unique_header(
+      input, first_candidate(input, rng, config_.sample_attempts, profile),
+      rng, profile);
   if (!header.has_value()) return std::nullopt;
   return finish_probe(path, std::move(*header));
 }
@@ -161,7 +159,7 @@ std::vector<Probe> ProbeEngine::make_probes(const Cover& cover,
   // caller's stream advances by exactly one draw — never on the pool.
   const std::uint64_t base = rng.next();
 
-  // Phase A (parallel, read-only): per-path input spaces and header
+  // Phase A (parallel, read-only): per-path input spaces and first header
   // candidates. Each worker touches only its own slot.
   std::vector<PathCandidates> candidates(n);
   auto generate = [&](std::size_t i) {
@@ -172,15 +170,17 @@ std::vector<Probe> ProbeEngine::make_probes(const Cover& cover,
   };
   util::parallel_for(pool_, n, generate);
 
-  // Phase B (serial, cover order): uniqueness commit against `used_`, lex-min
+  // Phase B (serial, cover order): uniqueness commit against `used_` (later
+  // candidates drawn from the path's stream only after a collision), lex-min
   // fallback for paths whose every candidate collided, probe assembly.
   std::vector<Probe> probes;
   probes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto& path = cover.paths[i].vertices;
     if (path.empty()) continue;
-    auto header = commit_unique_header(candidates[i].input,
-                                       candidates[i].samples);
+    PathCandidates& c = candidates[i];
+    auto header =
+        commit_unique_header(c.input, std::move(c.first), c.rng, profile);
     if (header.has_value()) {
       probes.push_back(finish_probe(path, std::move(*header)));
     } else {

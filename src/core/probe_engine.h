@@ -6,11 +6,15 @@
 // paper gives MiniSat.
 //
 // make_probes runs in two phases. Phase A — per-path input-space computation
-// and header-candidate sampling — is read-only over the snapshot and fans
-// out across worker threads, with path i sampling from its own derived RNG
-// stream. Phase B — the uniqueness commit against the `used_` header pool
-// (and the rare lex-min fallback) — is serialized in cover order. Output is
-// therefore bit-identical for any pool size, or no pool.
+// and the path's first header candidate — is read-only over the snapshot and
+// fans out across worker threads, with path i sampling from its own derived
+// RNG stream. Phase B — the uniqueness commit against the `used_` header pool
+// — is serialized in cover order. Candidates are drawn on demand: only a
+// collision makes phase B draw the path's next candidate, from the same
+// stream, up to sample_attempts, before the rare lex-min fallback. Since
+// path i's k-th candidate is the k-th draw of its own stream whichever phase
+// draws it, the headers are those of drawing all sample_attempts candidates
+// up front, and output is bit-identical for any pool size, or no pool.
 #pragma once
 
 #include <cstdint>
@@ -104,17 +108,17 @@ class ProbeEngine {
   const ProbeStats& stats() const { return stats_; }
 
  private:
-  std::optional<hsa::TernaryString> pick_unique_header(
-      const hsa::HeaderSpace& input_space, util::Rng& rng,
-      const TrafficProfile* profile);
-
-  // Phase-B helper: first non-colliding candidate, else the lex-min
-  // fallback. Serial only.
+  // The first candidate not yet issued, starting from `first` (already
+  // drawn, or nullopt when sampling is off) and drawing the next ones from
+  // `rng` only after a collision, sample_attempts candidates in all; else
+  // the lex-min fallback. Serial only; make_probe draws from the caller's
+  // `rng`, make_probes from each path's own stream.
   std::optional<hsa::TernaryString> commit_unique_header(
       const hsa::HeaderSpace& input_space,
-      const std::vector<hsa::TernaryString>& candidates);
+      std::optional<hsa::TernaryString> first, util::Rng& rng,
+      const TrafficProfile* profile);
 
-  // Slow path shared by both header pickers: the lex-min header in
+  // Slow path of commit_unique_header: the lex-min header in
   // `input_space` differing from every issued header. Counted as
   // headers_by_lexmin / lexmin_failures, the paper's solver role.
   std::optional<hsa::TernaryString> lexmin_unique_header(

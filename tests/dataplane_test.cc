@@ -349,6 +349,114 @@ TEST(Controller, BatchedTestPointsMatchOneByOne) {
   expect_same_tables(batched_net, twin_net, 3);
 }
 
+TEST(Controller, RemovingARemovedTestPointIsANoOp) {
+  const flow::RuleSet rs = line_rules();
+  sim::EventLoop loop;
+  dataplane::Network net(rs, loop);
+  controller::Controller ctrl(rs, net);
+  const auto tp1 = ctrl.install_test_point(2, ts("00101010"));
+  const auto tp2 = ctrl.install_test_point(2, ts("00101011"));
+  ctrl.remove_test_point(tp1);
+  const std::uint64_t flowmods = ctrl.flowmod_count();
+  // Again, alone and twice in one batch: no FlowMod, and the terminal
+  // stays redirected for tp2.
+  ctrl.remove_test_point(tp1);
+  const std::vector<controller::TestPointId> again = {tp1, tp1};
+  ctrl.remove_test_points(again);
+  EXPECT_EQ(ctrl.flowmod_count(), flowmods);
+  EXPECT_EQ(net.runtime_table(2, 1).size(), 2u);  // r's copy and tp2
+
+  int returns = 0;
+  ctrl.set_probe_return_handler(
+      [&](std::uint64_t, flow::SwitchId, const dataplane::Packet&,
+          sim::SimTime) { ++returns; });
+  dataplane::Packet probe;
+  probe.header = ts("00101011");
+  probe.probe_id = 1;
+  ctrl.send_packet(0, probe);
+  loop.run();
+  EXPECT_EQ(returns, 1) << "tp2 must still capture its probe";
+
+  // A batch naming tp2 twice removes it once and restores r once.
+  const std::vector<controller::TestPointId> both = {tp2, tp2};
+  ctrl.remove_test_points(both);
+  EXPECT_EQ(ctrl.flowmod_count(), flowmods + 3u);
+  EXPECT_TRUE(net.runtime_table(2, 1).empty());
+  ctrl.remove_test_point(tp2);
+  EXPECT_EQ(ctrl.flowmod_count(), flowmods + 3u);
+}
+
+TEST(Controller, TestPointsOnEntriesAddedAfterConstruction) {
+  // Monitor churn adds policy entries (to the RuleSet and the network)
+  // after the controller exists; their test points must work like those on
+  // entries the controller saw at construction.
+  flow::RuleSet rs = line_rules();
+  sim::EventLoop loop;
+  dataplane::Network net(rs, loop);
+  controller::Controller ctrl(rs, net);
+  const auto early = ctrl.install_test_point(1, ts("00100000"));
+  std::vector<flow::EntryId> added;
+  for (flow::SwitchId s = 0; s < 3; ++s) {
+    flow::FlowEntry e;
+    e.switch_id = s;
+    e.priority = 20;
+    e.match = ts("0011xxxx");
+    if (s == 0) e.set_field = ts("xxxxxxx1");
+    e.action = s < 2 ? flow::Action::output(*rs.ports().port_to(s, s + 1))
+                     : flow::Action::output(rs.ports().host_port(2));
+    added.push_back(rs.add_entry(e));
+    net.install_entry(rs.entry(added.back()));
+  }
+  ASSERT_EQ(added.back(), 5);
+
+  // The twin sees every entry from the start.
+  dataplane::Network twin_net(rs, loop);
+  controller::Controller twin(rs, twin_net);
+  const auto twin_early = twin.install_test_point(1, ts("00100000"));
+
+  const std::vector<controller::TestPointRequest> round = {
+      {5, ts("00110001")}, {1, ts("00100001")}, {5, ts("00111111")},
+      {3, ts("00110101")}, {2, ts("00101111")},
+  };
+  const auto tps = ctrl.install_test_points(round);
+  const auto twin_tps = twin.install_test_points(round);
+  ASSERT_EQ(tps.size(), twin_tps.size());
+  for (std::size_t i = 0; i < tps.size(); ++i) {
+    EXPECT_EQ(tps[i].test_entry, twin_tps[i].test_entry);
+    EXPECT_EQ(tps[i].sw, twin_tps[i].sw);
+    EXPECT_EQ(tps[i].table, twin_tps[i].table);
+  }
+  EXPECT_EQ(ctrl.flowmod_count(), twin.flowmod_count());
+  expect_same_tables(net, twin_net, 3);
+
+  // A probe for the added terminal 5 returns from switch 2 with the
+  // header switch 0's added entry rewrote.
+  int returns = 0;
+  ctrl.set_probe_return_handler([&](std::uint64_t, flow::SwitchId sw,
+                                    const dataplane::Packet& p,
+                                    sim::SimTime) {
+    ++returns;
+    EXPECT_EQ(sw, 2);
+    EXPECT_TRUE(p.header == ts("00110001"));
+  });
+  dataplane::Packet probe;
+  probe.header = ts("00110000");
+  probe.probe_id = 7;
+  ctrl.send_packet(0, probe);
+  loop.run();
+  EXPECT_EQ(returns, 1);
+
+  ctrl.remove_test_points(tps);
+  twin.remove_test_points(twin_tps);
+  ctrl.remove_test_point(early);
+  twin.remove_test_point(twin_early);
+  EXPECT_EQ(ctrl.flowmod_count(), twin.flowmod_count());
+  expect_same_tables(net, twin_net, 3);
+  for (flow::SwitchId s = 0; s < 3; ++s) {
+    EXPECT_TRUE(net.runtime_table(s, 1).empty()) << "switch " << s;
+  }
+}
+
 // --- packet_out_batch equivalence ---------------------------------------
 //
 // Batched injection must be observationally identical to looping

@@ -1,13 +1,21 @@
 // Tests for the discrete-event kernel: deadline semantics and clock
 // advancement of run_until(), stable ordering of same-time events,
 // clear() between repetitions, re-entrant schedule_in() from inside a
-// running callback — the pattern the data plane uses for every hop — and
-// that running an event never copies its callback's captures.
+// running callback — the pattern the data plane uses for every hop — that
+// running an event never copies its callback's captures, and that the
+// loop's two queues (a FIFO lane and a heap) run events in the order one
+// heap would.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/event_loop.h"
+#include "util/rng.h"
 
 namespace sdnprobe::sim {
 namespace {
@@ -160,6 +168,142 @@ TEST(EventLoop, RunningAnEventDoesNotCopyItsCallback) {
   ASSERT_EQ(order.size(), 32u);
   for (std::size_t k = 1; k < order.size(); ++k) {
     EXPECT_LT((order[k - 1] * 7) % 32, (order[k] * 7) % 32);
+  }
+}
+
+// The reference: every event on one binary heap ordered by (at, seq), the
+// loop as it was before the lane. Same API as EventLoop.
+class HeapLoop {
+ public:
+  using Callback = std::function<void()>;
+  SimTime now() const { return now_; }
+  void schedule_at(SimTime at, Callback fn) {
+    queue_.push_back(Event{std::max(at, now_), next_seq_++, std::move(fn)});
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
+  }
+  void schedule_in(SimTime delay, Callback fn) {
+    schedule_at(now_ + delay, std::move(fn));
+  }
+  std::size_t run_until(SimTime deadline) {
+    std::size_t ran = 0;
+    while (!queue_.empty() && queue_.front().at <= deadline) {
+      std::pop_heap(queue_.begin(), queue_.end(), Later{});
+      Event e = std::move(queue_.back());
+      queue_.pop_back();
+      now_ = e.at;
+      e.fn();
+      ++ran;
+    }
+    if (now_ < deadline && deadline != std::numeric_limits<SimTime>::infinity()) {
+      now_ = deadline;
+    }
+    return ran;
+  }
+  std::size_t run() {
+    return run_until(std::numeric_limits<SimTime>::infinity());
+  }
+  std::size_t pending() const { return queue_.size(); }
+  void clear() { queue_.clear(); }
+
+ private:
+  struct Event {
+    SimTime at;
+    std::uint64_t seq;
+    Callback fn;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.at != b.at) return a.at > b.at;
+      return a.seq > b.seq;
+    }
+  };
+  std::vector<Event> queue_;
+  SimTime now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+};
+
+// What one callback saw: its event id and the clock when it ran.
+struct Fired {
+  int id;
+  SimTime at;
+  bool operator==(const Fired&) const = default;
+};
+
+// Drives `loop` through a seeded program and returns every callback run,
+// plus the clock and pending count after each step. Times sit on a coarse
+// grid so equal timestamps are common; batches are paced (the lane's case)
+// or scrambled, some times lie in the past (clamped to now()), callbacks
+// schedule children (zero, positive and negative delays), and steps mix
+// run_until deadlines, clear() and a final run(). Every decision comes from
+// the program's own Rng or from the event id, so two loops that run events
+// in one order see one program.
+template <typename Loop>
+std::vector<Fired> drive(std::uint64_t seed, std::vector<double>* clocks) {
+  Loop loop;
+  util::Rng rng(seed);
+  std::vector<Fired> log;
+  int next_id = 0;
+  const auto grid = [](std::uint64_t k) { return 0.25 * static_cast<double>(k); };
+  std::function<void(SimTime, int)> add = [&](SimTime at, int depth) {
+    const int id = next_id++;
+    loop.schedule_at(at, [&, id, depth] {
+      log.push_back({id, loop.now()});
+      const std::uint64_t h = util::Rng::derive(seed, static_cast<std::uint64_t>(id));
+      if (depth >= 3) return;
+      for (std::uint64_t c = 0; c < h % 3; ++c) {
+        const double delay = grid((h >> (8 + 4 * c)) % 5) - 0.25;  // -0.25 .. 0.75
+        add(loop.now() + delay, depth + 1);
+      }
+    });
+  };
+  for (int step = 0; step < 60; ++step) {
+    switch (rng.next_below(6)) {
+      case 0:
+      case 1: {  // a paced batch, like a probe round's PacketOuts
+        SimTime t = loop.now() + grid(rng.next_below(4));
+        if (rng.next_below(8) == 0) {
+          // A long one, consumed across steps while later events join.
+          for (int i = 0; i < 3000; ++i) add(t + 1e-3 * i, 0);
+          break;
+        }
+        const int n = 1 + static_cast<int>(rng.next_below(40));
+        for (int i = 0; i < n; ++i) {
+          add(t, 0);
+          t += grid(rng.next_below(2));  // equal times now and then
+        }
+        break;
+      }
+      case 2: {  // scrambled times, some in the past
+        const int n = 1 + static_cast<int>(rng.next_below(20));
+        for (int i = 0; i < n; ++i) {
+          add(loop.now() + grid(rng.next_below(12)) - 1.0, 0);
+        }
+        break;
+      }
+      case 3:
+      case 4:
+        loop.run_until(loop.now() + grid(rng.next_below(10)));
+        break;
+      default:
+        if (rng.next_below(4) == 0) loop.clear();
+        break;
+    }
+    clocks->push_back(loop.now());
+    clocks->push_back(static_cast<double>(loop.pending()));
+  }
+  loop.run();
+  clocks->push_back(loop.now());
+  return log;
+}
+
+TEST(EventLoop, LaneAndHeapRunEventsInOneHeapsOrder) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::vector<double> clocks, ref_clocks;
+    const std::vector<Fired> got = drive<EventLoop>(seed, &clocks);
+    const std::vector<Fired> want = drive<HeapLoop>(seed, &ref_clocks);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(clocks, ref_clocks) << "seed " << seed;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_set>
 
 #include "core/analysis_snapshot.h"
 #include "core/mlpc.h"
@@ -11,6 +12,8 @@
 #include "core/traffic_profile.h"
 #include "flow/synthesizer.h"
 #include "topo/generator.h"
+#include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace sdnprobe::core {
 namespace {
@@ -125,6 +128,124 @@ TEST(ProbeEngine, ResetAllowsHeaderReuse) {
       << "2-header space must exhaust after two unique probes";
   engine.reset_uniqueness();
   EXPECT_TRUE(engine.make_probe({0}, rng).has_value());
+}
+
+// The headers and stats make_probes gave before candidates were drawn on
+// demand: phase A draws all `attempts` candidates of every path from its
+// stream eagerly, phase B commits the first unused one, else the lex-min
+// unused member. `later` counts headers committed from a candidate after
+// the first.
+struct EagerResult {
+  std::vector<hsa::TernaryString> headers;  // of the probes made, in order
+  ProbeStats stats;
+  int later = 0;
+};
+
+EagerResult eager_probes(const AnalysisSnapshot& snap, const Cover& cover,
+                         util::Rng& rng, int attempts,
+                         const TrafficProfile* profile) {
+  EagerResult out;
+  const std::uint64_t base = rng.next();
+  std::unordered_set<hsa::TernaryString, hsa::TernaryStringHash> used;
+  for (std::size_t i = 0; i < cover.paths.size(); ++i) {
+    const auto& path = cover.paths[i].vertices;
+    if (path.empty()) continue;
+    const hsa::HeaderSpace input = snap.path_input_space(path);
+    if (input.is_empty()) continue;
+    util::Rng stream(util::Rng::derive(base, i));
+    std::vector<hsa::TernaryString> samples;
+    for (int a = 0; a < attempts; ++a) {
+      auto h = profile ? profile->sample(input, stream) : input.sample(stream);
+      if (!h.has_value()) break;
+      samples.push_back(*h);
+    }
+    std::optional<hsa::TernaryString> header;
+    for (std::size_t k = 0; k < samples.size() && !header; ++k) {
+      if (used.count(samples[k])) continue;
+      header = samples[k];
+      ++out.stats.headers_by_sampling;
+      if (k > 0) ++out.later;
+    }
+    if (!header) {
+      header = input.min_member(used);
+      ++(header ? out.stats.headers_by_lexmin : out.stats.lexmin_failures);
+    }
+    if (!header) continue;
+    used.insert(*header);
+    out.headers.push_back(*header);
+  }
+  return out;
+}
+
+TEST(ProbeEngine, OnDemandCandidatesMatchEagerSampling) {
+  // A 16-header path and a 32-header one containing it, each repeated in
+  // the cover, so headers collide: later candidates, the lex-min fallback
+  // and, once a space runs out, lex-min failures all occur.
+  topo::Graph g(2);
+  g.add_edge(0, 1);
+  flow::RuleSet rs(g, 8);
+  flow::FlowEntry first;
+  first.switch_id = 0;
+  first.priority = 10;
+  first.match = ts("0010xxxx");
+  first.action = flow::Action::output(*rs.ports().port_to(0, 1));
+  rs.add_entry(first);
+  flow::FlowEntry second;
+  second.switch_id = 1;
+  second.priority = 10;
+  second.match = ts("001xxxxx");
+  second.action = flow::Action::output(rs.ports().host_port(1));
+  rs.add_entry(second);
+  RuleGraph graph(rs);
+  AnalysisSnapshot snap(graph);
+  const std::vector<VertexId> narrow = {graph.vertex_for(0),
+                                        graph.vertex_for(1)};
+  const std::vector<VertexId> wide = {graph.vertex_for(1)};
+  Cover cover;
+  for (int i = 0; i < 30; ++i) {
+    cover.paths.emplace_back().vertices = i % 3 == 2 ? wide : narrow;
+  }
+
+  TrafficProfile profile;
+  profile.add_flow(ts("00101xxx"), 5.0);
+  profile.add_flow(ts("1xxxxxxx"), 1.0);  // overlaps no path: uniform
+  util::ThreadPool pool(3);
+  int later = 0;
+  std::uint64_t lexmin = 0;
+  // Exhausted spaces log a warning per path; keep the output readable.
+  const util::LogLevel threshold = util::log_threshold();
+  util::set_log_threshold(util::LogLevel::kError);
+  for (const int attempts : {0, 1, 3, 16}) {
+    for (const TrafficProfile* prof : {static_cast<TrafficProfile*>(nullptr),
+                                       &profile}) {
+      for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                  &pool}) {
+        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+          ProbeEngineConfig config;
+          config.sample_attempts = attempts;
+          ProbeEngine engine(snap, config, p);
+          util::Rng rng(seed);
+          util::Rng ref_rng(seed);
+          const auto probes = engine.make_probes(cover, rng, prof);
+          const EagerResult want =
+              eager_probes(snap, cover, ref_rng, attempts, prof);
+          ASSERT_EQ(probes.size(), want.headers.size());
+          for (std::size_t i = 0; i < probes.size(); ++i) {
+            EXPECT_EQ(probes[i].header, want.headers[i])
+                << "attempts " << attempts << " seed " << seed;
+          }
+          EXPECT_EQ(engine.stats(), want.stats);
+          EXPECT_GT(want.stats.lexmin_failures, 0u);
+          EXPECT_EQ(rng.next(), ref_rng.next());
+          later += want.later;
+          lexmin += want.stats.headers_by_lexmin;
+        }
+      }
+    }
+  }
+  util::set_log_threshold(threshold);
+  EXPECT_GT(later, 0) << "no header came from a candidate after the first";
+  EXPECT_GT(lexmin, 0u) << "no header came from the lex-min fallback";
 }
 
 TEST(TrafficProfileTest, SampleBiasesTowardPopularCube) {

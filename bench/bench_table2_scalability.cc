@@ -55,9 +55,10 @@ int main(int argc, char** argv) {
   const auto& presets = topo::table_two_presets();
   const std::size_t count = full ? presets.size() : 3;
 
-  std::printf("%6s %9s %9s %6s | %5s %6s %10s %8s %9s %8s %8s %8s\n",
-              "topo", "rules", "switches", "links", "MLPS", "ALPS", "NLPS",
-              "TPC", "PCT(s)", "RGin(s)", "RGedge(s)", "MLPC(s)");
+  std::printf(
+      "%6s %9s %9s %6s | %5s %6s %10s %8s %9s %8s %8s %8s | %9s %7s\n",
+      "topo", "rules", "switches", "links", "MLPS", "ALPS", "NLPS", "TPC",
+      "PCT(s)", "RGin(s)", "RGedge(s)", "MLPC(s)", "edge-cand", "aug");
   for (std::size_t i = 0; i < count; ++i) {
     const auto& p = presets[i];
     bench::WorkloadSpec spec;
@@ -83,14 +84,20 @@ int main(int argc, char** argv) {
     // RG and MLPC are the rule-graph construction and cover shares of it.
     // RG splits into its vertex phase (every entry's input space) and its
     // edge phase, read off the library's trace spans; the global registry
-    // records spans only while enabled, so the build runs with it on.
+    // records spans and counters only while enabled, so the build and the
+    // solve run with it on. The two counters are the work the step-1 edge
+    // index and the augmentation worklist leave: cube tests of edge
+    // candidates, and augment() calls over both restarts.
     auto& registry = telemetry::MetricsRegistry::global();
     const bool metrics_on = registry.enabled();
     registry.set_enabled(true);
+    auto& edge_candidates = registry.counter("rule_graph.edge_candidates");
+    auto& augment_attempts = registry.counter("mlpc.augment_attempts");
+    const std::uint64_t candidates_before = edge_candidates.value();
+    const std::uint64_t attempts_before = augment_attempts.value();
     util::WallTimer pct;
     core::RuleGraph graph(rs);
     const double rule_graph_s = pct.elapsed_seconds();
-    registry.set_enabled(metrics_on);
     const double input_spaces_s =
         last_span_s(registry, "rule_graph.input_spaces");
     const double edges_s = last_span_s(registry, "rule_graph.edges");
@@ -101,16 +108,22 @@ int main(int argc, char** argv) {
     const core::Cover cover = core::MlpcSolver(mc).solve(snap);
     const double pct_s = pct.elapsed_seconds();
     const double mlpc_s = pct_s - mlpc_start_s;
+    registry.set_enabled(metrics_on);
+    const std::uint64_t candidates =
+        edge_candidates.value() - candidates_before;
+    const std::uint64_t attempts = augment_attempts.value() - attempts_before;
 
     const auto stats =
         core::compute_legal_path_stats(graph, full ? 20'000'000 : 4'000'000);
     std::printf(
         "%6s %9zu %9d %6d | %5zu %6.2f %9zu%s %8zu %9.1f %8.2f %9.2f "
-        "%8.2f\n",
+        "%8.2f | %9llu %7llu\n",
         p.name, rs.entry_count(), g.node_count(), g.edge_count(),
         stats.max_length, stats.average_length, stats.total_paths,
         stats.truncated ? "+" : " ", cover.path_count(), pct_s,
-        input_spaces_s, edges_s, mlpc_s);
+        input_spaces_s, edges_s, mlpc_s,
+        static_cast<unsigned long long>(candidates),
+        static_cast<unsigned long long>(attempts));
     auto& row = report.add_row();
     row["topo"] = p.name;
     row["rules"] = std::uint64_t{rs.entry_count()};
@@ -126,6 +139,8 @@ int main(int argc, char** argv) {
     row["rule_graph_input_spaces_s"] = input_spaces_s;
     row["rule_graph_edges_s"] = edges_s;
     row["mlpc_s"] = mlpc_s;
+    row["edge_candidates"] = candidates;
+    row["augment_attempts"] = attempts;
 
     if (i + 1 == count) {
       // Thread-scaling sweep on the largest topology run: the parallel

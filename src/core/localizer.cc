@@ -117,7 +117,8 @@ void FaultLocalizer::ensure_cover() const {
   generation_wall_s_ += timer.elapsed_seconds();
 }
 
-std::vector<Probe> FaultLocalizer::take_full_cover() const {
+const std::vector<Probe>& FaultLocalizer::take_full_cover(
+    std::vector<Probe>& storage) const {
   ensure_cover();
   // Deterministic mode reuses identical headers at every restart (so a
   // targeting fault outside the chosen headers stays a blind spot, as the
@@ -125,9 +126,9 @@ std::vector<Probe> FaultLocalizer::take_full_cover() const {
   // correlation ids.
   if (!config_.common.randomized) return fixed_probes_;
   // Randomized mode: each restart consumes its own fresh cover.
-  std::vector<Probe> probes = std::move(*staged_);
+  storage = std::move(*staged_);
   staged_.reset();
-  return probes;
+  return storage;
 }
 
 void FaultLocalizer::set_cover_probes(std::vector<Probe> probes) {
@@ -148,10 +149,12 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
   DetectionReport report;
   const double t0 = loop_->now();
 
-  // The probes tested next round and, per probe, how many more rounds a
+  // The probes tested next round (the fixed cover itself at a deterministic
+  // restart, else `pending`) and, per probe, how many more rounds a
   // localization probe is retested after it last failed (0: cover probe).
-  std::vector<Probe> pending = take_full_cover();
-  std::vector<int> linger(pending.size(), 0);
+  std::vector<Probe> pending;
+  const std::vector<Probe>* round_probes = &take_full_cover(pending);
+  std::vector<int> linger(round_probes->size(), 0);
   bool pending_is_full_cover = true;
   int consecutive_quiet_full = 0;
   round_.restart_ids();
@@ -166,7 +169,8 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
     RoundRecord rec;
     rec.round = round;
     rec.start_s = loop_->now();
-    if (pending.empty()) break;
+    const std::vector<Probe>& probes = *round_probes;
+    if (probes.empty()) break;
     telemetry::TraceSpan round_span("localizer.round",
                                     [this] { return loop_->now(); });
     round_span.annotate("round", static_cast<double>(round));
@@ -177,11 +181,11 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
     // restart the pool from this round's headers so sliced-children headers
     // are free to re-land on the same traffic-period cube as their parent.
     engine_.reset_uniqueness();
-    for (const Probe& p : pending) engine_.note_used(p.header);
+    for (const Probe& p : probes) engine_.note_used(p.header);
 
-    const RoundResult sent = round_.send(pending);
-    report.probes_sent += pending.size();
-    LocalizerInstruments::get().probes_sent.add(pending.size());
+    const RoundResult sent = round_.send(probes);
+    report.probes_sent += probes.size();
+    LocalizerInstruments::get().probes_sent.add(probes.size());
     rec.retries = sent.retries;
     report.retries_sent += sent.retries;
     LocalizerInstruments::get().retries_sent.add(sent.retries);
@@ -204,8 +208,8 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
       }
     };
     std::size_t failures = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      Probe& probe = pending[i];
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const Probe& probe = probes[i];
       const ProbeOutcome& o = sent.outcomes[i];
       if (!o.failed()) {
         // End-to-end confirmation for every rule on the path; a previously
@@ -222,7 +226,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
         }
         // Localization probes linger so they are already in flight when an
         // intermittent fault's next active window opens.
-        if (linger[i] > 1) queue_probe(std::move(probe), linger[i] - 1);
+        if (linger[i] > 1) queue_probe(probe, linger[i] - 1);
         continue;
       }
       if (!o.returned) LocalizerInstruments::get().probe_timeouts.add();
@@ -311,7 +315,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
           auto p = engine_.make_probe(half, rng_, active_profile());
           if (p.has_value()) queue_probe(std::move(*p), kLingerRounds);
         }
-        queue_probe(std::move(probe), kLingerRounds);
+        queue_probe(probe, kLingerRounds);
       } else {
         const flow::EntryId e = probe.entries.front();
         const flow::SwitchId sw = graph_->rules().entry(e).switch_id;
@@ -325,7 +329,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
           report.detection_time_s = loop_->now() - t0;
         } else {
           // Keep retesting the singleton.
-          queue_probe(std::move(probe), kLingerRounds);
+          queue_probe(probe, kLingerRounds);
         }
       }
     }
@@ -333,7 +337,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
     round_.teardown();
 
     rec.end_s = loop_->now();
-    rec.probes = pending.size();
+    rec.probes = probes.size();
     rec.failures = failures;
     round_span.annotate("probes", static_cast<double>(rec.probes));
     round_span.annotate("failures", static_cast<double>(rec.failures));
@@ -355,12 +359,13 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
 
     if (next.empty()) {
       // Algorithm 2 line 16: restart the full set.
-      pending = take_full_cover();
-      linger.assign(pending.size(), 0);
+      round_probes = &take_full_cover(pending);
+      linger.assign(round_probes->size(), 0);
       pending_is_full_cover = true;
       sliced.clear();
     } else {
       pending = std::move(next);
+      round_probes = &pending;
       linger = std::move(next_linger);
       pending_is_full_cover = false;
     }

@@ -192,10 +192,10 @@ class FaultLocalizer {
   // staged_ in randomized mode), generating it if needed and adding its
   // host time to generation_wall_s_.
   void ensure_cover() const;
-  // The full-cover probe list of a (re)start: a copy of the fixed cover, or
-  // the staged randomized cover, moved out so the next restart makes a
-  // fresh one.
-  std::vector<Probe> take_full_cover() const;
+  // The full-cover probe list of a (re)start: the fixed cover itself, or
+  // the staged randomized cover, moved into `storage` so the next restart
+  // makes a fresh one.
+  const std::vector<Probe>& take_full_cover(std::vector<Probe>& storage) const;
 
   const AnalysisSnapshot* snapshot_;
   const RuleGraph* graph_;

@@ -20,6 +20,7 @@ struct MlpcInstruments {
   telemetry::Counter& solves;
   telemetry::Counter& restarts;
   telemetry::Counter& budget_consumed;
+  telemetry::Counter& augment_attempts;
 
   static MlpcInstruments& get() {
     static auto& reg = telemetry::MetricsRegistry::global();
@@ -27,6 +28,7 @@ struct MlpcInstruments {
         reg.counter("mlpc.solves"),
         reg.counter("mlpc.restarts"),
         reg.counter("mlpc.search_budget_consumed"),
+        reg.counter("mlpc.augment_attempts"),
     };
     return i;
   }
@@ -36,11 +38,14 @@ struct MlpcInstruments {
 // which bumps the epoch instead of zeroing V entries, so a query costs only
 // the vertices it touches. The stamps are zeroed only when the 16-bit epoch
 // wraps (once per 65,535 queries), which keeps the array small and the wrap
-// path exercised on the Table II graphs.
+// path exercised on the Table II graphs. While a log is set, every inserted
+// vertex is also appended to it.
 class VisitedSet {
  public:
   explicit VisitedSet(int vertex_count)
       : stamp_(static_cast<std::size_t>(vertex_count), 0) {}
+
+  void set_log(std::vector<VertexId>* log) { log_ = log; }
 
   void clear() {
     if (++epoch_ == 0) {
@@ -51,11 +56,15 @@ class VisitedSet {
   bool contains(VertexId v) const {
     return stamp_[static_cast<std::size_t>(v)] == epoch_;
   }
-  void insert(VertexId v) { stamp_[static_cast<std::size_t>(v)] = epoch_; }
+  void insert(VertexId v) {
+    stamp_[static_cast<std::size_t>(v)] = epoch_;
+    if (log_ != nullptr) log_->push_back(v);
+  }
 
  private:
   std::vector<std::uint16_t> stamp_;
   std::uint16_t epoch_ = 0;
+  std::vector<VertexId>* log_ = nullptr;
 };
 
 // Mutable cover under construction.
@@ -134,21 +143,12 @@ class StitchSearch {
         if (visited_.contains(w)) continue;
         --budget_;
         visited_.insert(w);
-        const int q = head_path_of_[static_cast<std::size_t>(w)];
-        if (q >= 0 && q != from_path_ &&
-            paths_[static_cast<std::size_t>(q)].alive) {
-          hsa::HeaderSpace through = propagate_along(
-              g_, space, paths_[static_cast<std::size_t>(q)].vertices);
-          if (!through.is_empty()) {
-            return StitchResult{q, route_, std::move(through)};
-          }
-        }
         hsa::HeaderSpace next = g_.propagate(space, w);
-        if (!next.is_empty()) {
-          advance_to = w;
-          advance_space = std::move(next);
-          break;  // single walk: commit to the first viable continuation
-        }
+        if (next.is_empty()) continue;
+        if (auto merged = merge_through(w, next)) return merged;
+        advance_to = w;
+        advance_space = std::move(next);
+        break;  // single walk: commit to the first viable continuation
       }
       if (advance_to < 0) return std::nullopt;  // dead end: give up
       route_.push_back(advance_to);
@@ -169,24 +169,32 @@ class StitchSearch {
       if (budget_ == 0) return std::nullopt;
       --budget_;
       visited_.insert(w);
-      // Candidate: w heads another alive path — try the full merge.
-      const int q = head_path_of_[static_cast<std::size_t>(w)];
-      if (q >= 0 && q != from_path_ &&
-          paths_[static_cast<std::size_t>(q)].alive) {
-        hsa::HeaderSpace through = propagate_along(
-            g_, space, paths_[static_cast<std::size_t>(q)].vertices);
-        if (!through.is_empty()) {
-          return StitchResult{q, route_, std::move(through)};
-        }
-      }
-      // Traverse w as an intermediate hop.
       hsa::HeaderSpace next = g_.propagate(space, w);
       if (next.is_empty()) continue;
+      // Candidate: w heads another alive path — try the full merge.
+      if (auto merged = merge_through(w, next)) return merged;
+      // Traverse w as an intermediate hop.
       route_.push_back(w);
       if (auto r = dfs(w, next)) return r;
       route_.pop_back();
     }
     return std::nullopt;
+  }
+
+  // When w heads another alive path, the merge onto it: `at_w` (the space
+  // after w) pushed through the rest of that path, if it stays non-empty.
+  std::optional<StitchResult> merge_through(VertexId w,
+                                            const hsa::HeaderSpace& at_w) {
+    const int q = head_path_of_[static_cast<std::size_t>(w)];
+    if (q < 0 || q == from_path_ ||
+        !paths_[static_cast<std::size_t>(q)].alive) {
+      return std::nullopt;
+    }
+    hsa::HeaderSpace through = propagate_along(
+        g_, at_w,
+        std::span(paths_[static_cast<std::size_t>(q)].vertices).subspan(1));
+    if (through.is_empty()) return std::nullopt;
+    return StitchResult{q, route_, std::move(through)};
   }
 
   const AnalysisSnapshot& g_;
@@ -357,6 +365,12 @@ class LocationIndex {
 // `donor` to the path whose suffix was captured (-1 for a plain merge). The
 // augmenting DFS marks `visited`; the nested donor-tail search, which runs
 // while that DFS is live, marks `secondary_visited`.
+//
+// A failed call changes nothing and draws no random bits: its result is a
+// function of `pi`'s path and of what it read at the vertices the two
+// searches visited (head_path_of, loc, and the paths those name). That is
+// what lets the sweeps skip a call that would repeat a failure
+// (ReaderIndex).
 bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
              std::vector<int>& head_path_of, const std::vector<Loc>& loc,
              int pi, std::size_t budget, VisitedSet& visited,
@@ -373,11 +387,15 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
       --budget;
       visited.insert(w);
 
+      hsa::HeaderSpace next = g.propagate(space, w);
+      if (next.is_empty()) continue;
+
       const int q = head_path_of[static_cast<std::size_t>(w)];
       if (q >= 0 && q != pi && paths[static_cast<std::size_t>(q)].alive) {
         // Free head: plain merge (the greedy move, retried post-rearrange).
         hsa::HeaderSpace through = propagate_along(
-            g, space, paths[static_cast<std::size_t>(q)].vertices);
+            g, next,
+            std::span(paths[static_cast<std::size_t>(q)].vertices).subspan(1));
         if (!through.is_empty()) {
           commit_merge(paths, head_path_of, pi,
                        StitchResult{q, route, std::move(through)});
@@ -391,8 +409,9 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
         if (static_cast<std::size_t>(l.idx) < r.vertices.size() &&
             r.vertices[static_cast<std::size_t>(l.idx)] == w) {
           hsa::HeaderSpace through = propagate_along(
-              g, space,
-              std::span(r.vertices).subspan(static_cast<std::size_t>(l.idx)));
+              g, next,
+              std::span(r.vertices)
+                  .subspan(static_cast<std::size_t>(l.idx) + 1));
           if (!through.is_empty()) {
             const WorkPath p_backup = p;
             const WorkPath r_backup = r;
@@ -418,8 +437,6 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
         }
       }
 
-      hsa::HeaderSpace next = g.propagate(space, w);
-      if (next.is_empty()) continue;
       route.push_back(w);
       if (dfs(w, next)) return true;
       route.pop_back();
@@ -429,6 +446,77 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
 
   return dfs(p.vertices.back(), p.output_space);
 }
+
+// The augmentation sweeps' worklist: which paths' last failed augment()
+// read each vertex, so that a success re-queues only the paths whose reads
+// it may have changed.
+//
+// A success rewrites only the augmenting path p and the donor r: every
+// vertex whose head_path_of or loc entry changed, and every head or slot of
+// a path that changed or died, lies on the new p or the new r (the old p is
+// a prefix of the new p; the old donor's suffix, the route and the killed
+// heads' paths are absorbed into the new p and r). So a failed attempt that
+// visited none of those vertices, by a path other than p and r, would fail
+// again exactly as before.
+//
+// Each vertex keeps a singly linked list of (path, attempt) readers in one
+// flat node pool. A node is live while its path's latest attempt is the one
+// it records; stale nodes are dropped when their vertex is next touched.
+class ReaderIndex {
+ public:
+  ReaderIndex(int vertex_count, std::size_t path_count)
+      : head_(static_cast<std::size_t>(vertex_count), -1),
+        attempt_(path_count, 0) {}
+
+  // Path `pi`'s attempt just failed after visiting `reads`.
+  void record(int pi, const std::vector<VertexId>& reads) {
+    const int attempt = ++attempt_[static_cast<std::size_t>(pi)];
+    for (const VertexId v : reads) {
+      int& head = head_[static_cast<std::size_t>(v)];
+      const Node node{pi, attempt, head};
+      if (free_ >= 0) {
+        head = free_;
+        free_ = nodes_[static_cast<std::size_t>(free_)].next;
+        nodes_[static_cast<std::size_t>(head)] = node;
+      } else {
+        head = static_cast<int>(nodes_.size());
+        nodes_.push_back(node);
+      }
+    }
+  }
+
+  // A success put `vertices` on a rewritten path: sets `dirty` for every
+  // live reader of them. Their lists empty out, since each reader will record
+  // afresh when it is retried.
+  void touch(const std::vector<VertexId>& vertices,
+             std::vector<std::uint8_t>& dirty) {
+    for (const VertexId v : vertices) {
+      int& head = head_[static_cast<std::size_t>(v)];
+      while (head >= 0) {
+        const int n = head;
+        Node& node = nodes_[static_cast<std::size_t>(n)];
+        if (node.attempt == attempt_[static_cast<std::size_t>(node.path)]) {
+          dirty[static_cast<std::size_t>(node.path)] = 1;
+        }
+        head = node.next;
+        node.next = free_;
+        free_ = n;
+      }
+    }
+  }
+
+ private:
+  struct Node {
+    int path;
+    int attempt;
+    int next;  // -1 ends the list
+  };
+
+  std::vector<int> head_;     // per vertex: first node of its list, -1 if none
+  std::vector<int> attempt_;  // per path: how many attempts it has made
+  std::vector<Node> nodes_;
+  int free_ = -1;  // head of the free-node list
+};
 
 }  // namespace
 
@@ -531,24 +619,58 @@ Cover MlpcSolver::solve_once(const AnalysisSnapshot& g,
   // a stranded tail may capture the *suffix* of another cover path when the
   // donor's freshly exposed tail can itself merge onto a free head — one
   // alternation of the augmenting path, applied until a fixed point.
+  //
+  // A sweep visits the paths in index order but calls augment() only on the
+  // dirty ones: paths not yet tried, the paths a success rewrote, and the
+  // paths whose last failed attempt read a vertex the success moved
+  // (ReaderIndex). Any other call would fail again, so the covers are those
+  // of sweeps that try every path; debug builds re-run each skipped call to
+  // check it. Sweeps stop when no path is dirty, which is when one sweep
+  // made no progress.
   if (!config_.common.randomized) {
     VisitedSet augment_visited(V);
     LocationIndex loc(V, paths);
-    for (int sweep = 0; sweep < 4; ++sweep) {
-      bool progress = false;
+    ReaderIndex readers(V, paths.size());
+    std::vector<std::uint8_t> dirty(paths.size(), 1);
+    std::vector<VertexId> reads;
+    augment_visited.set_log(&reads);
+    search_visited.set_log(&reads);
+    std::uint64_t attempts = 0;
+    bool progress = true;
+    while (progress) {
+      progress = false;
       for (std::size_t pi = 0; pi < paths.size(); ++pi) {
         if (!paths[pi].alive) continue;
         int donor = -1;
-        if (augment(g, paths, head_path_of, loc.locations(),
-                    static_cast<int>(pi), config_.search_budget,
-                    augment_visited, search_visited, donor)) {
-          progress = true;
-          loc.relocate(paths, static_cast<int>(pi), donor);
-          SDNPROBE_DCHECK(loc.locations() == build_locations(V, paths));
+        if (!dirty[pi]) {
+          SDNPROBE_DCHECK(!augment(g, paths, head_path_of, loc.locations(),
+                                   static_cast<int>(pi), config_.search_budget,
+                                   augment_visited, search_visited, donor))
+              << "augment() succeeded on clean path " << pi;
+          continue;
+        }
+        dirty[pi] = 0;
+        reads.clear();
+        ++attempts;
+        if (!augment(g, paths, head_path_of, loc.locations(),
+                     static_cast<int>(pi), config_.search_budget,
+                     augment_visited, search_visited, donor)) {
+          readers.record(static_cast<int>(pi), reads);
+          continue;
+        }
+        progress = true;
+        loc.relocate(paths, static_cast<int>(pi), donor);
+        SDNPROBE_DCHECK(loc.locations() == build_locations(V, paths));
+        for (const int changed : {static_cast<int>(pi), donor}) {
+          if (changed < 0) continue;
+          readers.touch(paths[static_cast<std::size_t>(changed)].vertices,
+                        dirty);
+          dirty[static_cast<std::size_t>(changed)] = 1;
         }
       }
-      if (!progress) break;
     }
+    search_visited.set_log(nullptr);
+    MlpcInstruments::get().augment_attempts.add(attempts);
   }
 
   Cover cover;

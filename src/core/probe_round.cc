@@ -81,8 +81,9 @@ RoundResult ProbeRound::send(const std::vector<Probe>& probes) {
         ProbeOutcome& o = out[it->second.index];
         if (o.returned) return;  // duplicate delivery (channel dup)
         o.returned = true;
+        // Observed RTTs feed only the adaptive grace and retry timeouts.
         const double rtt = now - it->second.sent_s;
-        if (rtt > 0.0) {
+        if (adaptive_timeout_ && rtt > 0.0) {
           max_rtt_s_ = std::max(max_rtt_s_, rtt);
           double& span_rtt =
               span_rtt_s_[{p.entries.front(), p.entries.back()}];

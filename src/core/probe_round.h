@@ -92,8 +92,9 @@ class ProbeRound {
   bool adaptive_timeout_;
   std::uint64_t next_id_ = kFirstProbeId;
   std::vector<controller::TestPointId> installed_;
-  // Observed PacketIn RTTs, kept across rounds: the largest RTT seen so
-  // far, plus per-span maxima keyed by (first entry, terminal entry).
+  // Observed PacketIn RTTs, kept across rounds when adaptive timeouts are
+  // on (nothing else reads them): the largest RTT seen so far, plus
+  // per-span maxima keyed by (first entry, terminal entry).
   double max_rtt_s_ = 0.0;
   std::map<std::pair<flow::EntryId, flow::EntryId>, double> span_rtt_s_;
 };

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "flow/prefix_index.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -76,12 +77,8 @@ void RuleGraph::build_edges() {
   adj_.resize(static_cast<std::size_t>(V));
   radj_.resize(static_cast<std::size_t>(V));
 
-  // Per-(switch, table) prefix index over vertices, and the vertices'
-  // matches in one contiguous array: the index's candidate test reads one
-  // match per candidate, and a lookup through the entry table misses cache.
-  std::unordered_map<std::uint64_t, flow::PrefixIndex> index;
-  std::vector<hsa::TernaryString> matches;
-  matches.reserve(static_cast<std::size_t>(V));
+  // Per-(switch, table) leading-run index over the vertices' matches.
+  std::unordered_map<std::uint64_t, flow::LeadingRunIndex> index;
   auto table_key = [](flow::SwitchId s, flow::TableId t) {
     return (static_cast<std::uint64_t>(s) << 16) |
            static_cast<std::uint64_t>(t);
@@ -91,11 +88,8 @@ void RuleGraph::build_edges() {
     auto [it, inserted] = index.try_emplace(table_key(e.switch_id, e.table_id),
                                             rules.header_width());
     it->second.add(v, e.match);
-    matches.push_back(e.match);
   }
-  auto match_of = [&matches](VertexId w) -> const hsa::TernaryString& {
-    return matches[static_cast<std::size_t>(w)];
-  };
+  for (auto& [key, table_index] : index) table_index.seal();
 
   // Step-1 edges: (ri, rj) iff ri hands off to rj's table and
   // ri.out ∩ rj.in != ∅. The index only returns candidates whose match
@@ -107,6 +101,7 @@ void RuleGraph::build_edges() {
   std::vector<VertexId> candidates;
   std::vector<std::uint8_t> seen(static_cast<std::size_t>(V), 0);
   std::vector<VertexId> marked;
+  std::size_t candidate_tests = 0;
   for (VertexId v = 0; v < V; ++v) {
     const auto& e = rules.entry(entry_of(v));
     const auto target = rules.handoff_target(e);
@@ -115,7 +110,7 @@ void RuleGraph::build_edges() {
     if (idx == index.end()) continue;
     for (const auto& out_cube : out_space(v).cubes()) {
       candidates.clear();
-      idx->second.collect(out_cube, match_of, candidates);
+      candidate_tests += idx->second.collect(out_cube, candidates);
       for (const VertexId w : candidates) {
         if (w == v || seen[static_cast<std::size_t>(w)]) continue;
         bool hit = false;
@@ -137,6 +132,9 @@ void RuleGraph::build_edges() {
     for (const VertexId w : marked) seen[static_cast<std::size_t>(w)] = 0;
     marked.clear();
   }
+  telemetry::MetricsRegistry::global()
+      .counter("rule_graph.edge_candidates")
+      .add(candidate_tests);
 }
 
 void RuleGraph::detach_vertex(VertexId v) {

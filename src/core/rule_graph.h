@@ -142,7 +142,7 @@ class RuleGraph {
   void build();
   // Vertices and their in/out spaces, from RuleSet::for_each_input_space.
   void build_vertices();
-  // Step-1 edges, found through a per-table flow::PrefixIndex.
+  // Step-1 edges, found through a per-table flow::LeadingRunIndex.
   void build_edges();
 
   // Removes every edge incident to v (both directions).

@@ -1,22 +1,154 @@
 #include "flow/prefix_index.h"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
+#include <tuple>
+#include <unordered_map>
 
 #include "util/check.h"
 
 namespace sdnprobe::flow {
+namespace {
 
-PrefixIndex::PrefixIndex(int width)
-    : bits_(std::min(kIndexBits, width)),
-      all_exact_((std::uint32_t{1} << bits_) - 1) {}
+// The top `n` bits of a word set (n in [0, 64]).
+std::uint64_t top_bits(int n) {
+  return n == 0 ? 0 : ~std::uint64_t{0} << (64 - n);
+}
 
-void PrefixIndex::add(int id, const hsa::TernaryString& match) {
-  const PrefixKey key = prefix_key(match, bits_);
-  std::vector<int>& ids =
-      key.exact == all_exact_ ? exact_[key.value] : wildcard_;
-  SDNPROBE_DCHECK(ids.empty() || ids.back() < id)
-      << "PrefixIndex ids must be added in ascending order";
-  ids.push_back(id);
+std::uint64_t reverse_bits(std::uint64_t x) {
+  x = ((x >> 1) & 0x5555555555555555ull) | ((x & 0x5555555555555555ull) << 1);
+  x = ((x >> 2) & 0x3333333333333333ull) | ((x & 0x3333333333333333ull) << 2);
+  x = ((x >> 4) & 0x0F0F0F0F0F0F0F0Full) | ((x & 0x0F0F0F0F0F0F0F0Full) << 4);
+  x = ((x >> 8) & 0x00FF00FF00FF00FFull) | ((x & 0x00FF00FF00FF00FFull) << 8);
+  x = ((x >> 16) & 0x0000FFFF0000FFFFull) |
+      ((x & 0x0000FFFF0000FFFFull) << 16);
+  return (x >> 32) | (x << 32);
+}
+
+bool run_less(std::uint64_t a_key, int a_len, std::uint64_t b_key,
+              int b_len) {
+  return a_key < b_key || (a_key == b_key && a_len < b_len);
+}
+
+}  // namespace
+
+LeadingRunIndex::Run LeadingRunIndex::run_of(const hsa::TernaryString& t) {
+  // Mask bits at or past the width are 0, so the run never passes it.
+  Run r;
+  r.len = std::countr_one(t.mask_word(0));
+  r.key = reverse_bits(t.bits_word(0)) & top_bits(r.len);
+  return r;
+}
+
+void LeadingRunIndex::add(int id, const hsa::TernaryString& match) {
+  SDNPROBE_DCHECK(runs_.empty()) << "LeadingRunIndex::add after seal()";
+  SDNPROBE_DCHECK(ids_.empty() || ids_.back() < id)
+      << "LeadingRunIndex ids must be added in ascending order";
+  ids_.push_back(id);
+  matches_.push_back(match);
+}
+
+void LeadingRunIndex::seal() {
+  const std::size_t n = ids_.size();
+  // collect()'s order: the replaced index's buckets (prefix keys of the
+  // matches exact on every keyed bit), in its map's iteration order, then
+  // its wildcard list.
+  const int bits = std::min(kPrefixKeyBits, width_);
+  const std::uint32_t all_exact = (std::uint32_t{1} << bits) - 1;
+  std::vector<std::int64_t> key_of(n, -1);
+  std::unordered_map<std::uint32_t, int> group;
+  for (std::size_t i = 0; i < n; ++i) {
+    const PrefixKey key = prefix_key(matches_[i], bits);
+    if (key.exact != all_exact) continue;
+    key_of[i] = key.value;
+    group[key.value];
+  }
+  int rank = 0;
+  for (auto& [value, g] : group) g = rank++;
+  std::vector<int> group_of(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    group_of[i] = key_of[i] < 0
+                      ? rank
+                      : group[static_cast<std::uint32_t>(key_of[i])];
+  }
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return group_of[static_cast<std::size_t>(a)] <
+           group_of[static_cast<std::size_t>(b)];
+  });
+  id_at_.resize(n);
+  std::vector<Run> runs(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto i = static_cast<std::size_t>(order[p]);
+    id_at_[p] = ids_[i];
+    runs[i] = run_of(matches_[i]);
+    runs[i].pos = static_cast<int>(p);
+  }
+
+  // The runs, and their matches, in (run, length) order.
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const Run& ra = runs[static_cast<std::size_t>(a)];
+    const Run& rb = runs[static_cast<std::size_t>(b)];
+    return std::tie(ra.key, ra.len, ra.pos) < std::tie(rb.key, rb.len, rb.pos);
+  });
+  std::vector<hsa::TernaryString> matches;
+  matches.reserve(n);
+  runs_.reserve(n);
+  for (const int i : order) {
+    runs_.push_back(runs[static_cast<std::size_t>(i)]);
+    matches.push_back(matches_[static_cast<std::size_t>(i)]);
+    lengths_.push_back(runs_.back().len);
+  }
+  matches_ = std::move(matches);
+  std::sort(lengths_.begin(), lengths_.end());
+  lengths_.erase(std::unique(lengths_.begin(), lengths_.end()),
+                 lengths_.end());
+  ids_.clear();
+  ids_.shrink_to_fit();
+}
+
+std::size_t LeadingRunIndex::collect(const hsa::TernaryString& cube,
+                                     std::vector<int>& out) const {
+  const std::size_t first = out.size();
+  std::size_t tests = 0;
+  auto test_from = [&](std::size_t i, std::uint64_t hi, int len) {
+    // From run i on, every run with key <= hi (and length `len`, unless it
+    // is -1) is a candidate.
+    for (; i < runs_.size() && runs_[i].key <= hi &&
+           (len < 0 || runs_[i].len == len);
+         ++i) {
+      ++tests;
+      if (matches_[i].intersects(cube)) out.push_back(runs_[i].pos);
+    }
+  };
+  auto lower_bound = [&](std::uint64_t key, int len) {
+    return static_cast<std::size_t>(
+        std::lower_bound(runs_.begin(), runs_.end(), Run{key, len, 0},
+                         [](const Run& a, const Run& b) {
+                           return run_less(a.key, a.len, b.key, b.len);
+                         }) -
+        runs_.begin());
+  };
+  const Run q = run_of(cube);
+  // Runs that are a proper prefix of the query's run.
+  for (const int len : lengths_) {
+    if (len >= q.len) break;
+    const std::uint64_t key = q.key & top_bits(len);
+    test_from(lower_bound(key, len), key, len);
+  }
+  // Runs that extend it (or equal it): their keys share its top |q| bits.
+  // A shorter run with those top bits has q's own key and sorts before
+  // (q.key, q.len), so the range holds no run shorter than q.
+  test_from(lower_bound(q.key, q.len), q.key | ~top_bits(q.len), -1);
+
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+  for (std::size_t i = first; i < out.size(); ++i) {
+    out[i] = id_at_[static_cast<std::size_t>(out[i])];
+  }
+  return tests;
 }
 
 }  // namespace sdnprobe::flow

@@ -1,25 +1,30 @@
-// PrefixIndex: answers "which registered matches intersect this cube?"
-// without testing every entry of a table.
+// Prefix keys, and LeadingRunIndex: answers "which registered matches
+// intersect this cube?" without testing every entry of a table.
 //
-// Ids are bucketed by the exact value of their match's first
-// min(kIndexBits, width) header bits; an id whose match wildcards any indexed
-// bit goes to one always-visited wildcard list. A query visits only the
-// buckets whose key agrees with its own exact indexed bits, then tests each
-// visited match with one cube intersection, so it returns exactly the
-// intersecting ids. The index stores ids only; the caller hands collect()
-// the id -> match mapping it already owns. The step-1 edge scan of
-// core::RuleGraph runs on it (ids are vertices); FlowTable's live index
-// buckets its entries by the same prefix_key().
+// A cube's leading run is the header bits H[0..len) that are exact before
+// its first wildcard, read off the first word (so len <= 64). Two cubes can
+// meet only if they agree on the shorter of their two runs. So for a query
+// whose run is q the candidates are
+//   - the matches whose run is a prefix of q: one binary search per distinct
+//     run length below |q|, and
+//   - the matches whose run extends q: one range scan, since the runs are
+//     kept sorted in (run, length) order, H[0] compared first.
+// Each candidate then gets one cube test, so collect() returns exactly the
+// intersecting ids. The index stores ids and their matches; the step-1 edge
+// scan of core::RuleGraph runs on it (ids are vertices). FlowTable's live
+// index buckets its entries by prefix_key().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "hsa/ternary.h"
 
 namespace sdnprobe::flow {
+
+// How many leading header bits FlowTable's bucket tier keys on.
+inline constexpr int kPrefixKeyBits = 12;
 
 // The first `bits` header bits of a cube (bits <= 32) as an integer, H[0]
 // most significant: `exact` has a 1 for every exact bit, `value` their
@@ -40,49 +45,43 @@ inline PrefixKey prefix_key(const hsa::TernaryString& t, int bits) {
   return key;
 }
 
-class PrefixIndex {
+class LeadingRunIndex {
  public:
-  static constexpr int kIndexBits = 12;
+  explicit LeadingRunIndex(int width) : width_(width) {}
 
-  explicit PrefixIndex(int width);
-
-  // Registers `id` under `match`. Ids must be added in ascending order.
+  // Registers `id` under `match`. Ids must be added in ascending order, and
+  // all of them before seal().
   void add(int id, const hsa::TernaryString& match);
 
-  // Appends every registered id below `below` whose match, `match_of(id)`,
-  // intersects `cube`. When the cube's indexed bits are all exact: its own
-  // bucket, then the wildcard list. Otherwise: every agreeing bucket in map
-  // iteration order (fixed by the insertion sequence), then the wildcard
-  // list. Within a bucket or the list, ids come in ascending order.
-  template <class MatchOf>
-  void collect(const hsa::TernaryString& cube, const MatchOf& match_of,
-               std::vector<int>& out,
-               int below = std::numeric_limits<int>::max()) const {
-    auto take = [&](const std::vector<int>& ids) {
-      for (const int id : ids) {
-        if (id >= below) break;
-        if (match_of(id).intersects(cube)) out.push_back(id);
-      }
-    };
-    const PrefixKey key = prefix_key(cube, bits_);
-    if (key.exact == all_exact_) {
-      const auto it = exact_.find(key.value);
-      if (it != exact_.end()) take(it->second);
-    } else {
-      // The cube wildcards an indexed bit: every bucket that agrees with its
-      // exact indexed bits may hold an intersecting match.
-      for (const auto& [value, ids] : exact_) {
-        if (((value ^ key.value) & key.exact) == 0) take(ids);
-      }
-    }
-    take(wildcard_);
-  }
+  // Sorts the runs and fixes the order collect() returns ids in.
+  void seal();
+
+  // Appends every registered id whose match intersects `cube` and returns
+  // how many cube tests that took. Ids come in the order of the 12-bit
+  // bucket scan this index replaced, so callers that build adjacency lists
+  // from it keep their order: the ids exact on the first
+  // min(kPrefixKeyBits, width) bits grouped by that prefix key, the groups
+  // in the iteration order of a std::unordered_map filled in id order, then
+  // the rest; ascending ids within each group.
+  std::size_t collect(const hsa::TernaryString& cube,
+                      std::vector<int>& out) const;
 
  private:
-  int bits_;
-  std::uint32_t all_exact_;
-  std::unordered_map<std::uint32_t, std::vector<int>> exact_;
-  std::vector<int> wildcard_;
+  // A leading run: its bits with H[0] at bit 63 and zeros past `len`, and
+  // the registered id's position in collect()'s order.
+  struct Run {
+    std::uint64_t key = 0;
+    int len = 0;
+    int pos = 0;
+  };
+  static Run run_of(const hsa::TernaryString& t);
+
+  int width_;
+  std::vector<int> ids_;                     // in add() order until seal()
+  std::vector<hsa::TernaryString> matches_;  // parallel to runs_ after seal()
+  std::vector<Run> runs_;                    // sorted by (key, len) on seal()
+  std::vector<int> lengths_;                 // distinct run lengths, ascending
+  std::vector<int> id_at_;                   // collect() position -> id
 };
 
 }  // namespace sdnprobe::flow

@@ -24,7 +24,7 @@ namespace sdnprobe::flow {
 // answers lookups, FlowMods and input spaces without scanning the table
 // (DESIGN.md §13). Every entry has a rank, one integer in table order, and
 // sits in one tier: concrete matches in an exact-value list, matches exact
-// on the first min(PrefixIndex::kIndexBits, width) header bits in the
+// on the first min(kPrefixKeyBits, width) header bits in the
 // bucket of that prefix_key(), the rest in one wildcard list.
 //
 // FlowMods come in batches: a batch of k entries costs one merge or
@@ -96,7 +96,7 @@ class FlowTable {
   bool tier_less(const Move& a, const Move& b) const;
 
   static Slot slot_of(Rank rank, const hsa::TernaryString& match);
-  int key_bits() const { return std::min(PrefixIndex::kIndexBits, width_); }
+  int key_bits() const { return std::min(kPrefixKeyBits, width_); }
   // PrefixKey::exact of a match exact on every indexed bit.
   std::uint32_t all_exact() const {
     return (std::uint32_t{1} << key_bits()) - 1;

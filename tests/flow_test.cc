@@ -389,7 +389,7 @@ TEST(FlowTable, BatchedFlowModsMatchOneByOne) {
   util::Rng rng(2025);
   for (const int width : {4, 8, 12, 13, 64, 65, 128}) {
     const std::vector<hsa::TernaryString> bases = random_bases(rng, width, 3);
-    const int key_bits = std::min(PrefixIndex::kIndexBits, width);
+    const int key_bits = std::min(kPrefixKeyBits, width);
     FlowTable batched;
     FlowTable twin;
     LinearTable ref;
@@ -536,7 +536,7 @@ TEST(FlowTable, BatchedFlowModsMatchOneByOne) {
     EXPECT_GT(emptied_tables, 0) << "width " << width;
     // Up to 12 bits, a match exact on every indexed bit is concrete: it
     // goes to the exact tier, and no bucket exists.
-    if (width > PrefixIndex::kIndexBits) {
+    if (width > kPrefixKeyBits) {
       EXPECT_GT(emptied_buckets, 0) << "width " << width;
     }
   }

@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "core/mlpc.h"
 #include "core/probe_engine.h"
 #include "core/rule_graph.h"
+#include "flow/prefix_index.h"
 #include "flow/synthesizer.h"
 #include "topo/generator.h"
 #include "util/rng.h"
@@ -45,8 +48,12 @@ hsa::TernaryString random_cube(util::Rng& rng, const hsa::TernaryString& base,
 // entries: outputs to neighbors or the host port, gotos to later tables,
 // drops, and set fields on a `set_field_share` of the entries. Matches and
 // set fields pin each bit past their prefix with probability `scatter`.
+// Priorities are drawn from `priorities` levels. With `varied_runs`, a
+// third of the matches have an exact prefix of any length up to the width
+// and a third wildcard H[0], so their leading exact runs cover every length.
 flow::RuleSet random_ruleset(util::Rng& rng, int width, double scatter = 0.05,
-                             double set_field_share = 0.3) {
+                             double set_field_share = 0.3, int priorities = 6,
+                             bool varied_runs = false) {
   const int switches = 3 + static_cast<int>(rng.next_below(3));
   topo::Graph g(switches);
   for (int s = 0; s < switches; ++s) g.add_edge(s, (s + 1) % switches);
@@ -65,9 +72,12 @@ flow::RuleSet random_ruleset(util::Rng& rng, int width, double scatter = 0.05,
     flow::FlowEntry e;
     e.switch_id = static_cast<flow::SwitchId>(rng.next_below(switches));
     e.table_id = static_cast<flow::TableId>(rng.next_below(kTables));
-    e.priority = static_cast<int>(rng.next_below(6));
-    e.match =
-        random_cube(rng, bases[rng.pick_index(bases.size())], 14, scatter);
+    e.priority = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(priorities)));
+    const hsa::TernaryString& base = bases[rng.pick_index(bases.size())];
+    const std::uint64_t style = varied_runs ? rng.next_below(3) : 0;
+    e.match = random_cube(rng, base, style == 1 ? width + 1 : 14, scatter);
+    if (style == 2) e.match.set(0, hsa::Trit::kWild);
     if (rng.next_bool(set_field_share)) {
       e.set_field =
           random_cube(rng, bases[rng.pick_index(bases.size())], 4, scatter);
@@ -155,6 +165,99 @@ TEST(RuleGraphBuild, EdgesMatchNaiveAllPairsReference) {
       EXPECT_EQ(g.edge_count(), edges);
     }
   }
+}
+
+// The step-1 edge scan that flow::LeadingRunIndex replaced: per (switch,
+// table), vertices bucketed by the value of their first min(12, width)
+// header bits when those are all exact, the rest in a wildcard list. An
+// out-cube exact on those bits scans its own bucket, otherwise every
+// agreeing bucket in the map's iteration order; then the wildcard list.
+// Returns every vertex's successor sequence.
+std::vector<std::vector<VertexId>> bucket_scan_successors(const RuleGraph& g) {
+  const flow::RuleSet& rules = g.rules();
+  const int bits = std::min(12, rules.header_width());
+  const std::uint32_t all_exact = (std::uint32_t{1} << bits) - 1;
+  struct Buckets {
+    std::unordered_map<std::uint32_t, std::vector<VertexId>> exact;
+    std::vector<VertexId> wildcard;
+  };
+  std::map<std::pair<flow::SwitchId, flow::TableId>, Buckets> index;
+  auto match_of = [&](VertexId v) -> const hsa::TernaryString& {
+    return rules.entry(g.entry_of(v)).match;
+  };
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    const flow::FlowEntry& e = rules.entry(g.entry_of(v));
+    Buckets& b = index[{e.switch_id, e.table_id}];
+    const flow::PrefixKey key = flow::prefix_key(e.match, bits);
+    (key.exact == all_exact ? b.exact[key.value] : b.wildcard).push_back(v);
+  }
+  std::vector<std::vector<VertexId>> succ(
+      static_cast<std::size_t>(g.vertex_count()));
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    const auto target = rules.handoff_target(rules.entry(g.entry_of(v)));
+    if (!target.has_value()) continue;
+    const auto it = index.find(*target);
+    if (it == index.end()) continue;
+    std::vector<VertexId>& out = succ[static_cast<std::size_t>(v)];
+    for (const auto& cube : g.out_space(v).cubes()) {
+      auto take = [&](const std::vector<VertexId>& ids) {
+        for (const VertexId w : ids) {
+          if (w == v || !match_of(w).intersects(cube) ||
+              std::find(out.begin(), out.end(), w) != out.end()) {
+            continue;
+          }
+          for (const auto& in_cube : g.in_space(w).cubes()) {
+            if (cube.intersects(in_cube)) {
+              out.push_back(w);
+              break;
+            }
+          }
+        }
+      };
+      const flow::PrefixKey key = flow::prefix_key(cube, bits);
+      if (key.exact == all_exact) {
+        const auto bucket = it->second.exact.find(key.value);
+        if (bucket != it->second.exact.end()) take(bucket->second);
+      } else {
+        for (const auto& [value, ids] : it->second.exact) {
+          if (((value ^ key.value) & key.exact) == 0) take(ids);
+        }
+      }
+      take(it->second.wildcard);
+    }
+  }
+  return succ;
+}
+
+// The leading-run index hands build_edges() exactly the candidates of the
+// bucket scan it replaced, in the same order: every successor sequence
+// matches, on rulesets with long exact prefixes, wildcard-led matches,
+// equal priorities and set fields.
+TEST(RuleGraphBuild, EdgeIndexMatchesBucketScanOrder) {
+  util::Rng rng(47);
+  // Vertices whose successors are not in ascending order: the order the
+  // bucket scan fixes is not a sort the index could get for free.
+  std::size_t unsorted = 0;
+  for (const int width : {8, 16, 70, 128}) {
+    // Fewer scattered exact bits on wide headers keep the input spaces
+    // (and the Debug run) small.
+    const double scatter = width > 16 ? 0.02 : 0.05;
+    for (int trial = 0; trial < 10; ++trial) {
+      const int priorities = trial % 2 == 0 ? 1 : 3;
+      const flow::RuleSet rules =
+          random_ruleset(rng, width, scatter, 0.3, priorities, true);
+      const RuleGraph g(rules);
+      const auto expected = bucket_scan_successors(g);
+      for (VertexId v = 0; v < g.vertex_count(); ++v) {
+        const auto succ = g.successors(v);
+        EXPECT_EQ(std::vector<VertexId>(succ.begin(), succ.end()),
+                  expected[static_cast<std::size_t>(v)])
+            << "width " << width << " trial " << trial << " vertex " << v;
+        if (!std::is_sorted(succ.begin(), succ.end())) ++unsorted;
+      }
+    }
+  }
+  EXPECT_GT(unsorted, 0u);
 }
 
 std::set<std::pair<flow::EntryId, flow::EntryId>> edge_relation(

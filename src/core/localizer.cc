@@ -207,6 +207,13 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
         next_linger.push_back(rounds);
       }
     };
+    // A probe requeued for the next round: moved out when this round owns
+    // its probes (nothing reads it after it is queued), copied out of the
+    // fixed cover.
+    auto take = [&](std::size_t i) -> Probe {
+      if (round_probes == &pending) return std::move(pending[i]);
+      return probes[i];
+    };
     std::size_t failures = 0;
     for (std::size_t i = 0; i < probes.size(); ++i) {
       const Probe& probe = probes[i];
@@ -226,7 +233,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
         }
         // Localization probes linger so they are already in flight when an
         // intermittent fault's next active window opens.
-        if (linger[i] > 1) queue_probe(probe, linger[i] - 1);
+        if (linger[i] > 1) queue_probe(take(i), linger[i] - 1);
         continue;
       }
       if (!o.returned) LocalizerInstruments::get().probe_timeouts.add();
@@ -315,7 +322,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
           auto p = engine_.make_probe(half, rng_, active_profile());
           if (p.has_value()) queue_probe(std::move(*p), kLingerRounds);
         }
-        queue_probe(probe, kLingerRounds);
+        queue_probe(take(i), kLingerRounds);
       } else {
         const flow::EntryId e = probe.entries.front();
         const flow::SwitchId sw = graph_->rules().entry(e).switch_id;
@@ -329,7 +336,7 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
           report.detection_time_s = loop_->now() - t0;
         } else {
           // Keep retesting the singleton.
-          queue_probe(probe, kLingerRounds);
+          queue_probe(take(i), kLingerRounds);
         }
       }
     }

@@ -249,11 +249,75 @@ std::vector<Loc> build_locations(int vertex_count,
   return loc;
 }
 
+// Per-vertex singly linked lists of `Payload`s in one flat node pool; nodes
+// unlinked by filter() go on a free list for reuse by push().
+template <typename Payload>
+class VertexLists {
+ public:
+  explicit VertexLists(int vertex_count)
+      : head_(static_cast<std::size_t>(vertex_count), -1) {}
+
+  void push(VertexId v, const Payload& payload) {
+    int& head = head_[static_cast<std::size_t>(v)];
+    const Node node{payload, head};
+    if (free_ >= 0) {
+      head = free_;
+      free_ = nodes_[static_cast<std::size_t>(free_)].next;
+      nodes_[static_cast<std::size_t>(head)] = node;
+    } else {
+      head = static_cast<int>(nodes_.size());
+      nodes_.push_back(node);
+    }
+  }
+
+  // The payload v's list starts with, or nullptr when the list is empty.
+  const Payload* front(VertexId v) const {
+    const int n = head_[static_cast<std::size_t>(v)];
+    return n < 0 ? nullptr : &nodes_[static_cast<std::size_t>(n)].payload;
+  }
+
+  bool contains(VertexId v, const Payload& payload) const {
+    for (int n = head_[static_cast<std::size_t>(v)]; n >= 0;
+         n = nodes_[static_cast<std::size_t>(n)].next) {
+      if (nodes_[static_cast<std::size_t>(n)].payload == payload) return true;
+    }
+    return false;
+  }
+
+  // Calls keep(payload) on each of v's nodes in list order and unlinks the
+  // nodes it returns false for.
+  template <typename Keep>
+  void filter(VertexId v, Keep&& keep) {
+    int* link = &head_[static_cast<std::size_t>(v)];
+    while (*link >= 0) {
+      const int n = *link;
+      Node& node = nodes_[static_cast<std::size_t>(n)];
+      if (keep(node.payload)) {
+        link = &node.next;
+        continue;
+      }
+      *link = node.next;
+      node.next = free_;
+      free_ = n;
+    }
+  }
+
+ private:
+  struct Node {
+    Payload payload;
+    int next;  // -1 ends the list
+  };
+
+  std::vector<int> head_;  // per vertex: first node of its list, -1 if none
+  std::vector<Node> nodes_;
+  int free_ = -1;  // head of the free-node list
+};
+
 // The augmentation phase's first-(path, index) index, updated in place after
 // each successful augmentation at the cost of the two rewritten paths.
 //
-// Each vertex keeps a singly linked list, in one flat node pool, of the slots
-// (path, index) it was recorded at. A node is live while its path is alive
+// Each vertex keeps a list (VertexLists) of the slots (path, index) it was
+// recorded at. A node is live while its path is alive
 // and the slot still holds the vertex; dead nodes are dropped the next time
 // the vertex is relocated. An augmentation rewrites only the augmenting path
 // p and its donor r, and every vertex leaving the donor or a path it kills
@@ -264,15 +328,15 @@ std::vector<Loc> build_locations(int vertex_count,
 class LocationIndex {
  public:
   LocationIndex(int vertex_count, const std::vector<WorkPath>& paths)
-      : first_(static_cast<std::size_t>(vertex_count)),
-        head_(static_cast<std::size_t>(vertex_count), -1) {
+      : first_(static_cast<std::size_t>(vertex_count)), slots_(vertex_count) {
     for (std::size_t pi = 0; pi < paths.size(); ++pi) {
       if (!paths[pi].alive) continue;
       const auto& vs = paths[pi].vertices;
       for (std::size_t i = 0; i < vs.size(); ++i) {
-        push_node(vs[i], static_cast<int>(pi), static_cast<int>(i));
+        const Loc slot{static_cast<int>(pi), static_cast<int>(i)};
+        slots_.push(vs[i], slot);
         Loc& l = first_[static_cast<std::size_t>(vs[i])];
-        if (l.path < 0) l = Loc{static_cast<int>(pi), static_cast<int>(i)};
+        if (l.path < 0) l = slot;
       }
     }
   }
@@ -286,7 +350,8 @@ class LocationIndex {
       if (pi < 0) continue;
       const auto& vs = paths[static_cast<std::size_t>(pi)].vertices;
       for (std::size_t i = 0; i < vs.size(); ++i) {
-        record(vs[i], pi, static_cast<int>(i));
+        const Loc slot{pi, static_cast<int>(i)};
+        if (!slots_.contains(vs[i], slot)) slots_.push(vs[i], slot);
       }
     }
     for (const int pi : {p, r}) {
@@ -298,64 +363,27 @@ class LocationIndex {
   }
 
  private:
-  struct Node {
-    int path;
-    int idx;
-    int next;  // -1 ends the list
-  };
-
-  void push_node(VertexId v, int path, int idx) {
-    int& head = head_[static_cast<std::size_t>(v)];
-    const Node node{path, idx, head};
-    if (free_ >= 0) {
-      head = free_;
-      free_ = nodes_[static_cast<std::size_t>(free_)].next;
-      nodes_[static_cast<std::size_t>(head)] = node;
-    } else {
-      head = static_cast<int>(nodes_.size());
-      nodes_.push_back(node);
-    }
-  }
-
-  // Adds slot (path, idx) to v's list unless it is already there.
-  void record(VertexId v, int path, int idx) {
-    for (int n = head_[static_cast<std::size_t>(v)]; n >= 0;
-         n = nodes_[static_cast<std::size_t>(n)].next) {
-      const Node& node = nodes_[static_cast<std::size_t>(n)];
-      if (node.path == path && node.idx == idx) return;
-    }
-    push_node(v, path, idx);
-  }
-
-  // Unlinks v's dead nodes and sets its entry to the least live slot.
+  // Unlinks v's dead slots and sets its entry to the least live slot.
   void refresh(const std::vector<WorkPath>& paths, VertexId v) {
     Loc best;
-    int* link = &head_[static_cast<std::size_t>(v)];
-    while (*link >= 0) {
-      const int n = *link;
-      Node& node = nodes_[static_cast<std::size_t>(n)];
-      const WorkPath& path = paths[static_cast<std::size_t>(node.path)];
+    slots_.filter(v, [&](const Loc& slot) {
+      const WorkPath& path = paths[static_cast<std::size_t>(slot.path)];
       if (!path.alive ||
-          static_cast<std::size_t>(node.idx) >= path.vertices.size() ||
-          path.vertices[static_cast<std::size_t>(node.idx)] != v) {
-        *link = node.next;
-        node.next = free_;
-        free_ = n;
-        continue;
+          static_cast<std::size_t>(slot.idx) >= path.vertices.size() ||
+          path.vertices[static_cast<std::size_t>(slot.idx)] != v) {
+        return false;
       }
-      if (best.path < 0 || node.path < best.path ||
-          (node.path == best.path && node.idx < best.idx)) {
-        best = Loc{node.path, node.idx};
+      if (best.path < 0 || slot.path < best.path ||
+          (slot.path == best.path && slot.idx < best.idx)) {
+        best = slot;
       }
-      link = &node.next;
-    }
+      return true;
+    });
     first_[static_cast<std::size_t>(v)] = best;
   }
 
   std::vector<Loc> first_;
-  std::vector<int> head_;  // per vertex: first node of its list, -1 if none
-  std::vector<Node> nodes_;
-  int free_ = -1;  // head of the free-node list
+  VertexLists<Loc> slots_;  // per vertex: the slots it was recorded at
 };
 
 // One alternation of a legal augmenting path (Definition 3): the stranded
@@ -459,28 +487,23 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
 // visited none of those vertices, by a path other than p and r, would fail
 // again exactly as before.
 //
-// Each vertex keeps a singly linked list of (path, attempt) readers in one
-// flat node pool. A node is live while its path's latest attempt is the one
-// it records; stale nodes are dropped when their vertex is next touched.
+// Each vertex keeps a list (VertexLists) of (path, attempt) readers. A reader
+// is live while its path's latest attempt is the one it records; stale ones
+// are dropped when their vertex is next touched.
 class ReaderIndex {
  public:
   ReaderIndex(int vertex_count, std::size_t path_count)
-      : head_(static_cast<std::size_t>(vertex_count), -1),
-        attempt_(path_count, 0) {}
+      : readers_(vertex_count), attempt_(path_count, 0) {}
 
-  // Path `pi`'s attempt just failed after visiting `reads`.
+  // Path `pi`'s attempt just failed after visiting `reads`. A vertex read
+  // twice (each nested donor-tail search starts a fresh visited set) is
+  // recorded once: its list then already starts with this attempt.
   void record(int pi, const std::vector<VertexId>& reads) {
     const int attempt = ++attempt_[static_cast<std::size_t>(pi)];
     for (const VertexId v : reads) {
-      int& head = head_[static_cast<std::size_t>(v)];
-      const Node node{pi, attempt, head};
-      if (free_ >= 0) {
-        head = free_;
-        free_ = nodes_[static_cast<std::size_t>(free_)].next;
-        nodes_[static_cast<std::size_t>(head)] = node;
-      } else {
-        head = static_cast<int>(nodes_.size());
-        nodes_.push_back(node);
+      const Reader* last = readers_.front(v);
+      if (last == nullptr || last->path != pi || last->attempt != attempt) {
+        readers_.push(v, Reader{pi, attempt});
       }
     }
   }
@@ -491,31 +514,23 @@ class ReaderIndex {
   void touch(const std::vector<VertexId>& vertices,
              std::vector<std::uint8_t>& dirty) {
     for (const VertexId v : vertices) {
-      int& head = head_[static_cast<std::size_t>(v)];
-      while (head >= 0) {
-        const int n = head;
-        Node& node = nodes_[static_cast<std::size_t>(n)];
-        if (node.attempt == attempt_[static_cast<std::size_t>(node.path)]) {
-          dirty[static_cast<std::size_t>(node.path)] = 1;
+      readers_.filter(v, [&](const Reader& r) {
+        if (r.attempt == attempt_[static_cast<std::size_t>(r.path)]) {
+          dirty[static_cast<std::size_t>(r.path)] = 1;
         }
-        head = node.next;
-        node.next = free_;
-        free_ = n;
-      }
+        return false;
+      });
     }
   }
 
  private:
-  struct Node {
+  struct Reader {
     int path;
     int attempt;
-    int next;  // -1 ends the list
   };
 
-  std::vector<int> head_;     // per vertex: first node of its list, -1 if none
-  std::vector<int> attempt_;  // per path: how many attempts it has made
-  std::vector<Node> nodes_;
-  int free_ = -1;  // head of the free-node list
+  VertexLists<Reader> readers_;  // per vertex: the attempts that read it
+  std::vector<int> attempt_;     // per path: how many attempts it has made
 };
 
 }  // namespace

@@ -99,13 +99,24 @@ void LeadingRunIndex::seal() {
   runs_.reserve(n);
   for (const int i : order) {
     runs_.push_back(runs[static_cast<std::size_t>(i)]);
-    matches.push_back(matches_[static_cast<std::size_t>(i)]);
-    lengths_.push_back(runs_.back().len);
+    matches.push_back(std::move(matches_[static_cast<std::size_t>(i)]));
   }
   matches_ = std::move(matches);
-  std::sort(lengths_.begin(), lengths_.end());
-  lengths_.erase(std::unique(lengths_.begin(), lengths_.end()),
-                 lengths_.end());
+
+  // The same runs grouped by length; each group keeps the key order.
+  by_length_.resize(n);
+  std::iota(by_length_.begin(), by_length_.end(), 0);
+  std::stable_sort(by_length_.begin(), by_length_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return runs_[a].len < runs_[b].len;
+                   });
+  for (std::size_t i = 0; i < n; ++i) {
+    const int len = runs_[by_length_[i]].len;
+    if (lengths_.empty() || lengths_.back().len != len) {
+      lengths_.push_back(LengthGroup{len, static_cast<std::uint32_t>(i), 0});
+    }
+    lengths_.back().end = static_cast<std::uint32_t>(i + 1);
+  }
   ids_.clear();
   ids_.shrink_to_fit();
 }
@@ -114,35 +125,38 @@ std::size_t LeadingRunIndex::collect(const hsa::TernaryString& cube,
                                      std::vector<int>& out) const {
   const std::size_t first = out.size();
   std::size_t tests = 0;
-  auto test_from = [&](std::size_t i, std::uint64_t hi, int len) {
-    // From run i on, every run with key <= hi (and length `len`, unless it
-    // is -1) is a candidate.
-    for (; i < runs_.size() && runs_[i].key <= hi &&
-           (len < 0 || runs_[i].len == len);
-         ++i) {
-      ++tests;
-      if (matches_[i].intersects(cube)) out.push_back(runs_[i].pos);
-    }
-  };
-  auto lower_bound = [&](std::uint64_t key, int len) {
-    return static_cast<std::size_t>(
-        std::lower_bound(runs_.begin(), runs_.end(), Run{key, len, 0},
-                         [](const Run& a, const Run& b) {
-                           return run_less(a.key, a.len, b.key, b.len);
-                         }) -
-        runs_.begin());
+  auto test = [&](std::size_t i) {
+    ++tests;
+    if (matches_[i].intersects(cube)) out.push_back(runs_[i].pos);
   };
   const Run q = run_of(cube);
-  // Runs that are a proper prefix of the query's run.
-  for (const int len : lengths_) {
-    if (len >= q.len) break;
-    const std::uint64_t key = q.key & top_bits(len);
-    test_from(lower_bound(key, len), key, len);
+  // Runs that are a proper prefix of the query's run: per shorter length,
+  // the runs of that length whose key is q's run cut to it.
+  for (const LengthGroup& group : lengths_) {
+    if (group.len >= q.len) break;
+    const std::uint64_t key = q.key & top_bits(group.len);
+    const auto end = by_length_.begin() + group.end;
+    for (auto it = std::lower_bound(by_length_.begin() + group.begin, end, key,
+                                    [&](std::uint32_t i, std::uint64_t k) {
+                                      return runs_[i].key < k;
+                                    });
+         it != end && runs_[*it].key == key; ++it) {
+      test(*it);
+    }
   }
   // Runs that extend it (or equal it): their keys share its top |q| bits.
   // A shorter run with those top bits has q's own key and sorts before
   // (q.key, q.len), so the range holds no run shorter than q.
-  test_from(lower_bound(q.key, q.len), q.key | ~top_bits(q.len), -1);
+  const std::uint64_t hi = q.key | ~top_bits(q.len);
+  for (auto i = static_cast<std::size_t>(
+           std::lower_bound(runs_.begin(), runs_.end(), q,
+                            [](const Run& a, const Run& b) {
+                              return run_less(a.key, a.len, b.key, b.len);
+                            }) -
+           runs_.begin());
+       i < runs_.size() && runs_[i].key <= hi; ++i) {
+    test(i);
+  }
 
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
   for (std::size_t i = first; i < out.size(); ++i) {

@@ -5,8 +5,8 @@
 // its first wildcard, read off the first word (so len <= 64). Two cubes can
 // meet only if they agree on the shorter of their two runs. So for a query
 // whose run is q the candidates are
-//   - the matches whose run is a prefix of q: one binary search per distinct
-//     run length below |q|, and
+//   - the matches whose run is a prefix of q: one binary search among the
+//     runs of each distinct length below |q|, and
 //   - the matches whose run extends q: one range scan, since the runs are
 //     kept sorted in (run, length) order, H[0] compared first.
 // Each candidate then gets one cube test, so collect() returns exactly the
@@ -74,14 +74,21 @@ class LeadingRunIndex {
     int len = 0;
     int pos = 0;
   };
+  // The runs of one length: by_length_[begin, end).
+  struct LengthGroup {
+    int len = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
   static Run run_of(const hsa::TernaryString& t);
 
   int width_;
   std::vector<int> ids_;                     // in add() order until seal()
   std::vector<hsa::TernaryString> matches_;  // parallel to runs_ after seal()
   std::vector<Run> runs_;                    // sorted by (key, len) on seal()
-  std::vector<int> lengths_;                 // distinct run lengths, ascending
-  std::vector<int> id_at_;                   // collect() position -> id
+  std::vector<std::uint32_t> by_length_;     // runs_ indices by (length, key)
+  std::vector<LengthGroup> lengths_;  // one per distinct length, ascending
+  std::vector<int> id_at_;            // collect() position -> id
 };
 
 }  // namespace sdnprobe::flow

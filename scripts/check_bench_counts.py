@@ -17,8 +17,10 @@ part of the artifact with the golden one, exactly. <row> selects:
 
 Host timings vary from run to run; these counts, rates and simulated
 delays (Table II TPC, the MLPC ablation's probe counts, the Table I /
-Fig. 9a / Fig. 9b FPR and FNR, the Fig. 8b / 8c / 9c simulated delays and
-Fig. 9c's FNR rows) do not. Neither do Table II's two work counters,
+Fig. 9a / Fig. 9b FPR and FNR, the Fig. 8b / 8c / 9c simulated delays,
+Fig. 9c's FNR rows, and bench_repair's heal verdict per fault kind:
+detected, healed, quarantined, strategy, patches proposed, attempts,
+rollbacks, fence reruns and simulated time to heal) do not. Neither do Table II's two work counters,
 pinned so that losing either PCT index fails the check:
 `edge_candidates` (cube tests of the step-1 edge candidates the rule
 graph's leading-run index returns) and `augment_attempts` (augment() calls

@@ -8,12 +8,10 @@
 #include <vector>
 
 #include "telemetry/trace.h"
-#include "util/check.h"
 
 namespace sdnprobe::analysis {
 namespace {
 
-using flow::EntryId;
 using flow::FlowEntry;
 using flow::RuleSet;
 using flow::SwitchId;
@@ -310,22 +308,20 @@ void check_topology(const RuleSet& rules, LintReport& report) {
   }
 }
 
-// The shared structural battery. `dead` says whether an entry's input space
-// is empty; `out_space` yields r.out for live entries. Both are backed by
-// the rule graph's caches in the snapshot run and by one pass of
-// RuleSet::for_each_input_space() in the ruleset run.
-void lint_structural(const RuleSet& rules,
-                     const std::function<bool(EntryId)>& dead,
-                     const std::function<hsa::HeaderSpace(EntryId)>& out_space,
+// The structural battery: shadowing read off the graph's dead entries,
+// r.out off its cached vertex spaces.
+void lint_structural(const core::AnalysisSnapshot& snapshot,
                      LintReport& report) {
+  const RuleSet& rules = snapshot.rules();
   for (SwitchId sw = 0; sw < rules.switch_count(); ++sw) {
     for (TableId t = 0; t < rules.table_count(sw); ++t) {
       for (const auto& e : rules.table(sw, t).entries()) {
         check_dangling_actions(rules, e, report);
-        if (dead(e.id)) {
+        const core::VertexId v = snapshot.vertex_for(e.id);
+        if (v < 0) {
           add_shadowed_diagnostic(rules, e, report);
         } else {
-          check_empty_match(rules, e, out_space(e.id), report);
+          check_empty_match(rules, e, snapshot.out_space(v), report);
         }
       }
     }
@@ -432,39 +428,10 @@ void record_lint_telemetry(const LintReport& report) {
 
 }  // namespace
 
-LintReport Linter::run(const RuleSet& rules) const {
-  telemetry::TraceSpan span("lint.run");
-  LintReport report;
-  std::vector<hsa::HeaderSpace> in(rules.entry_count());
-  rules.for_each_input_space([&in](EntryId id, hsa::HeaderSpace space) {
-    in[static_cast<std::size_t>(id)] = std::move(space);
-  });
-  lint_structural(
-      rules,
-      [&in](EntryId id) { return in[static_cast<std::size_t>(id)].is_empty(); },
-      [&](EntryId id) {
-        return in[static_cast<std::size_t>(id)].transform(
-            rules.entry(id).set_field);
-      },
-      report);
-  report.sort();
-  record_lint_telemetry(report);
-  return report;
-}
-
 LintReport Linter::run(const core::AnalysisSnapshot& snapshot) const {
   telemetry::TraceSpan span("lint.run");
-  const RuleSet& rules = snapshot.rules();
   LintReport report;
-  lint_structural(
-      rules,
-      [&snapshot](EntryId id) { return snapshot.vertex_for(id) < 0; },
-      [&snapshot](EntryId id) {
-        const core::VertexId v = snapshot.vertex_for(id);
-        SDNPROBE_DCHECK_GE(v, 0) << "out_space queried for dead entry " << id;
-        return snapshot.out_space(v);
-      },
-      report);
+  lint_structural(snapshot, report);
   lint_rule_graph(snapshot, config_, report);
   report.sort();
   record_lint_telemetry(report);

@@ -74,13 +74,11 @@ class Linter {
  public:
   explicit Linter(LintConfig config = {}) : config_(config) {}
 
-  // Structural battery over the control-plane view: shadowing, goto-table
-  // cycles, unreachable tables, dangling actions, empty forwarding matches,
-  // topology consistency.
-  LintReport run(const flow::RuleSet& rules) const;
-
-  // Full battery: everything above (shadowing read off the graph's dead
-  // entries instead of recomputed) plus the rule-graph invariants.
+  // The whole battery over one snapshot: the structural checks over its
+  // rules (shadowing read off the graph's dead entries, r.out off its cached
+  // vertex spaces; goto-table cycles, unreachable tables, dangling actions,
+  // empty forwarding matches, topology consistency) plus the rule-graph
+  // invariants. A structure-only run sets edge_witness_budget = 0.
   LintReport run(const core::AnalysisSnapshot& snapshot) const;
 
   const LintConfig& config() const { return config_; }

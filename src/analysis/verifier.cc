@@ -1,6 +1,7 @@
 #include "analysis/verifier.h"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -378,8 +379,9 @@ VerifyReport Verifier::verify(const core::AnalysisSnapshot& snapshot) {
   VerifyStats stats;
   for (SwitchId sw = 0; sw < snapshot.rules().switch_count(); ++sw) {
     for (const VertexId seed : snapshot.ingress_vertices(sw)) {
-      ClassResult r = verify_class(snapshot, seed, invalid);
-      stats.steps += r.steps;
+      auto r = std::make_shared<const ClassResult>(
+          verify_class(snapshot, seed, invalid));
+      stats.steps += r->steps;
       ++stats.classes_verified;
       classes_.emplace(snapshot.entry_of(seed), std::move(r));
     }
@@ -406,15 +408,17 @@ VerifyReport Verifier::apply_delta(const core::AnalysisSnapshot& snapshot,
       dirty[static_cast<std::size_t>(u)] = 1;
     }
   }
-  std::map<EntryId, ClassResult> next;
+  // The cache is updated in place: reused classes are not touched at all.
+  std::vector<std::uint8_t> live(snapshot.rules().entry_count(), 0);
   VerifyStats stats;
   for (SwitchId sw = 0; sw < snapshot.rules().switch_count(); ++sw) {
     for (const VertexId seed : snapshot.ingress_vertices(sw)) {
       const EntryId id = snapshot.entry_of(seed);
-      const auto it = classes_.find(id);
-      bool reuse = it != classes_.end();
+      live[static_cast<std::size_t>(id)] = 1;
+      std::shared_ptr<const ClassResult>& cached = classes_[id];
+      bool reuse = cached != nullptr;
       if (reuse) {
-        for (const VertexId f : it->second.footprint) {
+        for (const VertexId f : cached->footprint) {
           if (dirty[static_cast<std::size_t>(f)]) {
             reuse = false;
             break;
@@ -423,16 +427,17 @@ VerifyReport Verifier::apply_delta(const core::AnalysisSnapshot& snapshot,
       }
       if (reuse) {
         ++stats.classes_reused;
-        next.emplace(id, std::move(it->second));
-      } else {
-        ClassResult r = verify_class(snapshot, seed, invalid);
-        stats.steps += r.steps;
-        ++stats.classes_verified;
-        next.emplace(id, std::move(r));
+        continue;
       }
+      cached = std::make_shared<const ClassResult>(
+          verify_class(snapshot, seed, invalid));
+      stats.steps += cached->steps;
+      ++stats.classes_verified;
     }
   }
-  classes_ = std::move(next);  // classes of vanished seeds drop out here
+  std::erase_if(classes_, [&live](const auto& c) {  // vanished seeds
+    return !live[static_cast<std::size_t>(c.first)];
+  });
   return assemble(snapshot, stats);
 }
 
@@ -443,11 +448,11 @@ VerifyReport Verifier::assemble(const core::AnalysisSnapshot& snapshot,
   std::vector<std::uint8_t> witnessed(invs.size(), 0);
   stats.classes_total = classes_.size();
   for (const auto& [id, r] : classes_) {
-    for (const Diagnostic& d : r.diagnostics) report.add(d);
+    for (const Diagnostic& d : r->diagnostics) report.add(d);
     for (std::size_t i = 0; i < witnessed.size(); ++i) {
-      if (i < r.witnessed.size()) witnessed[i] |= r.witnessed[i];
+      if (i < r->witnessed.size()) witnessed[i] |= r->witnessed[i];
     }
-    if (r.truncated) ++stats.truncated_classes;
+    if (r->truncated) ++stats.truncated_classes;
   }
   const std::vector<std::uint8_t> invalid = invalid_invariants(snapshot);
   for (std::size_t i = 0; i < invs.size(); ++i) {

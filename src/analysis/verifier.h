@@ -51,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -130,7 +131,9 @@ class Verifier {
   // Class cache keyed by the seed vertex's EntryId (stable across churn,
   // unlike raw snapshot enumeration order). std::map: deterministic
   // iteration makes report assembly independent of insertion history.
-  std::map<flow::EntryId, ClassResult> classes_;
+  // Results never change once computed, so copies of a Verifier (repair's
+  // dry runs start from one) share them instead of duplicating footprints.
+  std::map<flow::EntryId, std::shared_ptr<const ClassResult>> classes_;
   bool verified_ = false;
 };
 

@@ -24,9 +24,9 @@ struct EngineInstruments {
     static EngineInstruments i{
         reg.counter("probe_engine.header_candidates"),
         reg.counter("probe_engine.headers_committed"),
-        // Pre-lex-min names kept: pipebench reads sat_fallbacks by name.
+        // Pre-lex-min name kept: pipebench reads sat_fallbacks by name.
         reg.counter("probe_engine.sat_fallbacks"),
-        reg.counter("probe_engine.sat_failures"),
+        reg.counter("probe_engine.lexmin_failures"),
     };
     return i;
   }

@@ -93,8 +93,9 @@ void RuleGraph::build_edges() {
 
   // Step-1 edges: (ri, rj) iff ri hands off to rj's table and
   // ri.out ∩ rj.in != ∅. The index only returns candidates whose match
-  // meets the out-cube (rj.in ⊆ rj.match), in the order of a full bucket
-  // scan, so adjacency order does not depend on the filtering. `seen` is
+  // meets the out-cube (rj.in ⊆ rj.match), in the index's fixed order
+  // (prefix keys ascending, then the rest), so adjacency order does not
+  // depend on the filtering or on a hash layout. `seen` is
   // allocated once and reset via the `marked` scratch list — a per-vertex
   // V-sized assign() would make edge construction Θ(V²) regardless of graph
   // sparsity.

@@ -4,7 +4,6 @@
 #include <bit>
 #include <numeric>
 #include <tuple>
-#include <unordered_map>
 
 #include "util/check.h"
 
@@ -51,26 +50,15 @@ void LeadingRunIndex::add(int id, const hsa::TernaryString& match) {
 
 void LeadingRunIndex::seal() {
   const std::size_t n = ids_.size();
-  // collect()'s order: the replaced index's buckets (prefix keys of the
-  // matches exact on every keyed bit), in its map's iteration order, then
-  // its wildcard list.
+  // collect()'s order: the matches exact on every keyed bit grouped by
+  // prefix key, the groups by ascending key, then the rest; ids ascending
+  // within each group (the sort is stable over add() order).
   const int bits = std::min(kPrefixKeyBits, width_);
   const std::uint32_t all_exact = (std::uint32_t{1} << bits) - 1;
-  std::vector<std::int64_t> key_of(n, -1);
-  std::unordered_map<std::uint32_t, int> group;
+  std::vector<std::uint32_t> group_of(n);
   for (std::size_t i = 0; i < n; ++i) {
     const PrefixKey key = prefix_key(matches_[i], bits);
-    if (key.exact != all_exact) continue;
-    key_of[i] = key.value;
-    group[key.value];
-  }
-  int rank = 0;
-  for (auto& [value, g] : group) g = rank++;
-  std::vector<int> group_of(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    group_of[i] = key_of[i] < 0
-                      ? rank
-                      : group[static_cast<std::uint32_t>(key_of[i])];
+    group_of[i] = key.exact == all_exact ? key.value : all_exact + 1;
   }
   std::vector<int> order(n);
   std::iota(order.begin(), order.end(), 0);

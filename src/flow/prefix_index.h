@@ -57,12 +57,11 @@ class LeadingRunIndex {
   void seal();
 
   // Appends every registered id whose match intersects `cube` and returns
-  // how many cube tests that took. Ids come in the order of the 12-bit
-  // bucket scan this index replaced, so callers that build adjacency lists
-  // from it keep their order: the ids exact on the first
-  // min(kPrefixKeyBits, width) bits grouped by that prefix key, the groups
-  // in the iteration order of a std::unordered_map filled in id order, then
-  // the rest; ascending ids within each group.
+  // how many cube tests that took. Ids come in one fixed order, which
+  // callers that build adjacency lists from it inherit: the ids exact on
+  // the first min(kPrefixKeyBits, width) bits grouped by that prefix key,
+  // the groups by ascending key, then the rest; ascending ids within each
+  // group.
   std::size_t collect(const hsa::TernaryString& cube,
                       std::vector<int>& out) const;
 

@@ -106,36 +106,50 @@ std::shared_ptr<const core::AnalysisSnapshot> Monitor::snapshot() const {
   return snapshot_;
 }
 
+std::vector<core::VertexId> apply_churn(std::span<const ChurnOp> ops,
+                                        flow::RuleSet& rules,
+                                        core::RuleGraph& graph,
+                                        std::vector<AppliedOp>& applied) {
+  std::vector<core::VertexId> touched;
+  for (const ChurnOp& op : ops) {
+    if (op.kind == ChurnOp::Kind::kInstall) {
+      const flow::EntryId id = rules.add_entry(op.entry);
+      graph.apply_entry_added(id, &touched);
+      applied.push_back(
+          AppliedOp{ChurnOp::Kind::kInstall, id, rules.entry(id)});
+    } else {
+      const flow::EntryId id = op.remove_id;
+      if (id < 0 || static_cast<std::size_t>(id) >= rules.entry_count() ||
+          rules.is_removed(id)) {
+        continue;
+      }
+      applied.push_back(AppliedOp{ChurnOp::Kind::kRemove, id, rules.entry(id)});
+      rules.remove_entry(id);
+      const std::vector<core::VertexId> t = graph.apply_entry_removed(id);
+      touched.insert(touched.end(), t.begin(), t.end());
+    }
+  }
+  return touched;
+}
+
 void Monitor::drain_churn() {
   if (pending_.empty()) return;
   telemetry::TraceSpan span("monitor.churn_batch",
                             [this] { return loop_->now(); });
   util::WallTimer timer;
+  last_churn_ = ChurnLog{};
+  const std::vector<core::VertexId> touched =
+      apply_churn(pending_, *rules_, graph_, last_churn_.applied);
+  // The data plane receives the applied ops as FlowMods, in batch order.
   dataplane::Network& net = ctrl_->network();
-  std::vector<core::VertexId> touched;
   std::uint64_t installs = 0;
   std::uint64_t removals = 0;
-  last_churn_ = ChurnLog{};
-  for (ChurnOp& op : pending_) {
-    if (op.kind == ChurnOp::Kind::kInstall) {
-      const flow::EntryId id = rules_->add_entry(std::move(op.entry));
-      net.install_entry(rules_->entry(id));
-      graph_.apply_entry_added(id, &touched);
-      last_churn_.applied.push_back(
-          AppliedOp{ChurnOp::Kind::kInstall, id, rules_->entry(id)});
+  for (const AppliedOp& ap : last_churn_.applied) {
+    if (ap.kind == ChurnOp::Kind::kInstall) {
+      net.install_entry(ap.entry);
       ++installs;
     } else {
-      const flow::EntryId id = op.remove_id;
-      if (id < 0 || static_cast<std::size_t>(id) >= rules_->entry_count() ||
-          rules_->is_removed(id)) {
-        continue;  // unknown or double removal: ignore, like a real NBI
-      }
-      const flow::FlowEntry& e = rules_->entry(id);
-      last_churn_.applied.push_back(AppliedOp{ChurnOp::Kind::kRemove, id, e});
-      net.remove_entry(e.switch_id, e.table_id, e.id);
-      rules_->remove_entry(id);
-      const std::vector<core::VertexId> t = graph_.apply_entry_removed(id);
-      touched.insert(touched.end(), t.begin(), t.end());
+      net.remove_entry(ap.entry.switch_id, ap.entry.table_id, ap.id);
       ++removals;
     }
   }

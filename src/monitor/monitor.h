@@ -47,6 +47,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "analysis/verifier.h"
@@ -104,6 +105,18 @@ struct ChurnLog {
 
   bool empty() const { return applied.empty(); }
 };
+
+// Applies `ops` in order to `rules` and the rule graph maintained over it:
+// an install adds its entry under a fresh EntryId, a removal retires its
+// id, and a removal of an unknown or already removed id is skipped, like a
+// real NBI. Appends each applied op to `applied` and returns every vertex
+// the graph recomputed (RuleGraph's `touched`). The one routine that
+// applies churn: Monitor::drain_churn runs it on the live world and mirrors
+// the applied ops onto the data plane, and repair runs it on scratch copies.
+std::vector<core::VertexId> apply_churn(std::span<const ChurnOp> ops,
+                                        flow::RuleSet& rules,
+                                        core::RuleGraph& graph,
+                                        std::vector<AppliedOp>& applied);
 
 struct MonitorConfig {
   // Simulated seconds between scheduled monitoring rounds.

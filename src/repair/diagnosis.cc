@@ -143,7 +143,11 @@ FaultDiagnosis Diagnoser::diagnose(const core::AnalysisSnapshot& snapshot,
   // at a suspect means the installed match/priority no longer behaves like
   // the intended one. ---
   bool lint_corrupt = false;
-  const analysis::LintReport lint = analysis::Linter().run(rules);
+  // The snapshot's graph already holds every entry's input space, so the
+  // lint recomputes none; only its structural findings are read here.
+  analysis::LintConfig lc;
+  lc.edge_witness_budget = 0;
+  const analysis::LintReport lint = analysis::Linter(lc).run(snapshot);
   for (const analysis::Diagnostic& diag : lint.diagnostics()) {
     if (diag.location.switch_id != flagged) continue;
     if (diag.location.entry_id >= 0 &&

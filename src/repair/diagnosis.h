@@ -9,9 +9,9 @@
 //     at an off-path host — plus which entries passed on clean probes;
 //   * the per-entry suspicion levels and the culprit entry whose suspicion
 //     actually crossed the flagging threshold;
-//   * the structural linter (analysis::Linter), always consulted: shadowing
-//     or ambiguous priority findings at a suspect entry corroborate
-//     match/priority corruption.
+//   * the structural linter (analysis::Linter over the episode's
+//     snapshot), always consulted: shadowing or ambiguous priority findings
+//     at a suspect entry corroborate match/priority corruption.
 //
 // The output taxonomy mirrors the paper's fault model (§III-B):
 //

@@ -58,6 +58,64 @@ bool no_new_errors(const std::set<std::string>& baseline,
   return true;
 }
 
+// Rung 3 compares structure only: invariants are rung 1's job, and the
+// edge witnesses re-check what the rule-graph build already decided.
+analysis::LintReport lint_structure(const core::AnalysisSnapshot& snap) {
+  analysis::LintConfig lc;
+  lc.edge_witness_budget = 0;
+  return analysis::Linter(lc).run(snap);
+}
+
+// The live world as rungs 1 and 3 read it, analysed once per fence pass: a
+// graph built over the live RuleSet, verified in full and linted. Every
+// candidate starts from a copy of `verifier`: two builds of one RuleSet are
+// identical and class results are immutable, so the copy (which shares
+// them) is exactly the verifier a full verify of the candidate's own build
+// would hold.
+struct Baseline {
+  analysis::Verifier verifier;
+  std::set<std::string> verify_errors;
+  std::set<std::string> lint_errors;
+
+  Baseline(const flow::RuleSet& live, const analysis::InvariantSet& inv)
+      : verifier(inv) {
+    const core::AnalysisSnapshot snap = core::AnalysisSnapshot::build(live);
+    verify_errors = error_strings(verifier.verify(snap));
+    lint_errors = error_strings(lint_structure(snap));
+  }
+};
+
+// A candidate's fate on rungs 1 and 3.
+enum class Verdict { kRejected, kLintError, kClean };
+
+// Rungs 1 and 3 over one scratch world: a private copy of the live RuleSet
+// with its own rule graph, and a copy of the baseline verifier. The patch
+// is applied here first; the live network stays untouched whatever the
+// verdict. A fresh world per candidate (not revert-in-place) because
+// re-adding a removed entry would assign a new EntryId and the next
+// candidate's ops reference the original ids.
+Verdict dry_run(const flow::RuleSet& live, const Baseline& base,
+                const Patch& patch) {
+  flow::RuleSet scratch = live;
+  core::RuleGraph graph(scratch);
+  analysis::Verifier verifier = base.verifier;
+  std::vector<monitor::AppliedOp> applied;
+  const std::vector<core::VertexId> touched =
+      monitor::apply_churn(patch.ops, scratch, graph, applied);
+  // Same incremental path the monitor's own epoch swap verifies through:
+  // apply_delta over the patch's touched region, bit-identical to a full
+  // re-verify by the verifier's contract.
+  const core::AnalysisSnapshot after(graph);
+  const analysis::VerifyReport verified =
+      verifier.apply_delta(after, touched);
+  if (!no_new_errors(base.verify_errors, error_strings(verified))) {
+    return Verdict::kRejected;
+  }
+  return no_new_errors(base.lint_errors, error_strings(lint_structure(after)))
+             ? Verdict::kClean
+             : Verdict::kLintError;
+}
+
 }  // namespace
 
 struct RepairEngine::Instruments {
@@ -128,70 +186,6 @@ RepairEngine::RepairEngine(monitor::Monitor& mon, controller::Controller& ctrl,
       tm_(std::make_unique<Instruments>()) {}
 
 RepairEngine::~RepairEngine() = default;
-
-bool RepairEngine::dry_run_verify(const Patch& patch) const {
-  // Scratch world: a private copy of the live RuleSet with its own rule
-  // graph and verifier. The patch is applied here first; the live network
-  // stays untouched whatever the verdict. A fresh world per candidate (not
-  // revert-in-place) because re-adding a removed entry would assign a new
-  // EntryId and the next candidate's ops reference the original ids.
-  flow::RuleSet scratch = ctrl_->rules();
-  core::RuleGraph graph(scratch);
-  analysis::Verifier verifier(config_.invariants);
-  std::set<std::string> baseline;
-  {
-    const core::AnalysisSnapshot before(graph);
-    baseline = error_strings(verifier.verify(before));
-  }
-  std::vector<core::VertexId> touched;
-  for (const monitor::ChurnOp& op : patch.ops) {
-    if (op.kind == monitor::ChurnOp::Kind::kInstall) {
-      flow::FlowEntry e = op.entry;
-      e.id = -1;
-      const flow::EntryId id = scratch.add_entry(std::move(e));
-      graph.apply_entry_added(id, &touched);
-    } else {
-      const flow::EntryId id = op.remove_id;
-      if (id < 0 || static_cast<std::size_t>(id) >= scratch.entry_count() ||
-          scratch.is_removed(id)) {
-        continue;
-      }
-      scratch.remove_entry(id);
-      const std::vector<core::VertexId> t = graph.apply_entry_removed(id);
-      touched.insert(touched.end(), t.begin(), t.end());
-    }
-  }
-  // Same incremental path the monitor's own epoch swap verifies through:
-  // apply_delta over the patch's touched region, bit-identical to a full
-  // re-verify by the verifier's contract.
-  const core::AnalysisSnapshot after(graph);
-  return no_new_errors(baseline,
-                       error_strings(verifier.apply_delta(after, touched)));
-}
-
-bool RepairEngine::lint_gate(const Patch& patch) const {
-  analysis::LintConfig lc;
-  lc.strict = false;           // gate by comparison, not by throwing
-  lc.edge_witness_budget = 0;  // invariants already verified; skip witnesses
-  analysis::LintReport base;
-  (void)analysis::build_checked_snapshot(ctrl_->rules(), lc, &base);
-  flow::RuleSet scratch = ctrl_->rules();
-  for (const monitor::ChurnOp& op : patch.ops) {
-    if (op.kind == monitor::ChurnOp::Kind::kInstall) {
-      flow::FlowEntry e = op.entry;
-      e.id = -1;
-      scratch.add_entry(std::move(e));
-    } else if (op.remove_id >= 0 &&
-               static_cast<std::size_t>(op.remove_id) <
-                   scratch.entry_count() &&
-               !scratch.is_removed(op.remove_id)) {
-      scratch.remove_entry(op.remove_id);
-    }
-  }
-  analysis::LintReport cand;
-  (void)analysis::build_checked_snapshot(scratch, lc, &cand);
-  return no_new_errors(error_strings(base), error_strings(cand));
-}
 
 std::vector<core::Probe> RepairEngine::confirm_probes(
     const core::AnalysisSnapshot& snap, const monitor::ChurnLog& log,
@@ -305,7 +299,13 @@ RepairOutcome RepairEngine::heal(flow::SwitchId flagged,
   // against one epoch; if churn lands before install (the test hook models
   // the worst-case interleaving), everything re-runs against the new world
   // — a patch verified against a stale snapshot never reaches the wire.
-  std::vector<Patch> survivors;
+  // A candidate that passed rung 1, with its rung-3 verdict on the same
+  // scratch world.
+  struct Survivor {
+    Patch patch;
+    bool lint_clean = false;
+  };
+  std::vector<Survivor> survivors;
   std::vector<PatchAttempt> rejected;
   int fence = 0;
   for (;;) {
@@ -320,9 +320,11 @@ RepairOutcome RepairEngine::heal(flow::SwitchId flagged,
     out.patches_proposed = candidates.size();
     survivors.clear();
     rejected.clear();
+    const Baseline base(ctrl_->rules(), config_.invariants);
     for (Patch& p : candidates) {
-      if (dry_run_verify(p)) {
-        survivors.push_back(std::move(p));
+      const Verdict v = dry_run(ctrl_->rules(), base, p);
+      if (v != Verdict::kRejected) {
+        survivors.push_back(Survivor{std::move(p), v == Verdict::kClean});
       } else {
         PatchAttempt at;
         at.strategy = p.strategy;
@@ -346,19 +348,20 @@ RepairOutcome RepairEngine::heal(flow::SwitchId flagged,
   // Install survivors safest-first; the synthesizer's strategy preference
   // breaks blast-radius ties via stable sort.
   std::stable_sort(survivors.begin(), survivors.end(),
-                   [](const Patch& a, const Patch& b) {
-                     return a.blast_radius < b.blast_radius;
+                   [](const Survivor& a, const Survivor& b) {
+                     return a.patch.blast_radius < b.patch.blast_radius;
                    });
   std::size_t installs_tried = 0;
-  for (Patch& p : survivors) {
+  for (Survivor& sv : survivors) {
     if (installs_tried >= kMaxPatchAttempts) break;
+    Patch& p = sv.patch;
     PatchAttempt at;
     at.strategy = p.strategy;
     at.blast_radius = p.blast_radius;
     at.verified = true;
     at.description = p.description;
     tm_->patches_verified.add(1);
-    if (!lint_gate(p)) {
+    if (!sv.lint_clean) {
       out.attempts.push_back(std::move(at));
       continue;
     }

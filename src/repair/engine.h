@@ -5,23 +5,27 @@
 //
 // Safety ladder (every rung must hold before the next is climbed):
 //
-//   1. verify   every candidate patch is applied to a *scratch world* — a
-//               copy of the live RuleSet with its own RuleGraph — and the
-//               engine's analysis::Verifier re-checks the invariants
-//               incrementally (apply_delta over the patch's touched
-//               region). A patch that introduces any error diagnostic the
-//               live network does not already have (loop, blackhole,
-//               reachability shrink, forbidden path) is rejected. No patch
-//               ever reaches the dataplane without this pass.
+//   1. verify   the live world is built, verified and linted once per
+//               fence pass (the baseline). Every candidate patch is then
+//               applied to a *scratch world* — a copy of the live RuleSet
+//               with its own RuleGraph, through monitor::apply_churn — and
+//               a copy of the baseline analysis::Verifier re-checks the
+//               invariants incrementally (apply_delta over the patch's
+//               touched region). A patch that introduces any error
+//               diagnostic the live network does not already have (loop,
+//               blackhole, reachability shrink, forbidden path) is
+//               rejected. No patch ever reaches the dataplane without this
+//               pass.
 //   2. fence    verification reads one epoch; installation must happen in
 //               the same one. After verifying (and after the test-only
 //               after_verify_hook), any concurrent churn — pending ops or
 //               an epoch bump — forces a re-verify of all candidates
 //               against the new world. Bounded by kMaxFenceRetries
 //               (engine.cc).
-//   3. lint     the winning candidate is additionally checked through
-//               analysis::build_checked_snapshot: structural lint errors
-//               not present in the live ruleset reject it.
+//   3. lint     the same scratch world is linted (analysis::Linter,
+//               structure only): structural lint errors not present in the
+//               live world reject the candidate when its turn to install
+//               comes.
 //   4. confirm  the patch is installed through the monitor as one churn
 //               batch, then a targeted FaultLocalizer episode re-probes
 //               the installed entries' paths (loss-tolerant, per the
@@ -124,10 +128,6 @@ class RepairEngine {
  private:
   struct Instruments;
 
-  // Rung 1: scratch-world invariant dry-run (see file comment).
-  bool dry_run_verify(const Patch& patch) const;
-  // Rung 3: structural lint gate through build_checked_snapshot.
-  bool lint_gate(const Patch& patch) const;
   // Targeted confirm probes: one path per entry the batch installed,
   // prepended/extended along the live snapshot.
   std::vector<core::Probe> confirm_probes(const core::AnalysisSnapshot& snap,

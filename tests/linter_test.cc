@@ -49,11 +49,16 @@ struct Fixture {
   flow::RuleSet rules;
 };
 
+// The full battery over a fresh snapshot of `rules`.
+LintReport lint(const flow::RuleSet& rules) {
+  return Linter().run(core::AnalysisSnapshot::build(rules));
+}
+
 TEST(Linter, CleanRulesetHasNoDiagnostics) {
   Fixture f;
   f.add(0, 0, 10, ts("00xxxxxx"), flow::Action::output(f.port01()));
   f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   EXPECT_EQ(report.size(), 0u) << report.to_string();
 }
 
@@ -65,7 +70,7 @@ TEST(Linter, FullyShadowedEntryIsFlaggedAsWarning) {
       f.add(0, 0, 10, ts("0000xxxx"), flow::Action::output(f.port01()));
   f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
 
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   ASSERT_EQ(report.count(CheckId::kShadowedEntry), 1u) << report.to_string();
   const Diagnostic* d = report.by_check(CheckId::kShadowedEntry)[0];
   EXPECT_EQ(d->severity, Severity::kWarning);
@@ -90,7 +95,7 @@ TEST(Linter, ShadowedEntryNamesEqualPriorityCoverers) {
       f.add(0, 0, 10, ts("000xxxxx"), flow::Action::output(f.port01()));
   f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
 
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   ASSERT_EQ(report.count(CheckId::kShadowedEntry), 1u) << report.to_string();
   const Diagnostic* d = report.by_check(CheckId::kShadowedEntry)[0];
   EXPECT_EQ(d->location.entry_id, shadowed);
@@ -110,7 +115,7 @@ TEST(Linter, PartiallyShadowedEntryIsNotFlagged) {
   f.add(0, 0, 10, ts("00xxxxxx"), flow::Action::output(f.port01()));
   f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
 
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   EXPECT_EQ(report.count(CheckId::kShadowedEntry), 0u) << report.to_string();
 }
 
@@ -118,7 +123,7 @@ TEST(Linter, GotoTableCycleIsError) {
   Fixture f;
   f.add(0, 0, 10, ts("00xxxxxx"), flow::Action::goto_table(1));
   f.add(0, 1, 10, ts("00xxxxxx"), flow::Action::goto_table(0));
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   ASSERT_GE(report.count(CheckId::kGotoCycle), 1u) << report.to_string();
   EXPECT_EQ(report.by_check(CheckId::kGotoCycle)[0]->severity,
             Severity::kError);
@@ -129,7 +134,7 @@ TEST(Linter, DanglingOutputPortIsError) {
   // Switch 0 has one neighbor: valid ports are 0 (to sw1) and 1 (host).
   const auto bad =
       f.add(0, 0, 10, ts("00xxxxxx"), flow::Action::output(flow::PortId{5}));
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   ASSERT_EQ(report.count(CheckId::kDanglingOutput), 1u) << report.to_string();
   const Diagnostic* d = report.by_check(CheckId::kDanglingOutput)[0];
   EXPECT_EQ(d->severity, Severity::kError);
@@ -139,7 +144,7 @@ TEST(Linter, DanglingOutputPortIsError) {
 TEST(Linter, DanglingGotoIsError) {
   Fixture f;
   f.add(0, 0, 10, ts("00xxxxxx"), flow::Action::goto_table(7));
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   ASSERT_EQ(report.count(CheckId::kDanglingGoto), 1u) << report.to_string();
   EXPECT_EQ(report.by_check(CheckId::kDanglingGoto)[0]->severity,
             Severity::kError);
@@ -152,7 +157,7 @@ TEST(Linter, EmptyMatchAfterSetFieldIsError) {
   const auto bad = f.add(0, 0, 10, ts("10xxxxxx"),
                          flow::Action::output(f.port01()), ts("111xxxxx"));
   f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   ASSERT_EQ(report.count(CheckId::kEmptyMatch), 1u) << report.to_string();
   const Diagnostic* d = report.by_check(CheckId::kEmptyMatch)[0];
   EXPECT_EQ(d->severity, Severity::kError);
@@ -164,7 +169,7 @@ TEST(Linter, ForwardingIntoAMatchingPeerIsNotEmptyMatch) {
   f.add(0, 0, 10, ts("10xxxxxx"), flow::Action::output(f.port01()),
         ts("00xxxxxx"));
   f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   EXPECT_EQ(report.count(CheckId::kEmptyMatch), 0u) << report.to_string();
 }
 
@@ -174,7 +179,7 @@ TEST(Linter, UnreachableTableIsWarning) {
   // Table 1 exists (non-empty) but no goto from table 0 reaches it.
   f.add(0, 1, 10, ts("01xxxxxx"), flow::Action::output(f.host(0)));
   f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   ASSERT_EQ(report.count(CheckId::kUnreachableTable), 1u)
       << report.to_string();
   EXPECT_EQ(report.by_check(CheckId::kUnreachableTable)[0]->severity,
@@ -186,7 +191,7 @@ TEST(Linter, DisconnectedTopologyIsWarning) {
   g.add_edge(0, 1);
   g.add_edge(2, 3);
   flow::RuleSet rules(g, 8);
-  const LintReport report = Linter().run(rules);
+  const LintReport report = lint(rules);
   EXPECT_EQ(report.count(CheckId::kTopologyDisconnected), 1u)
       << report.to_string();
   EXPECT_EQ(report.count(Severity::kError), 0u) << report.to_string();
@@ -293,7 +298,7 @@ TEST(Linter, AmbiguousPriorityOverlapIsWarnedAtTheLaterEntry) {
       f.add(0, 0, 10, ts("0xxxxxxx"), flow::Action::output(f.host(0)));
   f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
 
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   ASSERT_EQ(report.count(CheckId::kAmbiguousPriority), 1u)
       << report.to_string();
   const Diagnostic* d = report.by_check(CheckId::kAmbiguousPriority)[0];
@@ -314,7 +319,7 @@ TEST(Linter, SamePriorityDisjointEntriesAreNotAmbiguous) {
   // structure, not ambiguity.
   f.add(0, 0, 5, ts("0xxxxxxx"), flow::Action::output(f.host(0)));
   f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
-  const LintReport report = Linter().run(f.rules);
+  const LintReport report = lint(f.rules);
   EXPECT_EQ(report.count(CheckId::kAmbiguousPriority), 0u)
       << report.to_string();
 }
@@ -327,8 +332,8 @@ TEST(Linter, ReportIsDeterministicallySorted) {
   f.add(1, 0, 10, ts("01xxxxxx"), flow::Action::output(flow::PortId{9}));
   f.add(0, 0, 10, ts("00xxxxxx"), flow::Action::goto_table(7));
   f.add(0, 0, 10, ts("0xxxxxxx"), flow::Action::output(flow::PortId{8}));
-  const LintReport a = Linter().run(f.rules);
-  const LintReport b = Linter().run(f.rules);
+  const LintReport a = lint(f.rules);
+  const LintReport b = lint(f.rules);
   EXPECT_TRUE(a.is_sorted());
   EXPECT_EQ(a.to_string(), b.to_string());
   // Sorted means grouped by check id first, then location.

@@ -15,6 +15,7 @@
 #include "core/mlpc.h"
 #include "core/rule_graph.h"
 #include "flow/synthesizer.h"
+#include "telemetry/metrics.h"
 #include "topo/generator.h"
 #include "util/rng.h"
 
@@ -237,13 +238,91 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MlpcProperty,
 // the whole head path, locations are rebuilt from scratch for every
 // augment(), and every sweep tries every alive path until one makes no
 // progress. MlpcSolver's sweeps, which retry only the paths a success may
-// have changed, must return the same cover.
+// have changed, must return the same cover. solve_worklist() runs those
+// retry-only sweeps over an eager reader index instead, to count the
+// augment() calls they owe.
 class BlindSweepMlpc {
  public:
   BlindSweepMlpc(const AnalysisSnapshot& g, std::size_t budget)
       : g_(g), budget_(budget) {}
 
   Cover solve(std::uint64_t seed) {
+    greedy(seed);
+    for (bool progress = true; progress;) {
+      progress = false;
+      for (std::size_t pi = 0; pi < paths_.size(); ++pi) {
+        if (paths_[pi].alive && augment(static_cast<int>(pi))) {
+          progress = true;
+          ++augmentations_;
+        }
+      }
+    }
+    return cover();
+  }
+
+  // The greedy phase, then MlpcSolver's sweep worklist: a path is retried
+  // only while dirty. The reader index is eager: a failed attempt replaces
+  // its path's read set at once, and a success marks dirty every path
+  // whose latest failed attempt read a vertex of the rewritten paths.
+  Cover solve_worklist(std::uint64_t seed) {
+    greedy(seed);
+    std::vector<std::set<int>> readers(head_.size());
+    std::vector<std::vector<VertexId>> last_reads(paths_.size());
+    std::vector<std::uint8_t> dirty(paths_.size(), 1);
+    std::vector<VertexId> reads;
+    reads_ = &reads;
+    for (bool progress = true; progress;) {
+      progress = false;
+      for (std::size_t pi = 0; pi < paths_.size(); ++pi) {
+        if (!paths_[pi].alive || !dirty[pi]) continue;
+        dirty[pi] = 0;
+        reads.clear();
+        ++attempts_;
+        if (!augment(static_cast<int>(pi))) {
+          for (const VertexId v : last_reads[pi]) {
+            readers[static_cast<std::size_t>(v)].erase(static_cast<int>(pi));
+          }
+          last_reads[pi] = reads;
+          for (const VertexId v : reads) {
+            readers[static_cast<std::size_t>(v)].insert(static_cast<int>(pi));
+          }
+          continue;
+        }
+        progress = true;
+        for (const int changed : {static_cast<int>(pi), donor_}) {
+          if (changed < 0) continue;
+          for (const VertexId v : path(changed).vertices) {
+            for (const int q : readers[static_cast<std::size_t>(v)]) {
+              dirty[static_cast<std::size_t>(q)] = 1;
+            }
+          }
+          dirty[static_cast<std::size_t>(changed)] = 1;
+        }
+      }
+    }
+    reads_ = nullptr;
+    return cover();
+  }
+
+  int augmentations() const { return augmentations_; }
+  // augment() calls solve_worklist() made.
+  std::uint64_t attempts() const { return attempts_; }
+
+ private:
+  struct Path {
+    std::vector<VertexId> vertices;
+    hsa::HeaderSpace output_space;
+    bool alive = true;
+  };
+  struct Stitch {
+    int target;
+    std::vector<VertexId> route;
+    hsa::HeaderSpace space;
+  };
+
+  Path& path(int i) { return paths_[static_cast<std::size_t>(i)]; }
+
+  void greedy(std::uint64_t seed) {
     const auto V = static_cast<std::size_t>(g_.vertex_count());
     head_.assign(V, -1);
     for (VertexId v = 0; v < g_.vertex_count(); ++v) {
@@ -269,15 +348,9 @@ class BlindSweepMlpc {
         work.push_back(pi);
       }
     }
-    for (bool progress = true; progress;) {
-      progress = false;
-      for (std::size_t pi = 0; pi < paths_.size(); ++pi) {
-        if (paths_[pi].alive && augment(static_cast<int>(pi))) {
-          progress = true;
-          ++augmentations_;
-        }
-      }
-    }
+  }
+
+  Cover cover() const {
     Cover cover;
     for (const Path& p : paths_) {
       if (p.alive) cover.paths.push_back(CoverPath{p.vertices, p.output_space});
@@ -285,21 +358,11 @@ class BlindSweepMlpc {
     return cover;
   }
 
-  int augmentations() const { return augmentations_; }
-
- private:
-  struct Path {
-    std::vector<VertexId> vertices;
-    hsa::HeaderSpace output_space;
-    bool alive = true;
-  };
-  struct Stitch {
-    int target;
-    std::vector<VertexId> route;
-    hsa::HeaderSpace space;
-  };
-
-  Path& path(int i) { return paths_[static_cast<std::size_t>(i)]; }
+  // Marks w visited, logging it as read while an augment() sweep records.
+  void visit(std::vector<std::uint8_t>& visited, VertexId w) {
+    visited[static_cast<std::size_t>(w)] = 1;
+    if (reads_ != nullptr) reads_->push_back(w);
+  }
 
   hsa::HeaderSpace along(hsa::HeaderSpace hs,
                          std::span<const VertexId> vertices) const {
@@ -331,7 +394,7 @@ class BlindSweepMlpc {
       if (visited[static_cast<std::size_t>(w)]) continue;
       if (budget == 0) return std::nullopt;
       --budget;
-      visited[static_cast<std::size_t>(w)] = 1;
+      visit(visited, w);
       const int q = head_[static_cast<std::size_t>(w)];
       if (q >= 0 && q != from && path(q).alive) {
         hsa::HeaderSpace through = along(space, path(q).vertices);
@@ -361,12 +424,13 @@ class BlindSweepMlpc {
     std::vector<std::uint8_t> visited(head_.size(), 0);
     std::size_t budget = budget_;
     std::vector<VertexId> route;
+    donor_ = -1;
     std::function<bool(VertexId, const hsa::HeaderSpace&)> dfs =
         [&](VertexId at, const hsa::HeaderSpace& space) {
           for (const VertexId w : g_.successors(at)) {
             if (visited[static_cast<std::size_t>(w)] || budget == 0) continue;
             --budget;
-            visited[static_cast<std::size_t>(w)] = 1;
+            visit(visited, w);
             const int q = head_[static_cast<std::size_t>(w)];
             const auto [lp, li] = loc[static_cast<std::size_t>(w)];
             if (q >= 0 && q != pi && path(q).alive) {
@@ -396,6 +460,7 @@ class BlindSweepMlpc {
                 if (auto found = stitch(lp, r.vertices.back(), r.output_space,
                                         visited2, budget2, route2)) {
                   merge(lp, std::move(*found));
+                  donor_ = lp;
                   return true;
                 }
                 p = p_backup;
@@ -418,7 +483,33 @@ class BlindSweepMlpc {
   std::vector<Path> paths_;
   std::vector<int> head_;
   int augmentations_ = 0;
+  // Set by a successful augment(): the path whose suffix it captured, or -1.
+  int donor_ = -1;
+  // While solve_worklist() sweeps: every vertex an augment() visits.
+  std::vector<VertexId>* reads_ = nullptr;
+  std::uint64_t attempts_ = 0;
 };
+
+// A synthesized network whose size, subnet bits, short-prefix and
+// set-field shares and path count are drawn from `net`.
+flow::RuleSet drawn_network(std::uint64_t net) {
+  util::Rng draw(net);
+  topo::GeneratorConfig tc;
+  tc.node_count = 8 + static_cast<int>(draw.next_below(20));
+  tc.link_count = tc.node_count + 4 +
+                  static_cast<int>(draw.next_below(
+                      static_cast<std::uint64_t>(tc.node_count)));
+  tc.seed = net;
+  const topo::Graph topo = topo::make_rocketfuel_like(tc);
+  flow::SynthesizerConfig sc;
+  sc.target_entry_count = 300 + static_cast<long>(draw.next_below(3000));
+  sc.subnet_bits = 6 + static_cast<int>(draw.next_below(8));
+  sc.short_prefix_fraction = draw.next_double() * 0.8;
+  sc.set_field_fraction = draw.next_double() * 0.3;
+  sc.k_paths = 1 + static_cast<int>(draw.next_below(4));
+  sc.seed = net * 7 + 1;
+  return flow::synthesize_ruleset(topo, sc);
+}
 
 // Single-restart deterministic covers equal the blind-sweep reference,
 // path for path and cube for cube, on synthesized networks whose size,
@@ -430,22 +521,7 @@ class BlindSweepMlpc {
 TEST(MlpcWorklist, SingleRestartCoversMatchBlindSweeps) {
   int augmentations = 0;
   for (const std::uint64_t net : {55, 189, 265, 292, 579}) {
-    util::Rng draw(net);
-    topo::GeneratorConfig tc;
-    tc.node_count = 8 + static_cast<int>(draw.next_below(20));
-    tc.link_count = tc.node_count + 4 +
-                    static_cast<int>(draw.next_below(
-                        static_cast<std::uint64_t>(tc.node_count)));
-    tc.seed = net;
-    const topo::Graph topo = topo::make_rocketfuel_like(tc);
-    flow::SynthesizerConfig sc;
-    sc.target_entry_count = 300 + static_cast<long>(draw.next_below(3000));
-    sc.subnet_bits = 6 + static_cast<int>(draw.next_below(8));
-    sc.short_prefix_fraction = draw.next_double() * 0.8;
-    sc.set_field_fraction = draw.next_double() * 0.3;
-    sc.k_paths = 1 + static_cast<int>(draw.next_below(4));
-    sc.seed = net * 7 + 1;
-    const flow::RuleSet rs = flow::synthesize_ruleset(topo, sc);
+    const flow::RuleSet rs = drawn_network(net);
     RuleGraph g(rs);
     AnalysisSnapshot snap(g);
     for (const std::uint64_t seed : {1, 2}) {
@@ -469,6 +545,41 @@ TEST(MlpcWorklist, SingleRestartCoversMatchBlindSweeps) {
   }
   // The sweeps did work: some augmentation succeeded somewhere.
   EXPECT_GT(augmentations, 0);
+}
+
+// MlpcSolver's lazy ReaderIndex owes exactly the augment() calls of the
+// eager reference index, solve by solve, on the same networks. A reader
+// index that loses the readers of a shared vertex (say, records a vertex
+// only for its first reader) still returns the same covers there, since
+// the calls it skips would have failed, but it makes fewer calls.
+TEST(MlpcWorklist, AugmentAttemptsMatchEagerReaderIndex) {
+  auto& reg = telemetry::MetricsRegistry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  telemetry::Counter& attempts = reg.counter("mlpc.augment_attempts");
+  std::uint64_t total = 0;
+  for (const std::uint64_t net : {55, 189, 265, 292, 579}) {
+    const flow::RuleSet rs = drawn_network(net);
+    RuleGraph g(rs);
+    AnalysisSnapshot snap(g);
+    for (const std::uint64_t seed : {1, 2}) {
+      MlpcConfig mc;
+      mc.deterministic_restarts = 1;
+      mc.common.seed = seed;
+      const std::uint64_t before = attempts.value();
+      const Cover cover = MlpcSolver(mc).solve(snap);
+      BlindSweepMlpc reference(snap, mc.search_budget);
+      const Cover expected =
+          reference.solve_worklist(util::Rng::derive(seed, 0));
+      EXPECT_EQ(cover.path_count(), expected.path_count())
+          << "network " << net << " seed " << seed;
+      EXPECT_EQ(attempts.value() - before, reference.attempts())
+          << "network " << net << " seed " << seed;
+      total += reference.attempts();
+    }
+  }
+  reg.set_enabled(was_enabled);
+  EXPECT_GT(total, 0u);
 }
 
 TEST(MlpcRandomized, DifferentSeedsGiveDifferentTerminals) {

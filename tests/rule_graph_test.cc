@@ -15,7 +15,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -171,14 +170,14 @@ TEST(RuleGraphBuild, EdgesMatchNaiveAllPairsReference) {
 // table), vertices bucketed by the value of their first min(12, width)
 // header bits when those are all exact, the rest in a wildcard list. An
 // out-cube exact on those bits scans its own bucket, otherwise every
-// agreeing bucket in the map's iteration order; then the wildcard list.
-// Returns every vertex's successor sequence.
+// agreeing bucket by ascending key; then the wildcard list. Returns every
+// vertex's successor sequence.
 std::vector<std::vector<VertexId>> bucket_scan_successors(const RuleGraph& g) {
   const flow::RuleSet& rules = g.rules();
   const int bits = std::min(12, rules.header_width());
   const std::uint32_t all_exact = (std::uint32_t{1} << bits) - 1;
   struct Buckets {
-    std::unordered_map<std::uint32_t, std::vector<VertexId>> exact;
+    std::map<std::uint32_t, std::vector<VertexId>> exact;
     std::vector<VertexId> wildcard;
   };
   std::map<std::pair<flow::SwitchId, flow::TableId>, Buckets> index;

@@ -323,7 +323,8 @@ TEST(InvariantSet, ParserRejectsMalformedLinesWithLineNumbers) {
 // require, after every burst, that apply_delta over the batch's touched
 // region produces a report bit-identical to a from-scratch verify of the
 // same snapshot — while actually reusing classes (otherwise the test only
-// proves the trivial "re-verify everything" implementation).
+// proves the trivial "re-verify everything" implementation). A copy of the
+// verifier taken before the burst must give the same report too.
 TEST(VerifierChurn, ApplyDeltaIsBitIdenticalToFullReverify) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     topo::GeneratorConfig tc;
@@ -360,6 +361,9 @@ TEST(VerifierChurn, ApplyDeltaIsBitIdenticalToFullReverify) {
     constexpr int kBursts = 5;
     constexpr int kOpsPerBurst = 8;
     for (int burst = 0; burst < kBursts; ++burst) {
+      // A copy taken before the burst (repair's dry runs start from one)
+      // must still hold the pre-burst state once `incremental` moves on.
+      const Verifier before = incremental;
       std::vector<core::VertexId> touched;
       for (int op = 0; op < kOpsPerBurst; ++op) {
         const bool do_install = live.empty() ||
@@ -388,6 +392,9 @@ TEST(VerifierChurn, ApplyDeltaIsBitIdenticalToFullReverify) {
       const VerifyReport full = fresh.verify(snap);
       ASSERT_EQ(delta.to_string(), full.to_string())
           << "seed " << seed << " burst " << burst;
+      Verifier copy = before;
+      ASSERT_EQ(copy.apply_delta(snap, touched).to_string(), full.to_string())
+          << "seed " << seed << " burst " << burst << " (copy)";
       ASSERT_EQ(delta.stats().classes_total, full.stats().classes_total)
           << "seed " << seed << " burst " << burst;
       ASSERT_TRUE(delta.is_sorted());
